@@ -60,15 +60,7 @@ class PrivilegedMap:
     def b_matrix(self) -> np.ndarray:
         """b_jk = d_k a_j0(0), the linear transverse coefficients of the
         pushed horizontal fields."""
-        d = self.dim - 1
-        b = np.zeros((d, d))
-        space = self.pushed[0].components.space
-        for j in range(1, d + 1):
-            comp0 = self.pushed[j].components.components[0]
-            for k in range(1, d + 1):
-                e = tuple(1 if i == k else 0 for i in range(self.dim))
-                b[j - 1, k - 1] = comp0.coeffs[space.index[e]]
-        return b
+        return np.array([f.components.linear()[0, 1:] for f in self.pushed[1:]])
 
 
 def privileged_map(frame: HFrame, u, order: int | None = None) -> PrivilegedMap:
@@ -76,10 +68,10 @@ def privileged_map(frame: HFrame, u, order: int | None = None) -> PrivilegedMap:
     u = np.asarray(u, dtype=float)
     if not frame.domain.contains(u):
         raise FrameError(f"base point {u} outside the frame domain")
-    frame.check_invertible(u)
+    B = frame.matrix_at(u)
+    frame.check_invertible(u, B=B)
     if order is None:
         order = frame.order
-    B = frame.matrix_at(u)
     A = np.linalg.inv(B.T)
     resid = np.max(np.abs(A @ B.T - np.eye(frame.dim)))
     if resid > 1e-10:
@@ -223,21 +215,19 @@ def _linear_transverse_frame(coef: np.ndarray, order: int, sign: float) -> tuple
 def heisenberg_map(frame: HFrame, u) -> HeisenbergMap:
     """Heisenberg coordinates at u.
 
-    The b matrix comes from the Jacobian identity b_jk = (A DX_j(u) B^t)_0k,
+    One monomial vector at u, multiplied into the frame's stacked tables,
+    gives B(u) and every DX_j(u); the determinant guard runs on that B.  The
+    b matrix comes from the Jacobian identity b_jk = (A DX_j(u) B^t)_0k,
     which agrees with the degree-1 jet route of `b_matrix` (tested against
     it); this keeps the per-point construction cheap for the groupoid caches.
     """
     u = np.asarray(u, dtype=float)
     if not frame.domain.contains(u):
         raise FrameError(f"base point {u} outside the frame domain")
-    frame.check_invertible(u)
-    B = frame.matrix_at(u)
+    B, DX = frame.matrix_and_jacobians(u)
+    frame.check_invertible(u, B=B)
     A = np.linalg.inv(B.T)
-    d = frame.d
-    b = np.zeros((d, d))
-    for j in range(1, d + 1):
-        J = frame.fields[j].components.jacobian(u)
-        b[j - 1, :] = (A @ J @ B.T)[0, 1:]
+    b = (A[0] @ DX[1:] @ B.T)[:, 1:]
     return HeisenbergMap(u, A, b)
 
 

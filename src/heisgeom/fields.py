@@ -140,7 +140,12 @@ class Box:
 
 @dataclass(frozen=True, eq=False)
 class HFrame:
-    """Frame X_0, ..., X_d over a box; X_1, ..., X_d span the hyperplane H."""
+    """Frame X_0, ..., X_d over a box; X_1, ..., X_d span the hyperplane H.
+
+    All component jets X_j^i sit in one polynomial map, `stacked` (row
+    j * dim + i), so one monomial vector at x gives every field and every
+    field Jacobian; the fields must share one jet space and base point.
+    """
 
     fields: tuple
     domain: Box
@@ -155,6 +160,7 @@ class HFrame:
         if self.domain.dim != dim:
             raise FrameError("domain dimension does not match the fields")
         object.__setattr__(self, "fields", fields)
+        object.__setattr__(self, "stacked", PolyMap(tuple(c for f in fields for c in f.components.components)))
 
     @property
     def dim(self) -> int:
@@ -169,15 +175,23 @@ class HFrame:
         return self.fields[0].order
 
     def matrix_at(self, x) -> np.ndarray:
-        """B(x): row j holds the components of X_j at x."""
-        return np.stack([f(x) for f in self.fields], axis=0)
+        """B(x): row j holds the components of X_j at x (one matmul of the
+        stacked coefficient table with the monomial vector at x)."""
+        return (self.stacked.coeffs @ self.stacked.monomials(x)).reshape(self.dim, self.dim)
+
+    def matrix_and_jacobians(self, x):
+        """B(x) and DX(x) with DX[j, i, k] = d_k X_j^i(x), from one monomial vector."""
+        pm, n = self.stacked, self.dim
+        mono = pm.monomials(x)
+        return (pm.coeffs @ mono).reshape(n, n), (pm.partials @ mono).reshape(n, n, n)
 
     def basis_at(self, x) -> np.ndarray:
         """Columns are the frame vectors at x (= B(x)^t)."""
         return self.matrix_at(x).T
 
-    def check_invertible(self, x, rtol: float = 1e-8) -> float:
-        B = self.matrix_at(x)
+    def check_invertible(self, x, rtol: float = 1e-8, B=None) -> float:
+        """Determinant guard at x; pass B when B(x) is already at hand."""
+        B = self.matrix_at(x) if B is None else B
         det = np.linalg.det(B)
         scale = max(np.max(np.abs(B), initial=0.0), 1e-300)
         if abs(det) <= rtol * scale**self.dim:
@@ -221,26 +235,31 @@ class StructureConstants:
 
 
 class LeviForm:
-    """Bracket fields of a frame, cached once, evaluated at many points."""
+    """Bracket fields of a frame, built once and stacked after the frame
+    fields in one polynomial map, so one monomial vector at m gives B(m)
+    and every [X_j, X_k](m)."""
 
     def __init__(self, frame: HFrame):
         self.frame = frame
-        d = frame.d
-        self._brackets = {
-            (j, k): bracket(frame.fields[j], frame.fields[k])
-            for j, k in itertools.combinations(range(1, d + 1), 2)
-        }
+        self._pairs = list(itertools.combinations(range(1, frame.d + 1), 2))
+        brackets = [bracket(frame.fields[j], frame.fields[k]) for j, k in self._pairs]
+        fields = list(frame.fields) + brackets
+        self._stacked = PolyMap(tuple(c for f in fields for c in f.components.components))
+
+    def _at(self, m):
+        """B(m) and the bracket vectors at m, one per row."""
+        vals = (self._stacked.coeffs @ self._stacked.monomials(m)).reshape(-1, self.frame.dim)
+        return vals[: self.frame.dim], vals[self.frame.dim :]
 
     def matrix(self, m) -> StructureConstants:
         frame = self.frame
         if not frame.domain.contains(m):
             raise FrameError(f"point {np.asarray(m)} outside the frame domain")
-        basis = frame.basis_at(m)
-        frame.check_invertible(m)
-        d = frame.d
-        L = np.zeros((d, d))
-        for (j, k), br in self._brackets.items():
-            omega = np.linalg.solve(basis, br(m))
+        B, brackets = self._at(m)
+        frame.check_invertible(m, B=B)
+        L = np.zeros((frame.d, frame.d))
+        for (j, k), v in zip(self._pairs, brackets):
+            omega = np.linalg.solve(B.T, v)
             L[j - 1, k - 1] = omega[0]
             L[k - 1, j - 1] = -omega[0]
         return StructureConstants(L)
@@ -248,14 +267,11 @@ class LeviForm:
     def raw_matrix(self, m) -> np.ndarray:
         """L without the antisymmetry validation (both triangles solved
         independently; used by the antisymmetry check itself)."""
-        frame = self.frame
-        basis = frame.basis_at(m)
-        d = frame.d
-        L = np.zeros((d, d))
-        for (j, k), br in self._brackets.items():
-            v = br(m)
-            L[j - 1, k - 1] = np.linalg.solve(basis, v)[0]
-            L[k - 1, j - 1] = np.linalg.solve(basis, -v)[0]
+        B, brackets = self._at(m)
+        L = np.zeros((self.frame.d, self.frame.d))
+        for (j, k), v in zip(self._pairs, brackets):
+            L[j - 1, k - 1] = np.linalg.solve(B.T, v)[0]
+            L[k - 1, j - 1] = np.linalg.solve(B.T, -v)[0]
         return L
 
 

@@ -9,14 +9,16 @@ for inputs that are exact polynomials of degree <= K every surviving
 coefficient is exact up to float rounding.
 
 All values are immutable after construction and safe to share across
-threads; there is no global mutable state beyond the per-(dim, order)
-space cache.
+threads.  The only mutable state is the per-(dim, order) space cache and
+the stacked tables a `PolyMap` builds on first use (`coeffs`, `partials`):
+those are read-only arrays derived from immutable data, so two threads
+racing on a fresh map at worst compute them twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -53,6 +55,10 @@ class JetSpace:
     @property
     def size(self) -> int:
         return len(self.degrees)
+
+    def monomials(self, dx) -> np.ndarray:
+        """dx^exponents for displacements dx of shape (..., dim): shape (..., size)."""
+        return np.prod(dx[..., None, :] ** self.exponents, axis=-1)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"JetSpace(dim={self.dim}, order={self.order}, size={self.size})"
@@ -126,7 +132,7 @@ class Jet:
             raise JetError(f"coefficient table has shape {coeffs.shape}, expected ({self.space.size},)")
         if base.shape != (self.space.dim,):
             raise JetError(f"base point has shape {base.shape}, expected ({self.space.dim},)")
-        if not np.all(np.isfinite(coeffs)) or not np.all(np.isfinite(base)):
+        if not (np.isfinite(coeffs).all() and np.isfinite(base).all()):
             raise JetError("non-finite jet data")
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "base", base)
@@ -193,7 +199,8 @@ class Jet:
                 f"jet space mismatch: (dim={self.dim}, order={self.order}) vs "
                 f"(dim={other.dim}, order={other.order})"
             )
-        if not np.allclose(self.base, other.base, rtol=0.0, atol=1e-12):
+        # bases are finite (checked at construction), so this is allclose(atol=1e-12)
+        if self.base is not other.base and not (np.abs(self.base - other.base) <= 1e-12).all():
             raise JetError(f"base point mismatch: {self.base} vs {other.base}")
 
     def __add__(self, other):
@@ -232,10 +239,7 @@ class Jet:
         return float(self.eval_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        dx = pts - self.base
-        mono = np.prod(dx[:, None, :] ** self.space.exponents[None, :, :], axis=2)
-        return mono @ self.coeffs
+        return self.space.monomials(np.asarray(pts, dtype=float) - self.base) @ self.coeffs
 
     # -- base / order changes --------------------------------------------
     def rebased(self, new_base) -> "Jet":
@@ -365,18 +369,13 @@ class PolyMap:
     def affine(cls, A: np.ndarray, c: np.ndarray, order: int, base=None) -> "PolyMap":
         """The map x -> c + A (x - base)."""
         A = np.asarray(A, dtype=float)
-        c = np.asarray(c, dtype=float)
         dim_out, dim_in = A.shape
         s = jet_space(dim_in, order)
-        base_arr = _default_base(s, base)
-        comps = []
-        for i in range(dim_out):
-            jet = Jet.constant(s, c[i], base_arr)
-            for j in range(dim_in):
-                if A[i, j] != 0.0:
-                    jet = jet + A[i, j] * (Jet.coordinate(s, j, base_arr) - base_arr[j])
-            comps.append(jet)
-        return cls(tuple(comps))
+        base_arr = _freeze(_default_base(s, base))
+        table = np.zeros((dim_out, s.size))
+        table[:, 0] = c
+        table[:, 1 : dim_in + 1] = A[:, ::-1]  # graded lex: x_{dim-1} comes first
+        return cls(tuple(Jet(s, row, base_arr) for row in table))
 
     # -- inspection -----------------------------------------------------
     @property
@@ -399,37 +398,41 @@ class PolyMap:
     def base(self) -> np.ndarray:
         return self.components[0].base
 
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """(dim_out, size) table, one row per component; read-only."""
+        return _freeze(np.stack([c.coeffs for c in self.components]))
+
+    @cached_property
+    def partials(self) -> np.ndarray:
+        """(dim_out, dim_in, size) table of every d_j f_i; read-only."""
+        out = np.zeros((self.dim_out, self.dim_in, self.space.size))
+        for v, (src, dst, fac) in enumerate(self.space.diff_tables):
+            out[:, v, dst] = self.coeffs[:, src] * fac
+        return _freeze(out)
+
+    def monomials(self, x) -> np.ndarray:
+        """The monomial vector (x - base)^exponents of the map's space."""
+        return self.space.monomials(np.asarray(x, dtype=float) - self.base)
+
     def constant(self) -> np.ndarray:
-        return np.array([c.coeffs[0] for c in self.components])
+        return self.coeffs[:, 0].copy()
 
     def linear(self) -> np.ndarray:
         """Jacobian at the base point."""
-        out = np.zeros((self.dim_out, self.dim_in))
-        s = self.space
-        for j in range(self.dim_in):
-            e = tuple(1 if k == j else 0 for k in range(self.dim_in))
-            idx = s.index[e]
-            for i, comp in enumerate(self.components):
-                out[i, j] = comp.coeffs[idx]
-        return out
+        return self.coeffs[:, self.dim_in : 0 : -1].copy()  # graded lex: x_{dim-1} comes first
 
     # -- evaluation -----------------------------------------------------
-    def eval(self, x) -> np.ndarray:
-        return self.eval_many(np.asarray(x, dtype=float)[None, :])[0]
-
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=float)
-        dx = pts - self.base
-        mono = np.prod(dx[:, None, :] ** self.space.exponents[None, :, :], axis=2)
-        return np.stack([mono @ c.coeffs for c in self.components], axis=1)
+        # one product per row keeps the rounding of the single-jet route,
+        # which one BLAS call over the whole table does not
+        mono = self.monomials(pts)
+        return np.stack([mono @ row for row in self.coeffs], axis=-1)
+
+    eval = eval_many  # a single point x gives the (dim_out,) value
 
     def jacobian(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.zeros((self.dim_out, self.dim_in))
-        for i, comp in enumerate(self.components):
-            for j in range(self.dim_in):
-                out[i, j] = comp.partial(j)(x)
-        return out
+        return self.partials @ self.monomials(x)
 
     # -- transforms -----------------------------------------------------
     def compose(self, inner: "PolyMap", *, exact: bool = False) -> "PolyMap":

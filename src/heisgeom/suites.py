@@ -266,7 +266,7 @@ class SuiteRunner:
                 pm = coords.privileged_map(frame, m)
                 worst = max(worst, float(np.max(np.abs(pm.A @ frame.matrix_at(m).T - np.eye(frame.dim)))))
                 worst = max(worst, float(np.max(np.abs(pm.forward(m)))))
-                bj = coords.b_matrix(frame, m)
+                bj = pm.b_matrix()
                 worst = max(worst, float(np.max(np.abs(bj - coords.heisenberg_map(frame, m).b))))
             return CheckRecord(
                 f"coords/{name}/normalization",
@@ -620,6 +620,7 @@ class SuiteRunner:
         def axioms():
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/axioms")
+            p0 = self.base_points(name, limit=1)[0]
             worst = 0.0
             for _ in range(n_tuples):
                 interior = rng.uniform() < 0.5
@@ -628,7 +629,7 @@ class SuiteRunner:
                     t = float(rng.uniform(0.1, 2.0))
                     g1, g2 = groupoid.Interior(p, mm, t), groupoid.Interior(mm, q, t)
                 else:
-                    p = self.base_points(name, limit=1)[0] + rng.uniform(-0.5, 0.5, dim)
+                    p = p0 + rng.uniform(-0.5, 0.5, dim)
                     X, Y = rng.uniform(-1, 1, (2, dim))
                     g1, g2 = groupoid.Boundary(p, X), groupoid.Boundary(p, Y)
                 comp = gchart.compose(g1, g2)
@@ -658,9 +659,10 @@ class SuiteRunner:
         def roundtrip():
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/roundtrip")
+            p0 = self.base_points(name, limit=1)[0]
             worst = 0.0
             for _ in range(25):
-                x = self.base_points(name, limit=1)[0] + rng.uniform(-0.3, 0.3, dim)
+                x = p0 + rng.uniform(-0.3, 0.3, dim)
                 X = rng.uniform(-1, 1, dim)
                 t = float(rng.uniform(0.05, 0.5))
                 e = gchart.gamma(x, X, t)
@@ -680,9 +682,10 @@ class SuiteRunner:
         def rs_jacobian():
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/rs")
+            p0 = self.base_points(name, limit=1)[0]
             worst = np.inf
             for _ in range(8):
-                x = self.base_points(name, limit=1)[0] + rng.uniform(-0.3, 0.3, dim)
+                x = p0 + rng.uniform(-0.3, 0.3, dim)
                 X = rng.uniform(-1, 1, dim)
                 t = float(rng.uniform(0.1, 1.0))
                 Jr, Js = gchart.rs_jacobians(x, X, t)

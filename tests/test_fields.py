@@ -14,7 +14,7 @@ from heisgeom.fields import (
     pushforward_field,
     pushforward_preserves_H,
 )
-from heisgeom.jets import Jet, PolyMap, jet_space
+from heisgeom.jets import Jet, JetError, PolyMap, jet_space
 
 from conftest import (
     degenerate_frame,
@@ -163,6 +163,31 @@ def test_levi_out_of_domain():
 def test_structure_constants_validation():
     with pytest.raises(ValueError):
         StructureConstants(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "make", [heisenberg_frame, lambda: heisenberg_frame(n=2), flat_frame, degenerate_frame, shear1d_frame]
+)
+def test_matrix_at_matches_per_field_evaluation(make):
+    frame = make()
+    rng = np.random.default_rng(frame.dim)
+    for x in rng.uniform(-1.5, 1.5, (6, frame.dim)):
+        B = frame.matrix_at(x)
+        np.testing.assert_allclose(B, np.stack([f(x) for f in frame.fields]), rtol=0, atol=1e-14)
+        B2, DX = frame.matrix_and_jacobians(x)
+        np.testing.assert_array_equal(B2, B)
+        want = np.stack([f.components.jacobian(x) for f in frame.fields])
+        np.testing.assert_allclose(DX, want, rtol=0, atol=1e-14)
+
+
+def test_frame_fields_must_share_space_and_base():
+    frame = heisenberg_frame(order=3)
+    with pytest.raises(JetError):
+        HFrame((frame.fields[0].with_order(2),) + frame.fields[1:], frame.domain)
+    s = jet_space(3, 3)
+    moved = VectorField(PolyMap(tuple(Jet.constant(s, 1.0 if i == 0 else 0.0, base=np.ones(3)) for i in range(3))))
+    with pytest.raises(JetError):
+        HFrame((moved,) + frame.fields[1:], frame.domain)
 
 
 def test_frame_singular_guard():

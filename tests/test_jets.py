@@ -91,6 +91,69 @@ def test_nonfinite_rejected():
     bad[1] = np.nan
     with pytest.raises(JetError):
         Jet(s, bad, np.zeros(2))
+    with pytest.raises(JetError):
+        Jet(s, np.where(np.arange(s.size) == 1, np.inf, 0.0), np.zeros(2))
+    with pytest.raises(JetError):
+        Jet(s, np.zeros(s.size), np.array([0.0, np.nan]))
+
+
+def test_base_tolerance_is_1e_12():
+    s = jet_space(2, 2)
+    rng = np.random.default_rng(3)
+    base = np.array([0.75, -1.5])
+    a = random_jet(rng, s, base=base)
+    near = random_jet(rng, s, base=base + np.array([5e-13, -5e-13]))
+    far = random_jet(rng, s, base=base + np.array([0.0, 2e-12]))
+    jet_mul(a, near)
+    a + near
+    PolyMap((a, near))
+    with pytest.raises(JetError):
+        jet_mul(a, far)
+    with pytest.raises(JetError):
+        a + far
+    with pytest.raises(JetError):
+        PolyMap((a, far))
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_affine_nonsymmetric_linear_part(dim):
+    rng = np.random.default_rng(dim)
+    A = rng.uniform(-2, 2, (dim, dim))
+    assert np.max(np.abs(A - A.T)) > 0.1
+    c = rng.uniform(-1, 1, dim)
+    base = rng.uniform(-1, 1, dim)
+    pm = PolyMap.affine(A, c, 2, base=base)
+    np.testing.assert_array_equal(pm.linear(), A)
+    np.testing.assert_array_equal(pm.constant(), c)
+    for x in rng.uniform(-2, 2, (6, dim)):
+        np.testing.assert_allclose(pm.eval(x), c + A @ (x - base), atol=1e-12)
+        np.testing.assert_array_equal(pm.jacobian(x), A)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_jacobian_matches_per_entry_partials_and_central_differences(dim):
+    rng = np.random.default_rng(50 + dim)
+    s = jet_space(dim, 3)
+    base = rng.uniform(-0.5, 0.5, dim)
+    pm = PolyMap(tuple(random_jet(rng, s, base=base) for _ in range(dim + 1)))
+    h = 1e-5
+    for x in rng.uniform(-1, 1, (5, dim)):
+        J = pm.jacobian(x)
+        assert J.shape == (dim + 1, dim)
+        per_entry = [[comp.partial(j)(x) for j in range(dim)] for comp in pm.components]
+        np.testing.assert_allclose(J, per_entry, rtol=0, atol=1e-12)
+        fd = np.stack([(pm.eval(x + h * e) - pm.eval(x - h * e)) / (2 * h) for e in np.eye(dim)], axis=1)
+        np.testing.assert_allclose(J, fd, rtol=0, atol=1e-7)
+
+
+def test_polymap_tables_are_read_only():
+    pm = PolyMap.affine(np.eye(3), np.ones(3), 2)
+    assert pm.coeffs.shape == (3, jet_space(3, 2).size)
+    assert pm.partials.shape == (3, 3, jet_space(3, 2).size)
+    with pytest.raises(ValueError):
+        pm.coeffs[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        pm.partials[0, 0, 0] = 5.0
 
 
 @settings(max_examples=60, deadline=None)
