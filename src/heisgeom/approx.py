@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coords import HeisenbergMap, heisenberg_map
+from .coords import HeisenbergMap, heisenberg_map, sample_box
 from .fields import FrameError, HFrame
 from .group import dilate, dilate_inv
 from .jets import Jet, PolyMap
@@ -194,10 +194,7 @@ def diffeo_expansion_check(
     quad = horizontal_quadratic(conj)
     quad_max = float(np.max(np.abs(quad), initial=0.0))
 
-    dim = frame_src.dim
-    pts = np.stack(
-        np.meshgrid(*[np.linspace(-sample_half, sample_half, per_axis)] * dim, indexing="ij"), axis=-1
-    ).reshape(-1, dim)
+    pts = sample_box(sample_half, per_axis, frame_src.dim)
     target = tangent.apply(pts)
     phi_disp = displacement_map(phi, m)
     residuals = []

@@ -161,10 +161,6 @@ class HeisenbergMap:
         psi_inv = PolyMap.affine(Ainv, self.u, order)
         return psi_inv.compose(self.shear.inverse().as_polymap(order), exact=True)
 
-    def jacobian_at_u(self) -> np.ndarray:
-        """eps_u'(u) = A: sends X_j(u) to the coordinate vector e_j."""
-        return self.A
-
     def dilation_model_frame(self, order: int) -> tuple:
         """Privileged-coordinate dilation limits: X_j^(u) = d_j + sum b_jk x_k d_0."""
         return _linear_transverse_frame(self.b, order, sign=+1.0)
@@ -295,6 +291,12 @@ def model_field(X: VectorField, frame: HFrame, m, rel_threshold: float = 1e-9) -
     return ModelField(weight, coeffs, hm.levi, flagged)
 
 
+def sample_box(half: float, per_axis: int, dim: int) -> np.ndarray:
+    """The (per_axis**dim, dim) product grid on [-half, half]^dim, last axis fastest."""
+    axis = np.linspace(-half, half, per_axis)
+    return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+
+
 def dilation_limit_check(
     X: VectorField,
     frame: HFrame,
@@ -331,10 +333,7 @@ def dilation_limit_check(
     space = Xh.components.space
     w = weight_vector(dim)
     mono_w = space.exponents @ w
-    pts = np.stack(
-        np.meshgrid(*[np.linspace(-sample_half, sample_half, per_axis)] * dim, indexing="ij"), axis=-1
-    ).reshape(-1, dim)
-    mono = np.prod(pts[:, None, :] ** space.exponents[None, :, :], axis=2)
+    mono = space.monomials(sample_box(sample_half, per_axis, dim))
 
     residuals = []
     for t in t_grid:

@@ -8,6 +8,11 @@ inversion and partial derivatives all truncate deterministically at K, so
 for inputs that are exact polynomials of degree <= K every surviving
 coefficient is exact up to float rounding.
 
+The product and derivative tables of a space are built with array code:
+each exponent tuple is a number in mixed radix K + 1, so a product's key is
+the sum of its factors' keys and `searchsorted` finds its position.  The
+monomial vectors are gathered from per-axis power tables.
+
 All values are immutable after construction and safe to share across
 threads.  The only mutable state is the per-(dim, order) space cache and
 the stacked tables a `PolyMap` builds on first use (`coeffs`, `partials`):
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -27,15 +33,6 @@ from . import _kernel
 
 class JetError(ValueError):
     """Dimension, order, base or regularity violation in jet arithmetic."""
-
-
-def _iter_exponents(dim: int, order: int):
-    if dim == 0:
-        yield ()
-        return
-    for head in range(order + 1):
-        for tail in _iter_exponents(dim - 1, order - head):
-            yield (head,) + tail
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +44,7 @@ class JetSpace:
     exponents: np.ndarray  # (size, dim) int64, graded-lex
     degrees: np.ndarray  # (size,) int64
     index: dict  # exponent tuple -> position
-    coo_a: np.ndarray  # product table: out[coo_out] += a[coo_a] * b[coo_b]
+    coo_a: np.ndarray  # product table: out[coo_out] += a[coo_a] * b[coo_b], sorted by (out, a)
     coo_b: np.ndarray
     coo_out: np.ndarray
     diff_tables: tuple  # per variable: (src, dst, factor)
@@ -57,8 +54,13 @@ class JetSpace:
         return len(self.degrees)
 
     def monomials(self, dx) -> np.ndarray:
-        """dx^exponents for displacements dx of shape (..., dim): shape (..., size)."""
-        return np.prod(dx[..., None, :] ** self.exponents, axis=-1)
+        """dx^exponents for displacements dx of shape (..., dim): shape (..., size),
+        C-contiguous; the factors dx_v^e_v multiply left to right, as np.prod would."""
+        powers = dx[..., :, None] ** np.arange(self.order + 1)
+        out = powers[..., 0, :].take(self.exponents[:, 0], axis=-1)
+        for v in range(1, self.dim):
+            out *= powers[..., v, :].take(self.exponents[:, v], axis=-1)
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"JetSpace(dim={self.dim}, order={self.order}, size={self.size})"
@@ -69,50 +71,42 @@ def jet_space(dim: int, order: int) -> JetSpace:
     """The cached jet space for `dim` variables truncated at total degree `order`."""
     if dim < 1 or order < 1:
         raise JetError(f"need dim >= 1 and order >= 1, got dim={dim}, order={order}")
-    exps = sorted(_iter_exponents(dim, order), key=lambda e: (sum(e), e))
-    exponents = np.array(exps, dtype=np.int64)
+    # a multiset of `order` variables from {slack, x_0, ..., x_{dim-1}} is one monomial
+    picks = np.array(list(combinations_with_replacement(range(dim + 1), order)))
+    exponents = (picks[:, :, None] == np.arange(1, dim + 1)).sum(axis=1, dtype=np.int64)
+    exponents = exponents[np.lexsort([*exponents.T[::-1], exponents.sum(axis=1)])]
     degrees = exponents.sum(axis=1)
-    index = {tuple(e): i for i, e in enumerate(exps)}
+    index = {tuple(e): i for i, e in enumerate(exponents.tolist())}
 
-    coo_a, coo_b, coo_out = [], [], []
-    n = len(exps)
-    for i in range(n):
-        di = degrees[i]
-        for j in range(n):
-            if di + degrees[j] > order:
-                continue
-            coo_a.append(i)
-            coo_b.append(j)
-            coo_out.append(index[tuple(exponents[i] + exponents[j])])
-    coo = np.array([coo_a, coo_b, coo_out], dtype=np.int64)
-    perm = np.lexsort((coo[0], coo[2]))
-    coo = np.ascontiguousarray(coo[:, perm])
+    # mixed radix order + 1: a product's key is the sum of its factors' keys
+    radix = (order + 1) ** np.arange(dim, dtype=np.int64)
+    keys = exponents @ radix
+    sorter = np.argsort(keys)
 
-    diff_tables = []
-    for v in range(dim):
-        src, dst, fac = [], [], []
-        for i in range(n):
-            if exponents[i, v] > 0:
-                e = exponents[i].copy()
-                fac.append(float(e[v]))
-                e[v] -= 1
-                src.append(i)
-                dst.append(index[tuple(e)])
-        diff_tables.append(
-            (
-                np.array(src, dtype=np.int64),
-                np.array(dst, dtype=np.int64),
-                np.array(fac, dtype=np.float64),
-            )
-        )
+    def find(k):
+        return sorter[np.searchsorted(keys, k, sorter=sorter)]
+
+    # degrees ascend, so a row of degree d pairs with the column prefix of
+    # degree <= order - d, whose length searchsorted gives
+    counts = np.searchsorted(degrees, order - degrees, side="right")
+    coo_a = np.repeat(np.arange(len(degrees)), counts)
+    coo_b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    coo = np.array([coo_a, coo_b, find(keys[coo_a] + keys[coo_b])], dtype=np.int64)
+    coo = np.ascontiguousarray(coo[:, np.lexsort((coo[0], coo[2]))])
+
+    srcs = [np.flatnonzero(exponents[:, v] > 0) for v in range(dim)]
+    diff_tables = [(s, find(keys[s] - radix[v]), exponents[s, v].astype(np.float64)) for v, s in enumerate(srcs)]
 
     for arr in (exponents, degrees, coo):
         arr.setflags(write=False)
     return JetSpace(dim, order, exponents, degrees, index, coo[0], coo[1], coo[2], tuple(diff_tables))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+def _freeze(a) -> np.ndarray:
+    """`a` if it is already read-only C float64, else a frozen copy: the caller's array stays writable."""
+    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable:
+        return a
+    out = np.array(a, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
 

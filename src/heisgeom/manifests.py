@@ -72,6 +72,16 @@ DEFAULT_SAMPLES = {
 }
 
 
+def _config_number(val, kind, where):
+    """`val` as an exact `kind` (int or float), else a ValidationError naming `where`."""
+    try:
+        if not isinstance(val, bool) and float(val) == kind(val):  # rejects 2.5 as an int, and nan
+            return kind(val)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{where}: {val!r} is not {'an integer' if kind is int else 'a number'}")
+
+
 def _parse_poly_terms(entry, dim, max_degree, where):
     terms = {}
     if not isinstance(entry, list):
@@ -221,11 +231,13 @@ class Manifest:
         if len(t_range) != 2 or t_range[0] >= t_range[1]:
             raise ValidationError("config.t_grid must be [kmin, kmax] with kmin < kmax")
         samples = {**DEFAULT_SAMPLES, **config.get("samples", {})}
+        for key, default in DEFAULT_SAMPLES.items():
+            samples[key] = _config_number(samples[key], type(default), f"config.samples.{key}")
         tolerances = dict(DEFAULT_TOLERANCES)
         for key, val in config.get("tolerances", {}).items():
             if key not in tolerances:
                 raise ValidationError(f"config.tolerances: unknown tolerance {key!r}")
-            tolerances[key] = float(val)
+            tolerances[key] = _config_number(val, float, f"config.tolerances.{key}")
         return cls(
             name,
             dim,
@@ -238,12 +250,6 @@ class Manifest:
             samples,
             tolerances,
         )
-
-    @classmethod
-    def from_path(cls, path, jet_order: int | None = None, seed: int | None = None) -> "Manifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls.from_dict(doc, jet_order=jet_order, seed=seed)
 
     def validate_diffeo_inverses(self, samples_per_axis: int = 2):
         """phi . phi^-1 = id spot check on declared inverses."""

@@ -156,6 +156,73 @@ def test_polymap_tables_are_read_only():
         pm.partials[0, 0, 0] = 5.0
 
 
+def quadratic_tables(s):
+    """The product and derivative tables by a direct O(size^2) double loop."""
+    coo = []
+    for i, ei in enumerate(s.exponents):
+        for j, ej in enumerate(s.exponents):
+            if s.degrees[i] + s.degrees[j] <= s.order:
+                coo.append((i, j, s.index[tuple(ei + ej)]))
+    coo = np.array(coo, dtype=np.int64).T
+    coo = np.ascontiguousarray(coo[:, np.lexsort((coo[0], coo[2]))])
+    diff = []
+    for v in range(s.dim):
+        src = [i for i in range(s.size) if s.exponents[i, v] > 0]
+        dst = [s.index[tuple(s.exponents[i] - np.eye(s.dim, dtype=np.int64)[v])] for i in src]
+        fac = [float(s.exponents[i, v]) for i in src]
+        diff.append((np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(fac)))
+    return coo, diff
+
+
+@pytest.mark.parametrize(
+    "dim, order", [(d, o) for d in range(1, 6) for o in range(1, 7)] + [(7, 4)]
+)
+def test_space_tables_match_quadratic_construction(dim, order):
+    s = jet_space(dim, order)
+    coo, diff = quadratic_tables(s)
+    for got, want in zip((s.coo_a, s.coo_b, s.coo_out), coo):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    assert len(s.diff_tables) == dim
+    for got, want in zip(s.diff_tables, diff):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 7])
+@pytest.mark.parametrize("shape", [(), (40,)])
+def test_monomials_bitwise_match_power_product(dim, shape):
+    s = jet_space(dim, 4)
+    dx = np.random.default_rng(dim).uniform(-2, 2, shape + (dim,))
+    got = s.monomials(dx)
+    assert got.shape == shape + (s.size,)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == np.prod(dx[..., None, :] ** s.exponents, axis=-1).tobytes()
+
+
+def test_constructors_leave_caller_arrays_writable():
+    s = jet_space(3, 2)
+    coeffs, base = np.ones(s.size), np.zeros(3)
+    jet = Jet(s, coeffs, base)
+    coeffs[0] = base[0] = 2.0
+    assert jet.coeffs[0] == 1.0 and jet.base[0] == 0.0
+    bad = np.full(s.size, np.nan)
+    with pytest.raises(JetError):
+        Jet(s, bad, base)
+    bad[0] = base[1] = 0.0
+    u = np.ones(3)
+    pm = PolyMap.affine(np.eye(3), np.zeros(3), 2, base=u)
+    u[0] = 5.0
+    assert pm.base[0] == 1.0
+    with pytest.raises(JetError):
+        PolyMap.affine(np.eye(3), np.zeros(3), 2, base=np.array([np.nan, 0.0, 0.0]))
+    wrong = np.zeros(2)
+    with pytest.raises(JetError):
+        PolyMap.affine(np.eye(3), np.zeros(3), 2, base=wrong)
+    wrong[0] = 1.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_ring_properties(seed):
