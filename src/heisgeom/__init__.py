@@ -7,8 +7,9 @@ and groupoid composition limits by exact jet arithmetic plus measured
 convergence rates.
 """
 
-from ._kernel import IMPL_NAME as kernel_name
-
 __version__ = "0.1.0"
+
+# Jet arithmetic is NumPy only; the name stays for tools that record it.
+kernel_name = "python"
 
 __all__ = ["kernel_name", "__version__"]

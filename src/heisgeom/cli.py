@@ -1,8 +1,8 @@
 """Command-line interface: manifest ingestion, suite orchestration, report
 emission.
 
-Exit codes: 0 all checks pass, 1 at least one check failed (or was flagged),
-2 manifest parse error, 3 validation error.
+Exit codes: 0 all checks pass, 1 at least one check failed, was flagged or
+raised (an `error` record), 2 manifest parse error, 3 validation error.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import datetime
 import json
 import sys
 
-from . import __version__, kernel_name
+from . import __version__
 from .manifests import DEFAULT_TOLERANCES, Manifest, ValidationError, builtin_names, load_doc
 from .suites import run_suites
 
@@ -22,19 +22,18 @@ EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_ERROR = 3
 
 
-def build_report(manifest: Manifest, selector: str, records, jobs: int) -> dict:
-    counts = {"pass": 0, "fail": 0, "flagged": 0}
+def build_report(manifest: Manifest, selector: str, records) -> dict:
+    counts = {"pass": 0, "fail": 0, "flagged": 0, "error": 0}
     for rec in records:
         counts[rec.verdict] += 1
     return {
         "schema": "heisgeom-report.v1",
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "tool": {"name": "heisgeom", "version": __version__, "kernel": kernel_name},
+        "tool": {"name": "heisgeom", "version": __version__},
         "manifest": manifest.name,
         "suite": selector,
         "seed": manifest.seed,
         "jet_order": manifest.jet_order,
-        "jobs": jobs,
         "checks": [rec.to_json() for rec in records],
         "summary": counts,
     }
@@ -77,7 +76,7 @@ class _ParseFailure(Exception):
 def cmd_run(args) -> int:
     try:
         manifest = _load(args)
-        records = run_suites(manifest, args.suite, jobs=args.jobs)
+        records = run_suites(manifest, args.suite)
     except _ParseFailure as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
@@ -85,7 +84,7 @@ def cmd_run(args) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 
-    report = build_report(manifest, args.suite, records, args.jobs)
+    report = build_report(manifest, args.suite, records)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -94,15 +93,17 @@ def cmd_run(args) -> int:
     width = max((len(r.check_id) for r in records), default=10)
     for rec in records:
         tail = ""
-        if rec.slope is not None:
+        if rec.verdict == "error":
+            tail = f"  {rec.value['error']}: {rec.value['message']}"
+        elif rec.slope is not None:
             tail = "  slope=exact" if rec.slope == float("inf") else f"  slope={rec.slope:.3f}"
         elif rec.residuals:
             tail = f"  max-resid={max(rec.residuals):.3e}"
         print(f"[{rec.verdict.upper():>7}] {rec.check_id:<{width}}{tail}")
     s = report["summary"]
-    print(f"{s['pass']} passed, {s['fail']} failed, {s['flagged']} flagged "
-          f"({manifest.name}, suite={args.suite}, seed={manifest.seed}, kernel={kernel_name})")
-    if s["fail"] or s["flagged"]:
+    print(f"{s['pass']} passed, {s['fail']} failed, {s['flagged']} flagged, {s['error']} errored "
+          f"({manifest.name}, suite={args.suite}, seed={manifest.seed})")
+    if s["fail"] or s["flagged"] or s["error"]:
         return EXIT_CHECK_FAILED
     return EXIT_PASS
 
@@ -137,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--jet-order", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--tol", action="append", metavar="NAME=VALUE", help="override a tolerance")
-    run_p.add_argument("--jobs", type=int, default=4, help="worker threads")
+    run_p.add_argument("--jobs", type=int, default=1, help="accepted and ignored: checks run one at a time")
     run_p.set_defaults(func=cmd_run)
 
     list_p = sub.add_parser("list-examples", help="list the builtin manifests")

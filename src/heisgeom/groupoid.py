@@ -15,7 +15,6 @@ O(eps/t^2).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +75,7 @@ GroupoidElement = Interior | Boundary
 class GroupoidChart:
     """A Heisenberg chart with memoized per-point normalization data.
 
-    The eps cache is keyed on the base point quantized at 1e-12; lookups are
-    lock-free, insertion is serialized.
+    The eps cache is keyed on the base point quantized at 1e-12.
     """
 
     def __init__(self, frame: HFrame, name: str = "chart", point_tol: float = 1e-9):
@@ -85,7 +83,6 @@ class GroupoidChart:
         self.name = name
         self.point_tol = point_tol
         self._cache: dict = {}
-        self._lock = threading.Lock()
 
     @property
     def dim(self) -> int:
@@ -98,9 +95,7 @@ class GroupoidChart:
         key = self._key(x)
         hit = self._cache.get(key)
         if hit is None:
-            hm = heisenberg_map(self.frame, x)
-            with self._lock:
-                hit = self._cache.setdefault(key, hm)
+            hit = self._cache[key] = heisenberg_map(self.frame, x)
         return hit
 
     def group_at(self, x) -> TangentGroup:

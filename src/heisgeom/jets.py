@@ -13,11 +13,10 @@ each exponent tuple is a number in mixed radix K + 1, so a product's key is
 the sum of its factors' keys and `searchsorted` finds its position.  The
 monomial vectors are gathered from per-axis power tables.
 
-All values are immutable after construction and safe to share across
-threads.  The only mutable state is the per-(dim, order) space cache and
-the stacked tables a `PolyMap` builds on first use (`coeffs`, `partials`):
-those are read-only arrays derived from immutable data, so two threads
-racing on a fresh map at worst compute them twice.
+All values are immutable after construction.  The only mutable state is
+the per-(dim, order) space cache and the stacked tables a `PolyMap` builds
+on first use (`coeffs`, `partials`), which are read-only arrays derived
+from immutable data.
 """
 
 from __future__ import annotations
@@ -27,8 +26,6 @@ from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
-
-from . import _kernel
 
 
 class JetError(ValueError):
@@ -277,12 +274,13 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     """Product truncated at the common order."""
     a._check_compatible(b)
     s = a.space
-    out = _kernel.mul(a.coeffs, b.coeffs, s.coo_a, s.coo_b, s.coo_out, s.size)
-    return Jet(s, out, a.base)
+    return Jet(s, _mul_coeffs(s, a.coeffs, b.coeffs), a.base)
 
 
-def _pow_cache_mul(s: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _kernel.mul(x, y, s.coo_a, s.coo_b, s.coo_out, s.size)
+def _mul_coeffs(s: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Truncated product: ``out[coo_out[k]] += x[coo_a[k]] * y[coo_b[k]]``,
+    summed in table order."""
+    return np.bincount(s.coo_out, weights=x[s.coo_a] * y[s.coo_b], minlength=s.size)
 
 
 def jet_compose(outer: Jet, inner: "PolyMap", *, exact: bool = False) -> Jet:
@@ -316,7 +314,7 @@ def jet_compose(outer: Jet, inner: "PolyMap", *, exact: bool = False) -> Jet:
     def power(v: int, k: int) -> np.ndarray:
         got = powers.get((v, k))
         if got is None:
-            got = deltas[v] if k == 1 else _pow_cache_mul(s, power(v, k - 1), deltas[v])
+            got = deltas[v] if k == 1 else _mul_coeffs(s, power(v, k - 1), deltas[v])
             powers[(v, k)] = got
         return got
 
@@ -329,7 +327,7 @@ def jet_compose(outer: Jet, inner: "PolyMap", *, exact: bool = False) -> Jet:
             if exp[v] == 0:
                 continue
             p = power(v, int(exp[v]))
-            term = p if term is None else _pow_cache_mul(s, term, p)
+            term = p if term is None else _mul_coeffs(s, term, p)
         out = out + outer.coeffs[idx] * term
     return Jet(s, out, inner.base)
 

@@ -1,13 +1,13 @@
 """Check suites over a manifest: each check produces one record with a
-stable id, a registry anchor, an inputs digest and a pass/fail/flagged
-verdict; suites run in a worker pool and the record list is sorted by id so
-parallelism never changes the report bytes."""
+stable id, a registry anchor, an inputs digest and a pass/fail/flagged/error
+verdict.  Checks run one after another in the calling thread; a check whose
+body raises becomes an `error` record and the run goes on.  The record list
+is sorted by id."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +57,7 @@ class CheckRecord:
     check_id: str
     anchor: str
     inputs_digest: str
-    verdict: str  # pass / fail / flagged
+    verdict: str  # pass / fail / flagged / error
     residuals: tuple = ()
     slope: float | None = None
     value: dict = field(default_factory=dict)
@@ -78,6 +78,21 @@ class CheckRecord:
         return out
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """What a check body measured; the runner adds the id, anchor and digest.
+
+    `inputs` names what the check ran on; it is digested together with the
+    manifest name.
+    """
+
+    inputs: dict
+    verdict: str
+    residuals: tuple = ()
+    slope: float | None = None
+    value: dict = field(default_factory=dict)
+
+
 def rng_for(seed: int, name: str) -> np.random.Generator:
     key = int.from_bytes(hashlib.blake2b(f"{seed}:{name}".encode(), digest_size=16).digest(), "little")
     return np.random.Generator(np.random.Philox(key=key))
@@ -93,15 +108,20 @@ def _verdict(ok: bool, flagged: bool = False) -> str:
     return "flagged" if flagged else "pass"
 
 
+def _worst_rate(reports, rate=lambda rep: rep.rate):
+    """The first report whose rate is not exact and has the least slope, or
+    the first report when every rate is exact (exact slopes are +inf)."""
+    return min(reports, key=lambda rep: (rate(rep).exact, rate(rep).slope))
+
+
 SUITE_NAMES = ("levi", "coords", "group", "classify", "diffeo", "groupoid")
 
 
 class SuiteRunner:
     """Builds and runs the selected checks for one manifest."""
 
-    def __init__(self, manifest: Manifest, jobs: int = 4):
+    def __init__(self, manifest: Manifest):
         self.manifest = manifest
-        self.jobs = max(1, jobs)
         self.tol = manifest.tolerances
         self.t_grid = default_t_grid(*manifest.t_grid_range)
         self.charts = {c.name: groupoid.GroupoidChart(c.frame, c.name, self.tol["composability"]) for c in manifest.charts}
@@ -136,76 +156,69 @@ class SuiteRunner:
         return hit
 
     # -- check builders -----------------------------------------------------
-    def collect(self, suite: str):
+    def collect(self, suite: str) -> list:
+        """The (id, anchor, body) triples of one suite, in declaration order.
+
+        Each builder declares its checks with the `check(id, anchor)`
+        decorator it is handed.
+        """
         checks = []
-        man = self.manifest
-        for chart in man.charts:
-            if suite == "levi":
-                checks += self._levi_checks(chart)
-            elif suite == "coords":
-                checks += self._coords_checks(chart)
-            elif suite == "group":
-                checks += self._group_checks(chart)
-            elif suite == "classify":
-                checks += self._classify_checks(chart)
-            elif suite == "groupoid":
-                checks += self._groupoid_chart_checks(chart)
-        for spec in man.diffeos:
-            if suite == "diffeo":
-                checks += self._diffeo_checks(spec)
-            elif suite == "groupoid":
-                checks += self._groupoid_diffeo_checks(spec)
+
+        def check(check_id: str, anchor: str):
+            def register(body):
+                checks.append((check_id, anchor, body))
+                return body
+
+            return register
+
+        per_chart = {
+            "levi": self._levi_checks,
+            "coords": self._coords_checks,
+            "group": self._group_checks,
+            "classify": self._classify_checks,
+            "groupoid": self._groupoid_chart_checks,
+        }
+        per_diffeo = {"diffeo": self._diffeo_checks, "groupoid": self._groupoid_diffeo_checks}
+        if suite in per_chart:
+            for chart in self.manifest.charts:
+                per_chart[suite](chart, check)
+        if suite in per_diffeo:
+            for spec in self.manifest.diffeos:
+                per_diffeo[suite](spec, check)
         return checks
 
+    def record(self, check_id: str, anchor: str, body) -> CheckRecord:
+        """Run one check body; any exception but a `ValidationError` becomes
+        an `error` record."""
+        try:
+            out = body()
+        except ValidationError:
+            raise
+        except Exception as exc:
+            out = Outcome({"check": check_id}, "error", value={"error": type(exc).__name__, "message": str(exc)})
+        digest = _digest({"manifest": self.manifest.name, **out.inputs})
+        return CheckRecord(check_id, anchor, digest, out.verdict, out.residuals, out.slope, out.value)
+
     def run(self, suites) -> list:
-        checks = []
-        for suite in suites:
-            checks += self.collect(suite)
-        if not checks:
-            return []
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            records = list(pool.map(lambda c: c(), checks))
-        records.sort(key=lambda r: r.check_id)
-        return records
+        checks = [c for suite in suites for c in self.collect(suite)]
+        return sorted((self.record(*c) for c in checks), key=lambda r: r.check_id)
 
     # -- levi -----------------------------------------------------------------
-    def _levi_checks(self, chart):
+    def _levi_checks(self, chart, check):
         name = chart.name
         lf = self._levi[name]
         tol = self.tol
 
+        @check(f"levi/{name}/antisymmetry", "levi-form.antisymmetry")
         def antisymmetry():
             pts = self.base_points(name)
             worst = 0.0
             for m in pts:
                 raw = lf.raw_matrix(m)
                 worst = max(worst, float(np.max(np.abs(raw + raw.T), initial=0.0)))
-            return CheckRecord(
-                f"levi/{name}/antisymmetry",
-                "levi-form.antisymmetry",
-                _digest({"manifest": self.manifest.name, "chart": name, "points": len(pts)}),
-                _verdict(worst < tol["levi_antisym"]),
-                (worst,),
-            )
+            return Outcome({"chart": name, "points": len(pts)}, _verdict(worst < tol["levi_antisym"]), (worst,))
 
-        def golden():
-            pts = self.base_points(name)
-            worst = 0.0
-            sample_L = None
-            for m in pts:
-                L = lf.matrix(m).L
-                if sample_L is None:
-                    sample_L = L
-                worst = max(worst, float(np.max(np.abs(L - chart.expected_levi))))
-            return CheckRecord(
-                f"levi/{name}/golden",
-                "levi-form.golden",
-                _digest({"manifest": self.manifest.name, "chart": name, "points": len(pts)}),
-                _verdict(worst < tol["levi_golden"]),
-                (worst,),
-                value={"levi": [[round(v, 12) for v in row] for row in sample_L.tolist()]},
-            )
-
+        @check(f"levi/{name}/bracket-fd", "levi-form.bracket-definition")
         def bracket_fd():
             frame = chart.frame
             h = 1e-5
@@ -226,40 +239,45 @@ class SuiteRunner:
                         br = J_k @ Xj(m) - J_j @ Xk(m)
                         omega = np.linalg.solve(basis, br)
                         worst = max(worst, abs(omega[0] - L[j - 1, k - 1]))
-            return CheckRecord(
-                f"levi/{name}/bracket-fd",
-                "levi-form.bracket-definition",
-                _digest({"manifest": self.manifest.name, "chart": name, "h": h}),
-                _verdict(worst < tol["levi_fd"]),
+            return Outcome({"chart": name, "h": h}, _verdict(worst < tol["levi_fd"]), (worst,))
+
+        if chart.expected_levi is None:
+            return
+
+        @check(f"levi/{name}/golden", "levi-form.golden")
+        def golden():
+            pts = self.base_points(name)
+            worst = 0.0
+            sample_L = None
+            for m in pts:
+                L = lf.matrix(m).L
+                if sample_L is None:
+                    sample_L = L
+                worst = max(worst, float(np.max(np.abs(L - chart.expected_levi))))
+            return Outcome(
+                {"chart": name, "points": len(pts)},
+                _verdict(worst < tol["levi_golden"]),
                 (worst,),
+                value={"levi": [[round(v, 12) for v in row] for row in sample_L.tolist()]},
             )
 
-        checks = [antisymmetry, bracket_fd]
-        if chart.expected_levi is not None:
-            checks.append(golden)
-        return checks
-
     # -- coords -----------------------------------------------------------------
-    def _coords_checks(self, chart):
+    def _coords_checks(self, chart, check):
         name = chart.name
         frame = chart.frame
         lf = self._levi[name]
         tol = self.tol
 
+        @check(f"coords/{name}/b-levi", "privileged.b-vs-levi")
         def b_levi():
             pts = self.base_points(name)
             worst = 0.0
             for m in pts:
                 b = coords.heisenberg_map(frame, m).b
                 worst = max(worst, float(np.max(np.abs(b.T - b - lf.matrix(m).L))))
-            return CheckRecord(
-                f"coords/{name}/b-levi",
-                "privileged.b-vs-levi",
-                _digest({"manifest": self.manifest.name, "chart": name, "points": len(pts)}),
-                _verdict(worst < tol["b_levi"]),
-                (worst,),
-            )
+            return Outcome({"chart": name, "points": len(pts)}, _verdict(worst < tol["b_levi"]), (worst,))
 
+        @check(f"coords/{name}/normalization", "privileged.normalization")
         def normalization():
             worst = 0.0
             for m in self.base_points(name, limit=8):
@@ -268,26 +286,16 @@ class SuiteRunner:
                 worst = max(worst, float(np.max(np.abs(pm.forward(m)))))
                 bj = pm.b_matrix()
                 worst = max(worst, float(np.max(np.abs(bj - coords.heisenberg_map(frame, m).b))))
-            return CheckRecord(
-                f"coords/{name}/normalization",
-                "privileged.normalization",
-                _digest({"manifest": self.manifest.name, "chart": name}),
-                _verdict(worst < tol["normalization"]),
-                (worst,),
-            )
+            return Outcome({"chart": name}, _verdict(worst < tol["normalization"]), (worst,))
 
+        @check(f"coords/{name}/model-fields", "heisenberg-coords.model-fields")
         def model_fields():
             worst = 0.0
             for m in self.base_points(name, limit=8):
                 worst = max(worst, coords.heisenberg_map(frame, m).pushed_model_residual())
-            return CheckRecord(
-                f"coords/{name}/model-fields",
-                "heisenberg-coords.model-fields",
-                _digest({"manifest": self.manifest.name, "chart": name}),
-                _verdict(worst < tol["model_fields"]),
-                (worst,),
-            )
+            return Outcome({"chart": name}, _verdict(worst < tol["model_fields"]), (worst,))
 
+        @check(f"coords/{name}/model-structure", "model-fields.structure-constants")
         def model_structure():
             from .fields import bracket
 
@@ -304,41 +312,25 @@ class SuiteRunner:
                         worst = max(worst, float(np.max(np.abs(got))))
                         for c in br.components.components[1:]:
                             worst = max(worst, float(np.max(np.abs(c.coeffs))))
-            return CheckRecord(
-                f"coords/{name}/model-structure",
-                "model-fields.structure-constants",
-                _digest({"manifest": self.manifest.name, "chart": name}),
-                _verdict(worst < tol["model_structure"]),
-                (worst,),
-            )
+            return Outcome({"chart": name}, _verdict(worst < tol["model_structure"]), (worst,))
 
+        @check(f"coords/{name}/shear-grading", "heisenberg-coords.shear-grading")
         def shear_grading():
             worst = 0.0
             for m in self.base_points(name, limit=8):
                 hm = coords.heisenberg_map(frame, m)
                 worst = max(worst, coords.graded_weight_violation(hm.shear.as_polymap(2)))
-            return CheckRecord(
-                f"coords/{name}/shear-grading",
-                "heisenberg-coords.shear-grading",
-                _digest({"manifest": self.manifest.name, "chart": name}),
-                _verdict(worst < tol["shear_grading"]),
-                (worst,),
-            )
+            return Outcome({"chart": name}, _verdict(worst < tol["shear_grading"]), (worst,))
 
+        @check(f"coords/{name}/dilation-exact", "nilpotent-approx.dilation-limit")
         def dilation_exact():
             m = self.base_points(name, limit=1)[0]
             rep = coords.dilation_limit_check(
                 frame.fields[1], frame, m, self.t_grid, slope_min=tol["slope_min"]
             )
-            return CheckRecord(
-                f"coords/{name}/dilation-exact",
-                "nilpotent-approx.dilation-limit",
-                _digest({"manifest": self.manifest.name, "chart": name, "field": 1}),
-                _verdict(rep.passed),
-                rep.residuals,
-                slope=rep.slope,
-            )
+            return Outcome({"chart": name, "field": 1}, _verdict(rep.passed), rep.residuals, rep.slope)
 
+        @check(f"coords/{name}/dilation-perturbed", "nilpotent-approx.dilation-limit")
         def dilation_perturbed():
             from .jets import Jet
 
@@ -347,19 +339,10 @@ class SuiteRunner:
             e = tuple(2 if i == 1 else 0 for i in range(frame.dim))
             X = frame.fields[1] + frame.fields[0].scaled_by_jet(Jet.from_terms(s, {e: 1.0}))
             rep = coords.dilation_limit_check(X, frame, m, self.t_grid, slope_min=tol["slope_min"])
-            return CheckRecord(
-                f"coords/{name}/dilation-perturbed",
-                "nilpotent-approx.dilation-limit",
-                _digest({"manifest": self.manifest.name, "chart": name, "field": "perturbed"}),
-                _verdict(rep.passed),
-                rep.residuals,
-                slope=rep.slope,
-            )
-
-        return [b_levi, normalization, model_fields, model_structure, shear_grading, dilation_exact, dilation_perturbed]
+            return Outcome({"chart": name, "field": "perturbed"}, _verdict(rep.passed), rep.residuals, rep.slope)
 
     # -- group -------------------------------------------------------------------
-    def _group_checks(self, chart):
+    def _group_checks(self, chart, check):
         name = chart.name
         tol = self.tol
         lf = self._levi[name]
@@ -370,6 +353,7 @@ class SuiteRunner:
             m = self.base_points(name, limit=1)[0]
             return group.TangentGroup.from_matrix(lf.matrix(m).L)
 
+        @check(f"group/{name}/axioms", "tangent-group.axioms")
         def axioms():
             seed = self._needs_seed()
             rng = rng_for(seed, f"group/{name}/axioms")
@@ -378,14 +362,9 @@ class SuiteRunner:
             worst = float(np.max(np.abs(G.mul(G.mul(x, y), z) - G.mul(x, G.mul(y, z)))))
             worst = max(worst, float(np.max(np.abs(G.mul(x, np.zeros(d + 1)) - x))))
             worst = max(worst, float(np.max(np.abs(G.mul(x, G.inverse(x))))))
-            return CheckRecord(
-                f"group/{name}/axioms",
-                "tangent-group.axioms",
-                _digest({"manifest": self.manifest.name, "chart": name, "seed": seed, "n": n_tuples}),
-                _verdict(worst < tol["group_axioms"]),
-                (worst,),
-            )
+            return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["group_axioms"]), (worst,))
 
+        @check(f"group/{name}/dilation-automorphism", "tangent-group.dilations")
         def dilations():
             seed = self._needs_seed()
             rng = rng_for(seed, f"group/{name}/dilations")
@@ -397,14 +376,9 @@ class SuiteRunner:
                     worst,
                     float(np.max(np.abs(group.dilate(t, G.mul(x, y)) - G.mul(group.dilate(t, x), group.dilate(t, y))))),
                 )
-            return CheckRecord(
-                f"group/{name}/dilation-automorphism",
-                "tangent-group.dilations",
-                _digest({"manifest": self.manifest.name, "chart": name, "seed": seed, "n": n_tuples}),
-                _verdict(worst < tol["group_axioms"]),
-                (worst,),
-            )
+            return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["group_axioms"]), (worst,))
 
+        @check(f"group/{name}/commutator", "tangent-group.commutator")
         def commutator():
             seed = self._needs_seed()
             rng = rng_for(seed, f"group/{name}/commutator")
@@ -414,14 +388,9 @@ class SuiteRunner:
             want = np.einsum("nj,jk,nk->n", x[:, 1:], G.L, y[:, 1:])
             worst = float(np.max(np.abs(comm[:, 0] - want)))
             worst = max(worst, float(np.max(np.abs(comm[:, 1:]))))
-            return CheckRecord(
-                f"group/{name}/commutator",
-                "tangent-group.commutator",
-                _digest({"manifest": self.manifest.name, "chart": name, "seed": seed, "n": n_tuples}),
-                _verdict(worst < tol["commutator"]),
-                (worst,),
-            )
+            return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["commutator"]), (worst,))
 
+        @check(f"group/{name}/pseudo-norm", "pseudo-norm.homogeneity")
         def pseudo():
             seed = self._needs_seed()
             rng = rng_for(seed, f"group/{name}/pseudo")
@@ -432,14 +401,9 @@ class SuiteRunner:
                     worst,
                     float(np.max(np.abs(group.pseudo_norm(group.dilate(t, x)) - abs(t) * group.pseudo_norm(x)))),
                 )
-            return CheckRecord(
-                f"group/{name}/pseudo-norm",
-                "pseudo-norm.homogeneity",
-                _digest({"manifest": self.manifest.name, "chart": name, "seed": seed}),
-                _verdict(worst < tol["pseudo_norm"]),
-                (worst,),
-            )
+            return Outcome({"chart": name, "seed": seed}, _verdict(worst < tol["pseudo_norm"]), (worst,))
 
+        @check(f"group/{name}/shear-transport", "graded-shear.transport")
         def shear_transport():
             seed = self._needs_seed()
             rng = rng_for(seed, f"group/{name}/shear")
@@ -453,25 +417,22 @@ class SuiteRunner:
             worst = max(worst, group.shear_homomorphism_residual(normal, b, pairs))
             bnew = normal.transport(b)
             worst_norm = float(np.max(np.abs(bnew - (b - b.T) / 2)))
-            return CheckRecord(
-                f"group/{name}/shear-transport",
-                "graded-shear.transport",
-                _digest({"manifest": self.manifest.name, "chart": name, "seed": seed}),
+            return Outcome(
+                {"chart": name, "seed": seed},
                 _verdict(max(worst, worst_norm) < tol["shear_homomorphism"]),
                 (worst, worst_norm),
             )
 
-        return [axioms, dilations, commutator, pseudo, shear_transport]
-
     # -- classify ------------------------------------------------------------------
-    def _classify_checks(self, chart):
+    def _classify_checks(self, chart, check):
         name = chart.name
         tol = self.tol
         lf = self._levi[name]
         metrics = {"identity": None, **self.manifest.metrics}
 
         def one_metric(mname):
-            def check():
+            @check(f"classify/{name}/{mname}", "fiber-classification.adapted-frame")
+            def classify():
                 worst = 0.0
                 flagged = False
                 label = None
@@ -487,17 +448,19 @@ class SuiteRunner:
                 ok = worst < tol["classify_relations"]
                 if chart.expected_type is not None:
                     ok = ok and label == chart.expected_type
-                return CheckRecord(
-                    f"classify/{name}/{mname}",
-                    "fiber-classification.adapted-frame",
-                    _digest({"manifest": self.manifest.name, "chart": name, "metric": mname}),
+                return Outcome(
+                    {"chart": name, "metric": mname},
                     _verdict(ok, flagged),
                     (worst,),
                     value={"label": label, "rank": rank},
                 )
 
-            return check
+        for mname in sorted(metrics):
+            one_metric(mname)
+        if len(metrics) == 1:
+            return
 
+        @check(f"classify/{name}/metric-independence", "fiber-classification.metric-independence")
         def metric_independence():
             results = set()
             for mname, g in metrics.items():
@@ -505,50 +468,45 @@ class SuiteRunner:
                     G = group.TangentGroup.from_matrix(lf.matrix(m).L)
                     cls = group.classify_fiber(G, metric=g)
                     results.add((cls.rank, cls.label))
-            return CheckRecord(
-                f"classify/{name}/metric-independence",
-                "fiber-classification.metric-independence",
-                _digest({"manifest": self.manifest.name, "chart": name, "metrics": sorted(metrics)}),
+            return Outcome(
+                {"chart": name, "metrics": sorted(metrics)},
                 _verdict(len(results) == 1),
                 (float(len(results) - 1),),
                 value={"types": sorted(f"{r}:{l}" for r, l in results)},
             )
 
-        checks = [one_metric(mname) for mname in sorted(metrics)]
-        if len(metrics) > 1:
-            checks.append(metric_independence)
-        return checks
-
     # -- diffeo --------------------------------------------------------------------
-    def _diffeo_checks(self, spec):
+    def _diffeo_checks(self, spec, check):
         tol = self.tol
         src = self.manifest.chart(spec.source).frame
         dst = self.manifest.chart(spec.target).frame
         base = self.base_points(spec.source, limit=4, shrink=0.15)
+        preserving = self.preserving_residual(spec) < tol["preserve"]
 
+        def expansion(m):
+            return approx.diffeo_expansion_check(
+                spec.fwd, src, dst, m, self.t_grid,
+                sample_half=0.6, slope_min=tol["slope_min"],
+                quad_tol=tol["quad_coeffs"], order=self.manifest.jet_order,
+                zero_floor=tol["zero_floor"],
+            )
+
+        # a map that does not preserve H is the negative control: the detector must fire
+        kind = "quadratic-vanishing" if preserving else "negative-control"
+
+        @check(f"diffeo/{spec.name}/{kind}", f"diffeo-approx.{kind}")
         def quadratic():
-            preserving = self.preserving_residual(spec) < tol["preserve"]
             worst = 0.0
             for m in base:
                 conj = approx.conjugated_jets(spec.fwd, src, dst, m, order=self.manifest.jet_order)
                 worst = max(worst, float(np.max(np.abs(approx.horizontal_quadratic(conj)), initial=0.0)))
-            if preserving:
-                return CheckRecord(
-                    f"diffeo/{spec.name}/quadratic-vanishing",
-                    "diffeo-approx.quadratic-vanishing",
-                    _digest({"manifest": self.manifest.name, "diffeo": spec.name}),
-                    _verdict(worst < tol["quad_coeffs"]),
-                    (worst,),
-                )
-            # negative control: the detector must fire
-            return CheckRecord(
-                f"diffeo/{spec.name}/negative-control",
-                "diffeo-approx.negative-control",
-                _digest({"manifest": self.manifest.name, "diffeo": spec.name}),
-                _verdict(worst > tol["negative_control"]),
-                (worst,),
-            )
+            ok = worst < tol["quad_coeffs"] if preserving else worst > tol["negative_control"]
+            return Outcome({"diffeo": spec.name}, _verdict(ok), (worst,))
 
+        if not preserving:
+            return
+
+        @check(f"diffeo/{spec.name}/tangent-blocks", "tangent-map.block-structure")
         def blocks():
             worst = 0.0
             a00 = None
@@ -556,67 +514,33 @@ class SuiteRunner:
                 T = approx.tangent_map_H(spec.fwd, src, dst, m)
                 worst = max(worst, T.upper_residual)
                 a00 = T.a00
-            return CheckRecord(
-                f"diffeo/{spec.name}/tangent-blocks",
-                "tangent-map.block-structure",
-                _digest({"manifest": self.manifest.name, "diffeo": spec.name}),
-                _verdict(worst < tol["preserve"]),
-                (worst,),
-                value={"a00": a00},
-            )
+            return Outcome({"diffeo": spec.name}, _verdict(worst < tol["preserve"]), (worst,), value={"a00": a00})
 
+        @check(f"diffeo/{spec.name}/rate", "diffeo-approx.scaled-limit")
         def rate():
-            worst_rep = None
-            for m in base:
-                rep = approx.diffeo_expansion_check(
-                    spec.fwd, src, dst, m, self.t_grid,
-                    sample_half=0.6, slope_min=tol["slope_min"],
-                    quad_tol=tol["quad_coeffs"], order=self.manifest.jet_order,
-                    zero_floor=tol["zero_floor"],
-                )
-                if worst_rep is None or (not rep.rate.exact and (worst_rep.rate.exact or rep.rate.slope < worst_rep.rate.slope)):
-                    worst_rep = rep
-            return CheckRecord(
-                f"diffeo/{spec.name}/rate",
-                "diffeo-approx.scaled-limit",
-                _digest({"manifest": self.manifest.name, "diffeo": spec.name, "points": len(base)}),
+            worst_rep = _worst_rate([expansion(m) for m in base])
+            return Outcome(
+                {"diffeo": spec.name, "points": len(base)},
                 _verdict(worst_rep.passed),
                 worst_rep.rate.residuals,
-                slope=worst_rep.rate.slope,
+                worst_rep.rate.slope,
             )
 
+        @check(f"diffeo/{spec.name}/uniformity", "diffeo-approx.uniformity")
         def uniformity():
-            slopes = []
-            for m in base:
-                rep = approx.diffeo_expansion_check(
-                    spec.fwd, src, dst, m, self.t_grid,
-                    sample_half=0.6, slope_min=tol["slope_min"],
-                    quad_tol=tol["quad_coeffs"], order=self.manifest.jet_order,
-                    zero_floor=tol["zero_floor"],
-                )
-                if not rep.rate.exact:
-                    slopes.append(rep.rate.slope)
+            slopes = [rep.rate.slope for rep in map(expansion, base) if not rep.rate.exact]
             spread = max(slopes) - min(slopes) if len(slopes) >= 2 else 0.0
-            return CheckRecord(
-                f"diffeo/{spec.name}/uniformity",
-                "diffeo-approx.uniformity",
-                _digest({"manifest": self.manifest.name, "diffeo": spec.name, "points": len(base)}),
-                _verdict(spread < tol["uniformity"]),
-                (spread,),
-            )
-
-        if self.preserving_residual(spec) < tol["preserve"]:
-            return [quadratic, blocks, rate, uniformity]
-        return [quadratic]
+            return Outcome({"diffeo": spec.name, "points": len(base)}, _verdict(spread < tol["uniformity"]), (spread,))
 
     # -- groupoid --------------------------------------------------------------------
-    def _groupoid_chart_checks(self, chart):
+    def _groupoid_chart_checks(self, chart, check):
         name = chart.name
         tol = self.tol
         gchart = self.charts[name]
         dim = self.manifest.dim
         n_tuples = int(self.manifest.samples["tuples"])
 
+        @check(f"groupoid/{name}/axioms", "groupoid.axioms")
         def axioms():
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/axioms")
@@ -648,14 +572,9 @@ class SuiteRunner:
                     worst = max(worst, float(np.max(np.abs(unit.X))))
                 else:
                     worst = max(worst, float(np.max(np.abs(unit.q - unit.p))))
-            return CheckRecord(
-                f"groupoid/{name}/axioms",
-                "groupoid.axioms",
-                _digest({"manifest": self.manifest.name, "chart": name, "seed": seed, "n": n_tuples}),
-                _verdict(worst < tol["group_axioms"]),
-                (worst,),
-            )
+            return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["group_axioms"]), (worst,))
 
+        @check(f"groupoid/{name}/chart-roundtrip", "groupoid-chart.roundtrip")
         def roundtrip():
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/roundtrip")
@@ -671,14 +590,9 @@ class SuiteRunner:
                 b = gchart.gamma(x, X, 0.0)
                 x2, X2, _ = gchart.gamma_inv(b)
                 worst = max(worst, float(np.max(np.abs(X2 - X))))
-            return CheckRecord(
-                f"groupoid/{name}/chart-roundtrip",
-                "groupoid-chart.roundtrip",
-                _digest({"manifest": self.manifest.name, "chart": name, "seed": seed}),
-                _verdict(worst < tol["roundtrip"]),
-                (worst,),
-            )
+            return Outcome({"chart": name, "seed": seed}, _verdict(worst < tol["roundtrip"]), (worst,))
 
+        @check(f"groupoid/{name}/rs-jacobian", "groupoid.range-source-submersion")
         def rs_jacobian():
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/rs")
@@ -690,14 +604,9 @@ class SuiteRunner:
                 t = float(rng.uniform(0.1, 1.0))
                 Jr, Js = gchart.rs_jacobians(x, X, t)
                 worst = min(worst, abs(np.linalg.det(Jr)), abs(np.linalg.det(Js)))
-            return CheckRecord(
-                f"groupoid/{name}/rs-jacobian",
-                "groupoid.range-source-submersion",
-                _digest({"manifest": self.manifest.name, "chart": name, "seed": seed}),
-                _verdict(worst > 1e-8),
-                (float(worst),),
-            )
+            return Outcome({"chart": name, "seed": seed}, _verdict(worst > 1e-8), (float(worst),))
 
+        @check(f"groupoid/{name}/continuity", "groupoid.continuity-condition")
         def continuity():
             x = self.sweep_points(name)[0]
             X = 0.5 * np.ones(dim)
@@ -706,14 +615,9 @@ class SuiteRunner:
                 t = 2.0**-k
                 seq.append((x, gchart.eps(x).inverse(group.dilate(t, X)), t))
             rep = groupoid.continuity_check(gchart, seq, X, tol["continuity"])
-            return CheckRecord(
-                f"groupoid/{name}/continuity",
-                "groupoid.continuity-condition",
-                _digest({"manifest": self.manifest.name, "chart": name}),
-                _verdict(rep.converged and not rep.diverged),
-                rep.residuals,
-            )
+            return Outcome({"chart": name}, _verdict(rep.converged and not rep.diverged), rep.residuals)
 
+        @check(f"groupoid/{name}/continuity-negative", "groupoid.continuity-negative")
         def continuity_negative():
             x = self.sweep_points(name)[0]
             v = 0.5 * np.ones(dim)
@@ -722,93 +626,66 @@ class SuiteRunner:
                 t = 2.0**-k
                 seq.append((x, gchart.eps(x).inverse(t * v), t))  # linear, not graded
             rep = groupoid.continuity_check(gchart, seq, v, tol["continuity"])
-            return CheckRecord(
-                f"groupoid/{name}/continuity-negative",
-                "groupoid.continuity-negative",
-                _digest({"manifest": self.manifest.name, "chart": name}),
-                _verdict(rep.diverged),
-                rep.residuals,
-            )
+            return Outcome({"chart": name}, _verdict(rep.diverged), rep.residuals)
 
+        @check(f"groupoid/{name}/composition-limit", "groupoid.composition-limit")
         def composition_limit():
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/composition")
-            worst_rep = None
             flat = bool(np.max(np.abs(self._levi[name].matrix(self.sweep_points(name)[0]).L)) < 1e-14)
-            exact_worst = 0.0
+            reps = []
             for x in self.sweep_points(name):
                 X, Y = rng.uniform(-1, 1, (2, dim))
-                rep = groupoid.composition_limit_check(
+                reps.append(groupoid.composition_limit_check(
                     self.charts[name], x, X, Y, self.t_grid,
                     slope_min=tol["slope_min"], zero_floor=tol["zero_floor"],
-                )
-                exact_worst = max(exact_worst, rep.rate.max_residual)
-                if worst_rep is None or (not rep.rate.exact and (worst_rep.rate.exact or rep.rate.slope < worst_rep.rate.slope)):
-                    worst_rep = rep
+                ))
+            worst_rep = _worst_rate(reps)
             ok = worst_rep.rate.passed
             if flat:
-                ok = ok and exact_worst < tol["flat_exact"]
-            return CheckRecord(
-                f"groupoid/{name}/composition-limit",
-                "groupoid.composition-limit",
-                _digest({"manifest": self.manifest.name, "chart": name, "seed": seed}),
-                _verdict(ok),
-                worst_rep.rate.residuals,
-                slope=worst_rep.rate.slope,
-            )
+                ok = ok and max(rep.rate.max_residual for rep in reps) < tol["flat_exact"]
+            return Outcome({"chart": name, "seed": seed}, _verdict(ok), worst_rep.rate.residuals, worst_rep.rate.slope)
 
+        @check(f"groupoid/{name}/psi-claim", "groupoid.privileged-composition-claim")
         def psi_claim():
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/psi")
-            worst_rep = None
+            reps = []
             for u in self.sweep_points(name):
                 v, w = rng.uniform(-1, 1, (2, dim))
-                rep = groupoid.psi_composition_check(
+                reps.append(groupoid.psi_composition_check(
                     self.charts[name], u, v, w, self.t_grid,
                     slope_min=tol["slope_min"], zero_floor=tol["zero_floor"],
-                )
-                if worst_rep is None or (not rep.rate.exact and (worst_rep.rate.exact or rep.rate.slope < worst_rep.rate.slope)):
-                    worst_rep = rep
-            return CheckRecord(
-                f"groupoid/{name}/psi-claim",
-                "groupoid.privileged-composition-claim",
-                _digest({"manifest": self.manifest.name, "chart": name, "seed": seed}),
-                _verdict(worst_rep.rate.passed),
-                worst_rep.rate.residuals,
-                slope=worst_rep.rate.slope,
+                ))
+            worst_rep = _worst_rate(reps)
+            return Outcome(
+                {"chart": name, "seed": seed}, _verdict(worst_rep.rate.passed), worst_rep.rate.residuals, worst_rep.rate.slope
             )
 
-        return [axioms, roundtrip, rs_jacobian, continuity, continuity_negative, composition_limit, psi_claim]
-
-    def _groupoid_diffeo_checks(self, spec):
+    def _groupoid_diffeo_checks(self, spec, check):
         tol = self.tol
         if self.preserving_residual(spec) >= tol["preserve"]:
-            return []
+            return
         src_chart = self.charts[spec.source]
         dst_chart = self.charts[spec.target]
         base = self.base_points(spec.source, limit=3, shrink=0.1)
 
+        @check(f"groupoid/{spec.name}/transition-limit", "groupoid-chart.transition-limit")
         def transition_limit():
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{spec.name}/transition")
-            worst_rep = None
+            reps = []
             for x in base:
                 X = rng.uniform(-1, 1, self.manifest.dim)
                 rep, _ = groupoid.transition_rate_check(
                     src_chart, dst_chart, spec.fwd, x, X, self.t_grid,
                     slope_min=tol["slope_min"], zero_floor=tol["zero_floor"],
                 )
-                if worst_rep is None or (not rep.exact and (worst_rep.exact or rep.slope < worst_rep.slope)):
-                    worst_rep = rep
-            return CheckRecord(
-                f"groupoid/{spec.name}/transition-limit",
-                "groupoid-chart.transition-limit",
-                _digest({"manifest": self.manifest.name, "diffeo": spec.name, "seed": seed}),
-                _verdict(worst_rep.passed),
-                worst_rep.residuals,
-                slope=worst_rep.slope,
-            )
+                reps.append(rep)
+            worst_rep = _worst_rate(reps, rate=lambda rep: rep)
+            return Outcome({"diffeo": spec.name, "seed": seed}, _verdict(worst_rep.passed), worst_rep.residuals, worst_rep.slope)
 
+        @check(f"groupoid/{spec.name}/continuity-chart-independence", "groupoid.continuity-chart-independence")
         def chart_independence():
             x = base[0]
             X = 0.4 * np.ones(self.manifest.dim)
@@ -820,23 +697,13 @@ class SuiteRunner:
             rep2 = groupoid.continuity_chart_independence(
                 src_chart, dst_chart, spec.fwd, seq, x, X, tol=1e-2
             )
-            return CheckRecord(
-                f"groupoid/{spec.name}/continuity-chart-independence",
-                "groupoid.continuity-chart-independence",
-                _digest({"manifest": self.manifest.name, "diffeo": spec.name}),
-                _verdict(rep1.converged and rep2.converged),
-                rep2.residuals,
-            )
+            return Outcome({"diffeo": spec.name}, _verdict(rep1.converged and rep2.converged), rep2.residuals)
 
+        @check(f"groupoid/{spec.name}/functor", "groupoid.functoriality")
         def functor():
             if spec.inv is None:
-                return CheckRecord(
-                    f"groupoid/{spec.name}/functor",
-                    "groupoid.functoriality",
-                    _digest({"manifest": self.manifest.name, "diffeo": spec.name}),
-                    "flagged",
-                    (),
-                    value={"note": "no inverse declared; functor identities skipped"},
+                return Outcome(
+                    {"diffeo": spec.name}, "flagged", value={"note": "no inverse declared; functor identities skipped"}
                 )
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{spec.name}/functor")
@@ -866,18 +733,10 @@ class SuiteRunner:
                 e = morph.gamma_precomposed(x, Xv, t)
                 x2, X2, t2 = dst_chart.gamma_inv(morph.apply(e))
                 worst = max(worst, float(np.max(np.abs(x2 - x))), float(np.max(np.abs(X2 - Xv))), abs(t2 - t))
-            return CheckRecord(
-                f"groupoid/{spec.name}/functor",
-                "groupoid.functoriality",
-                _digest({"manifest": self.manifest.name, "diffeo": spec.name, "seed": seed}),
-                _verdict(worst < tol["functor"]),
-                (worst,),
-            )
-
-        return [transition_limit, chart_independence, functor]
+            return Outcome({"diffeo": spec.name, "seed": seed}, _verdict(worst < tol["functor"]), (worst,))
 
 
-def run_suites(manifest: Manifest, selector: str, jobs: int = 4) -> list:
+def run_suites(manifest: Manifest, selector: str) -> list:
     if selector == "all":
         suites = list(SUITE_NAMES)
     elif selector in SUITE_NAMES:
@@ -885,8 +744,7 @@ def run_suites(manifest: Manifest, selector: str, jobs: int = 4) -> list:
     else:
         raise ValidationError(f"unknown suite {selector!r}; choose from {', '.join(SUITE_NAMES)} or 'all'")
     manifest.validate_diffeo_inverses()
-    runner = SuiteRunner(manifest, jobs=jobs)
-    records = runner.run(suites)
+    records = SuiteRunner(manifest).run(suites)
     for rec in records:
         if rec.anchor not in ANCHORS:
             raise AssertionError(f"orphan anchor {rec.anchor!r} on {rec.check_id}")

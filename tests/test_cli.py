@@ -30,15 +30,37 @@ def write_doc(tmp_path, section, key, value):
     return path
 
 
-def test_builtin_passes_with_stable_checks_across_jobs(tmp_path, capsys):
-    code, serial = run(tmp_path, "foliation-flat", "--suite", "all", "--jobs", "1")
+@pytest.mark.parametrize(
+    "manifest, n_checks",
+    [("heisenberg3", 47), ("heisenberg5", 23), ("foliation-flat", 23), ("contact-darboux", 53), ("degenerate-rank2", 25)],
+)
+def test_builtin_passes_with_stable_checks_across_jobs(tmp_path, capsys, manifest, n_checks):
+    code, serial = run(tmp_path, manifest, "--suite", "all", "--jobs", "1")
     assert code == EXIT_PASS
-    assert len(serial["checks"]) == 23
-    assert serial["summary"] == {"pass": 23, "fail": 0, "flagged": 0}
-    code, threaded = run(tmp_path, "foliation-flat", "--suite", "all", "--jobs", "4")
+    assert len(serial["checks"]) == n_checks
+    assert serial["summary"] == {"pass": n_checks, "fail": 0, "flagged": 0, "error": 0}
+    # --jobs is accepted for old callers and changes nothing
+    code, again = run(tmp_path, manifest, "--suite", "all", "--jobs", "4")
     assert code == EXIT_PASS
-    assert json.dumps(threaded["checks"], sort_keys=True) == json.dumps(serial["checks"], sort_keys=True)
-    assert "23 passed" in capsys.readouterr().out
+    assert json.dumps(again["checks"], sort_keys=True) == json.dumps(serial["checks"], sort_keys=True)
+    assert f"{n_checks} passed" in capsys.readouterr().out
+
+
+def test_check_that_raises_is_an_error_record(tmp_path, capsys):
+    # at seed 2 the darboux-change transition sweep has too few nonzero residuals to fit a rate
+    code, report = run(tmp_path, "contact-darboux", "--suite", "groupoid", "--seed", "2")
+    assert code == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    verdicts = {rec["id"]: rec["verdict"] for rec in report["checks"]}
+    assert verdicts.pop("groupoid/darboux-change/transition-limit") == "error"
+    assert set(verdicts.values()) == {"pass"}
+    (bad,) = [rec for rec in report["checks"] if rec["verdict"] == "error"]
+    assert bad["value"]["error"] == "RateError"
+    assert "residuals above the zero floor" in bad["value"]["message"]
+    assert report["summary"] == {"pass": len(verdicts), "fail": 0, "flagged": 0, "error": 1}
+    _, default_seed = run(tmp_path, "contact-darboux", "--suite", "groupoid")
+    assert [rec["id"] for rec in report["checks"]] == [rec["id"] for rec in default_seed["checks"]]
 
 
 @pytest.mark.parametrize(

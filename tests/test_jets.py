@@ -368,21 +368,6 @@ def test_with_order_embed_truncate():
     assert down.terms() == {(0, 0): 1.0}
 
 
-def test_kernel_implementations_agree():
-    from heisgeom import _jetcore_py
-
-    try:
-        from heisgeom import _jetcore_cy
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(11)
-    s = jet_space(3, 3)
-    a, b = rng.standard_normal(s.size), rng.standard_normal(s.size)
-    got_py = _jetcore_py.mul(a, b, s.coo_a, s.coo_b, s.coo_out, s.size)
-    got_cy = _jetcore_cy.mul(a, b, s.coo_a, s.coo_b, s.coo_out, s.size)
-    np.testing.assert_allclose(got_cy, got_py, rtol=0, atol=1e-14)
-
-
 def test_terms_roundtrip_sparse_view():
     s = jet_space(3, 2)
     terms = {(0, 0, 0): 2.0, (1, 0, 1): -1.5}
