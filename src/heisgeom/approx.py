@@ -21,7 +21,7 @@ import numpy as np
 from .coords import HeisenbergMap, heisenberg_map, sample_box
 from .fields import FrameError, HFrame
 from .group import dilate, dilate_inv
-from .jets import Jet, PolyMap
+from .jets import PolyMap
 from .rates import RateReport, default_t_grid, fit_report, rate_fit  # noqa: F401  (re-exported surface)
 
 
@@ -110,12 +110,11 @@ def horizontal_quadratic(conj: PolyMap) -> np.ndarray:
     """Symmetric matrix c_jk of the x_j x_k terms (j, k >= 1) in the
     transverse component, normalized as second partial derivatives."""
     dim = conj.dim_in
-    comp0 = conj.components[0]
     c = np.zeros((dim - 1, dim - 1))
     for j in range(1, dim):
         for k in range(j, dim):
             e = tuple((1 if i == j else 0) + (1 if i == k else 0) for i in range(dim))
-            coeff = comp0.coefficient(e)
+            coeff = float(conj.coeffs[0, conj.space.index[e]])
             if j == k:
                 c[j - 1, j - 1] = 2.0 * coeff
             else:
@@ -145,16 +144,11 @@ class ExpansionReport:
 
 def displacement_map(phi: PolyMap, m, order: int | None = None) -> PolyMap:
     """z -> phi(m + z) - phi(m) as an exact polynomial map with zero constant."""
-    m = np.asarray(m, dtype=float)
     if order is not None:
         phi = phi.with_order(order)
-    out = []
-    for comp in phi.components:
-        shifted = comp.rebased(m)
-        coeffs = shifted.coeffs.copy()
-        coeffs[0] = 0.0
-        out.append(Jet(shifted.space, coeffs, np.zeros(phi.dim_in)))
-    return PolyMap(tuple(out))
+    table = phi.rebased(m).coeffs.copy()
+    table[:, 0] = 0.0
+    return PolyMap._of(phi.space, table, np.zeros(phi.dim_in))
 
 
 def diffeo_expansion_check(

@@ -21,12 +21,12 @@ import numpy as np
 
 from .fields import FrameError, HFrame, VectorField, bracket, pushforward_field
 from .group import GradedShear, weight_vector
-from .jets import Jet, PolyMap, jet_compose, jet_space
+from .jets import PolyMap, jet_space
 from .rates import RateReport, default_t_grid, fit_report
 
 
 def frame_degree(frame: HFrame) -> int:
-    return max(jet.degree() for f in frame.fields for jet in f.components.components)
+    return frame.stacked.degree()
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,16 +81,12 @@ def privileged_map(frame: HFrame, u, order: int | None = None) -> PrivilegedMap:
     pushed = []
     for f in frame.fields:
         composed = f.components.with_order(order).compose(inner, exact=True)
-        comps = []
-        for i in range(frame.dim):
-            acc = None
-            for k in range(frame.dim):
-                if A[i, k] == 0.0:
-                    continue
-                term = A[i, k] * composed.components[k]
-                acc = term if acc is None else acc + term
-            comps.append(acc if acc is not None else Jet.zero(composed.space))
-        pushed.append(VectorField(PolyMap(tuple(comps))))
+        # row i is sum_k A_ik composed_k over the nonzero A_ik, added in k order
+        table = np.zeros(composed.coeffs.shape)
+        for k, row in enumerate(composed.coeffs):
+            rows = np.flatnonzero(A[:, k])
+            table[rows] += A[rows, k, None] * row
+        pushed.append(VectorField(PolyMap._of(composed.space, table, composed.base)))
 
     for j, f in enumerate(pushed):
         delta = f(np.zeros(frame.dim))
@@ -163,11 +159,11 @@ class HeisenbergMap:
 
     def dilation_model_frame(self, order: int) -> tuple:
         """Privileged-coordinate dilation limits: X_j^(u) = d_j + sum b_jk x_k d_0."""
-        return _linear_transverse_frame(self.b, order, sign=+1.0)
+        return _linear_transverse_frame(self.b, order)
 
     def model_frame(self, order: int) -> tuple:
         """Left-invariant model fields X_j^m = d_j - 1/2 sum L_jk x_k d_0."""
-        return _linear_transverse_frame(-0.5 * self.levi, order, sign=+1.0)
+        return _linear_transverse_frame(-0.5 * self.levi, order)
 
     def pushed_model_residual(self, order: int = 4) -> float:
         """Coefficient distance between phi_u-pushed dilation-limit fields and
@@ -178,34 +174,25 @@ class HeisenbergMap:
         worst = 0.0
         for Xu, Xm in zip(self.dilation_model_frame(order), want):
             pushed = pushforward_field(shear_pm, shear_inv_pm, Xu, order=order)
-            for got, ref in zip(pushed.components.components, Xm.components.components):
-                worst = max(worst, float(np.max(np.abs(got.coeffs - ref.coeffs))))
+            worst = max(worst, float(np.max(np.abs(pushed.components.coeffs - Xm.components.coeffs))))
         return worst
 
 
-def _linear_transverse_frame(coef: np.ndarray, order: int, sign: float) -> tuple:
-    """Fields d_0 and d_j + sign * sum_k coef_jk x_k d_0 as polynomial fields."""
-    d = coef.shape[0]
-    dim = d + 1
+def _linear_transverse_tables(coef: np.ndarray, order: int):
+    """The jet space and the (field, component, monomial) coefficient tables
+    of the fields d_0 and d_j + sum_k coef_jk x_k d_0."""
+    dim = coef.shape[0] + 1
     s = jet_space(dim, order)
-    zero = (0,) * dim
-    fields = [VectorField(PolyMap(tuple(Jet.from_terms(s, {zero: 1.0} if i == 0 else {}) for i in range(dim))))]
-    for j in range(1, dim):
-        comps = []
-        trans = {}
-        for k in range(1, dim):
-            if coef[j - 1, k - 1] != 0.0:
-                e = tuple(1 if i == k else 0 for i in range(dim))
-                trans[e] = sign * coef[j - 1, k - 1]
-        for i in range(dim):
-            if i == 0:
-                comps.append(Jet.from_terms(s, trans))
-            elif i == j:
-                comps.append(Jet.from_terms(s, {zero: 1.0}))
-            else:
-                comps.append(Jet.zero(s))
-        fields.append(VectorField(PolyMap(tuple(comps))))
-    return tuple(fields)
+    tables = np.zeros((dim, dim, s.size))
+    tables[np.arange(dim), np.arange(dim), 0] = 1.0
+    tables[1:, 0, dim - 1 : 0 : -1] = coef  # graded lex: x_{dim-1} comes first
+    return s, tables
+
+
+def _linear_transverse_frame(coef: np.ndarray, order: int) -> tuple:
+    """Fields d_0 and d_j + sum_k coef_jk x_k d_0 as polynomial fields."""
+    s, tables = _linear_transverse_tables(coef, order)
+    return tuple(VectorField(PolyMap._of(s, t, np.zeros(s.dim))) for t in tables)
 
 
 def heisenberg_map(frame: HFrame, u) -> HeisenbergMap:
@@ -234,14 +221,10 @@ def graded_weight_violation(pm: PolyMap) -> float:
     component i has graded weight equal to the component weight.
     """
     w = weight_vector(pm.dim_in)
-    worst = 0.0
-    for i, comp in enumerate(pm.components):
-        wi = w[i] if i < len(w) else 1.0
-        weights = comp.space.exponents @ w
-        bad = weights != wi
-        if np.any(bad):
-            worst = max(worst, float(np.max(np.abs(comp.coeffs[bad]))))
-    return worst
+    w_out = np.ones(pm.dim_out)
+    w_out[: len(w)] = w[: pm.dim_out]
+    bad = (pm.space.exponents @ w)[None, :] != w_out[:, None]
+    return float(np.max(np.abs(pm.coeffs[bad]), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,16 +243,17 @@ class ModelField:
         return self.coeffs.size
 
     def as_field(self, order: int) -> VectorField:
-        frame_fields = _linear_transverse_frame(-0.5 * self.levi, order, sign=+1.0)
-        dim = self.dim
-        s = frame_fields[0].components.space
-        acc = [Jet.zero(s) for _ in range(dim)]
-        use = [self.coeffs[0]] + [0.0] * (dim - 1) if self.weight == 2 else [0.0] + list(self.coeffs[1:])
-        for cj, f in zip(use, frame_fields):
-            if cj == 0.0:
-                continue
-            acc = [a + cj * c for a, c in zip(acc, f.components.components)]
-        return VectorField(PolyMap(tuple(acc)))
+        s, tables = _linear_transverse_tables(-0.5 * self.levi, order)
+        use = np.zeros(self.dim)
+        if self.weight == 2:
+            use[0] = self.coeffs[0]
+        else:
+            use[1:] = self.coeffs[1:]
+        acc = np.zeros(tables.shape[1:])
+        for cj, table in zip(use, tables):
+            if cj != 0.0:
+                acc = acc + cj * table
+        return VectorField(PolyMap._of(s, acc, np.zeros(s.dim)))
 
 
 def model_field(X: VectorField, frame: HFrame, m, rel_threshold: float = 1e-9) -> ModelField:
@@ -323,7 +307,7 @@ def dilation_limit_check(
     hm = heisenberg_map(frame, m)
     dim = frame.dim
     if order is None:
-        order = max(frame.order, 2 * (max(jet.degree() for jet in X.components.components) + 1))
+        order = max(frame.order, 2 * (X.components.degree() + 1))
     fwd = hm.as_polymap(order)
     inv = hm.inverse_polymap(order)
     Xh = pushforward_field(fwd, inv, X, order=order)
@@ -339,9 +323,8 @@ def dilation_limit_check(
     for t in t_grid:
         worst = 0.0
         for i in range(dim):
-            coeff = Xh.components.components[i].coeffs
-            scaled = coeff * t ** (mf.weight + mono_w - w[i])
-            diff = scaled - target.components.components[i].coeffs
+            scaled = Xh.components.coeffs[i] * t ** (mf.weight + mono_w - w[i])
+            diff = scaled - target.components.coeffs[i]
             worst = max(worst, float(np.max(np.abs(mono @ diff))))
         residuals.append(worst)
     return fit_report(t_grid, residuals, slope_min)

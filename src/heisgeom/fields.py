@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, JetError, PolyMap, jet_compose, jet_mul
+from .jets import Jet, JetError, PolyMap, check_compatible, mul_rows
 
 
 class FrameError(ValueError):
@@ -33,18 +33,6 @@ class VectorField:
                 f"{self.components.dim_in}->{self.components.dim_out}"
             )
 
-    @classmethod
-    def from_jets(cls, jets) -> "VectorField":
-        return cls(PolyMap(tuple(jets)))
-
-    @classmethod
-    def coordinate(cls, dim: int, i: int, order: int) -> "VectorField":
-        s_comps = []
-        ident = PolyMap.identity(dim, order)
-        for k in range(dim):
-            s_comps.append(Jet.constant(ident.space, 1.0 if k == i else 0.0))
-        return cls(PolyMap(tuple(s_comps)))
-
     @property
     def dim(self) -> int:
         return self.components.dim_in
@@ -63,35 +51,39 @@ class VectorField:
         return VectorField(self.components.with_order(order))
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(
-            PolyMap(tuple(a + b for a, b in zip(self.components.components, other.components.components)))
-        )
+        return VectorField(self.components + other.components)
 
     def __rmul__(self, scalar: float) -> "VectorField":
-        return VectorField(PolyMap(tuple(float(scalar) * c for c in self.components.components)))
+        return VectorField(float(scalar) * self.components)
 
     def scaled_by_jet(self, f: Jet) -> "VectorField":
         """Pointwise scaling f(x) X(x)."""
-        return VectorField(PolyMap(tuple(jet_mul(f, c) for c in self.components.components)))
+        return VectorField(f * self.components)
+
+
+def _sum_over_j(terms: np.ndarray) -> np.ndarray:
+    """sum_j terms[:, j], added left to right."""
+    acc = terms[:, 0]
+    for j in range(1, terms.shape[1]):
+        acc = acc + terms[:, j]
+    return acc
 
 
 def bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Lie bracket [X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i).
 
     Exact on polynomial inputs through total degree `order`; higher products
-    are truncated.
+    are truncated.  All dim^2 products of each kind are one `mul_rows` call.
     """
     if X.dim != Y.dim:
         raise JetError(f"bracket dimension mismatch: {X.dim} vs {Y.dim}")
-    xc, yc = X.components.components, Y.components.components
-    out = []
-    for i in range(X.dim):
-        acc = None
-        for j in range(X.dim):
-            term = jet_mul(xc[j], yc[i].partial(j)) - jet_mul(yc[j], xc[i].partial(j))
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return VectorField(PolyMap(tuple(out)))
+    x, y = X.components, Y.components
+    check_compatible(x, y)
+    s, dim = x.space, X.dim
+    # row i * dim + j: X^j d_j Y^i and Y^j d_j X^i
+    xj, yj = np.tile(x.coeffs, (dim, 1)), np.tile(y.coeffs, (dim, 1))
+    terms = mul_rows(s, xj, y.partials.reshape(-1, s.size)) - mul_rows(s, yj, x.partials.reshape(-1, s.size))
+    return VectorField(PolyMap._of(s, _sum_over_j(terms.reshape(dim, dim, s.size)), x.base))
 
 
 @dataclass(frozen=True)
@@ -142,9 +134,10 @@ class Box:
 class HFrame:
     """Frame X_0, ..., X_d over a box; X_1, ..., X_d span the hyperplane H.
 
-    All component jets X_j^i sit in one polynomial map, `stacked` (row
-    j * dim + i), so one monomial vector at x gives every field and every
-    field Jacobian; the fields must share one jet space and base point.
+    The fields' coefficient tables are concatenated into one map, `stacked`
+    (row j * dim + i holds X_j^i), so one monomial vector at x gives every
+    field and every field Jacobian; the fields must share one jet space and
+    base point.
     """
 
     fields: tuple
@@ -160,7 +153,7 @@ class HFrame:
         if self.domain.dim != dim:
             raise FrameError("domain dimension does not match the fields")
         object.__setattr__(self, "fields", fields)
-        object.__setattr__(self, "stacked", PolyMap(tuple(c for f in fields for c in f.components.components)))
+        object.__setattr__(self, "stacked", _stack(fields))
 
     @property
     def dim(self) -> int:
@@ -212,6 +205,15 @@ class HFrame:
             self.check_invertible(x)
 
 
+def _stack(fields) -> PolyMap:
+    """One map whose rows are the components of every field, field by field;
+    the fields must share one jet space and base point."""
+    first = fields[0].components
+    for f in fields[1:]:
+        check_compatible(first, f.components)
+    return PolyMap._of(first.space, np.concatenate([f.components.coeffs for f in fields]), first.base)
+
+
 @dataclass(frozen=True)
 class StructureConstants:
     """Frame-relative Levi matrix L with L_jk the X_0-part of [X_j, X_k]."""
@@ -235,16 +237,15 @@ class StructureConstants:
 
 
 class LeviForm:
-    """Bracket fields of a frame, built once and stacked after the frame
-    fields in one polynomial map, so one monomial vector at m gives B(m)
-    and every [X_j, X_k](m)."""
+    """Bracket fields of a frame, built once; their coefficient tables are
+    concatenated after the frame's in one map, so one monomial vector at m
+    gives B(m) and every [X_j, X_k](m)."""
 
     def __init__(self, frame: HFrame):
         self.frame = frame
         self._pairs = list(itertools.combinations(range(1, frame.d + 1), 2))
         brackets = [bracket(frame.fields[j], frame.fields[k]) for j, k in self._pairs]
-        fields = list(frame.fields) + brackets
-        self._stacked = PolyMap(tuple(c for f in fields for c in f.components.components))
+        self._stacked = _stack(frame.fields + tuple(brackets))
 
     def _at(self, m):
         """B(m) and the bracket vectors at m, one per row."""
@@ -291,19 +292,12 @@ def pushforward_field(fwd: PolyMap, inv: PolyMap, X: VectorField, order: int | N
         fwd = fwd.with_order(order)
         inv = inv.with_order(order)
         X = X.with_order(order)
-    dim = X.dim
-    comps_inv = X.components.compose(inv, exact=True).components
-    const = inv.constant()
-    out = []
-    for i in range(dim):
-        acc = None
-        for j in range(dim):
-            dfij = fwd.components[i].partial(j)
-            dfij_at = jet_compose(dfij.rebased(const), inv, exact=True)
-            term = jet_mul(dfij_at, comps_inv[j])
-            acc = term if acc is None else acc + term
-        out.append(acc)
-    return VectorField(PolyMap(tuple(out)))
+    dim, s = X.dim, inv.space
+    x_inv = X.components.compose(inv, exact=True).coeffs
+    # row i * dim + j: (d_j fwd^i)(inv(y)), all dim^2 partials composed in one call
+    df = PolyMap._of(fwd.space, fwd.partials.reshape(-1, fwd.space.size), fwd.base)
+    terms = mul_rows(s, df.compose(inv, exact=True).coeffs, np.tile(x_inv, (dim, 1)))
+    return VectorField(PolyMap._of(s, _sum_over_j(terms.reshape(dim, dim, s.size)), inv.base))
 
 
 @dataclass(frozen=True)
@@ -341,6 +335,7 @@ def pushforward_preserves_H(
             raise FrameError(f"image {y} of sample {x} outside the target domain")
         D = phi.jacobian(x)
         basis_dst = frame_dst.basis_at(y)
+        frame_dst.check_invertible(y, B=basis_dst.T)
         worst = 0.0
         for j in range(1, frame_src.dim):
             omega = np.linalg.solve(basis_dst, D @ frame_src.fields[j](x))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import StructureConstants
-from .jets import Jet, PolyMap, jet_space
+from .jets import PolyMap
 
 
 def weight_vector(dim: int) -> np.ndarray:
@@ -135,17 +135,13 @@ class GradedShear:
 
     def as_polymap(self, order: int) -> PolyMap:
         dim = self.d + 1
-        s = jet_space(dim, order)
-        comps = [Jet.coordinate(s, 0)]
+        ident = PolyMap.identity(dim, order)
+        table = ident.coeffs.copy()
         for j in range(1, dim):
             for k in range(1, dim):
-                cjk = self.c[j - 1, k - 1]
-                if cjk != 0.0:
-                    comps[0] = comps[0] + 0.5 * cjk * Jet.from_terms(
-                        s, {tuple((1 if i == j else 0) + (1 if i == k else 0) for i in range(dim)): 1.0}
-                    )
-        comps.extend(Jet.coordinate(s, i) for i in range(1, dim))
-        return PolyMap(tuple(comps))
+                e = tuple((1 if i == j else 0) + (1 if i == k else 0) for i in range(dim))
+                table[0, ident.space.index[e]] += 0.5 * self.c[j - 1, k - 1]
+        return PolyMap._of(ident.space, table, ident.base)
 
 
 def shear_homomorphism_residual(shear: GradedShear, b: np.ndarray, pairs) -> float:

@@ -13,10 +13,12 @@ each exponent tuple is a number in mixed radix K + 1, so a product's key is
 the sum of its factors' keys and `searchsorted` finds its position.  The
 monomial vectors are gathered from per-axis power tables.
 
-All values are immutable after construction.  The only mutable state is
-the per-(dim, order) space cache and the stacked tables a `PolyMap` builds
-on first use (`coeffs`, `partials`), which are read-only arrays derived
-from immutable data.
+A `PolyMap` is one read-only (m, size) coefficient table and a `Jet` is the
+one-row case: each operation has one implementation over row tables.  Data
+is checked where it comes in (`Jet(...)`, `PolyMap(jets)`, `PolyMap.affine`,
+the manifest parser); results computed here are not checked again.  All
+values are immutable; the only mutable state is the space cache and the
+read-only tables a `PolyMap` derives on first use.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class JetSpace:
             out *= powers[..., v, :].take(self.exponents[:, v], axis=-1)
         return out
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"JetSpace(dim={self.dim}, order={self.order}, size={self.size})"
 
 
@@ -99,34 +101,187 @@ def jet_space(dim: int, order: int) -> JetSpace:
     return JetSpace(dim, order, exponents, degrees, index, coo[0], coo[1], coo[2], tuple(diff_tables))
 
 
-def _freeze(a) -> np.ndarray:
-    """`a` if it is already read-only C float64, else a frozen copy: the caller's array stays writable."""
-    if isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable:
-        return a
-    out = np.array(a, dtype=np.float64, order="C")
-    out.setflags(write=False)
+def _checked(space: JetSpace, coeffs, base, shape: tuple):
+    """Read-only copies of incoming coefficients and base point, checked for
+    shape and finiteness; the caller's arrays stay writable."""
+    coeffs, base = np.array(coeffs, dtype=float), np.array(base, dtype=float)
+    if coeffs.shape != shape:
+        raise JetError(f"coefficient table has shape {coeffs.shape}, expected {shape}")
+    if base.shape != (space.dim,):
+        raise JetError(f"base point has shape {base.shape}, expected ({space.dim},)")
+    if not (np.isfinite(coeffs).all() and np.isfinite(base).all()):
+        raise JetError("non-finite jet data")
+    coeffs.setflags(write=False)
+    base.setflags(write=False)
+    return coeffs, base
+
+
+def _default_base(space: JetSpace, base) -> np.ndarray:
+    return np.zeros(space.dim) if base is None else np.asarray(base, dtype=float)
+
+
+def check_compatible(a, b):
+    """Jets or maps `a` and `b` share one jet space and base point (within 1e-12)."""
+    if a.space is not b.space:
+        raise JetError(f"jet space mismatch: {a.space} vs {b.space}")
+    # bases are finite (checked where they came in), so this is allclose(atol=1e-12)
+    if a.base is not b.base and not (np.abs(a.base - b.base) <= 1e-12).all():
+        raise JetError(f"base point mismatch: {a.base} vs {b.base}")
+
+
+_MUL_BLOCK = 1 << 18  # products per bincount: bounds the temporaries of wide tables
+
+
+def mul_rows(s: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise truncated products of (m, size) tables; a one-row operand
+    multiplies every row of the other.
+
+    ``out[r, coo_out[k]] += x[r, coo_a[k]] * y[r, coo_b[k]]``: a bincount over
+    the row-offset bins ``r * size + coo_out`` sums each row in table order.
+    """
+    if len(x) != len(y):
+        x, y = np.broadcast_arrays(x, y)
+    step = max(1, _MUL_BLOCK // len(s.coo_out))
+    blocks = []
+    for r in range(0, len(x), step):
+        w = x[r : r + step].take(s.coo_a, axis=1) * y[r : r + step].take(s.coo_b, axis=1)
+        n = len(w)
+        bins = s.coo_out if n == 1 else (np.arange(n)[:, None] * s.size + s.coo_out).ravel()
+        blocks.append(np.bincount(bins, w.ravel(), n * s.size).reshape(n, s.size))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def _partial(s: JetSpace, c: np.ndarray, v: int) -> np.ndarray:
+    """d/dx_v of every row of the table c (..., size)."""
+    src, dst, fac = s.diff_tables[v]
+    out = np.zeros(c.shape)
+    out[..., dst] = c[..., src] * fac
     return out
 
 
+def _compose(outer: "_Poly", inner: "PolyMap", exact: bool) -> np.ndarray:
+    """The coefficients of outer(inner(x)), row by row.
+
+    Each power (inner_v - base_v)^k and each monomial term is built once and
+    shared by all rows; a row takes coeff * term where its coefficient is
+    nonzero, in ascending monomial order.
+    """
+    if inner.dim_out != outer.space.dim:
+        raise JetError(f"inner map produces {inner.dim_out} values, outer expects {outer.space.dim}")
+    if inner.order != outer.order:
+        raise JetError(f"order mismatch: outer {outer.order}, inner {inner.order}")
+    s = inner.space
+    deltas = inner.coeffs.copy()
+    deltas[:, 0] -= outer.base
+    if not exact:
+        scale = max(1.0, float(np.max(np.abs(outer.base))), float(np.max(np.abs(deltas))))
+        worst = np.max(np.abs(deltas[:, 0]))
+        if worst > 1e-9 * scale:
+            raise JetError(f"inner constant terms differ from outer base by {worst:.3e}")
+
+    powers = {(v, 1): deltas[v : v + 1] for v in range(len(deltas))}
+
+    def power(v: int, k: int) -> np.ndarray:
+        if (v, k) not in powers:
+            powers[(v, k)] = mul_rows(s, power(v, k - 1), deltas[v : v + 1])
+        return powers[(v, k)]
+
+    c = outer.coeffs.reshape(-1, outer.space.size)
+    out = np.zeros((len(c), s.size))
+    out[:, 0] = c[:, 0]
+    for idx in np.flatnonzero(c[:, 1:].any(axis=0)) + 1:
+        term = None
+        for v, e in enumerate(outer.space.exponents[idx]):
+            if e:
+                term = power(v, e) if term is None else mul_rows(s, term, power(v, e))
+        rows = np.flatnonzero(c[:, idx])
+        out[rows] += c[rows, idx, None] * term
+    return out.reshape(outer.coeffs.shape[:-1] + (s.size,))
+
+
 @dataclass(frozen=True, eq=False)
-class Jet:
-    """Truncated Taylor polynomial: sum of coeffs[i] * (x - base)^exponents[i]."""
+class _Poly:
+    """Coefficient rows over one jet space and base point: shape (size,) for
+    a `Jet`, (m, size) for a `PolyMap`.  Each operation below serves both."""
 
     space: JetSpace
     coeffs: np.ndarray
     base: np.ndarray
 
+    @classmethod
+    def _of(cls, space: JetSpace, coeffs: np.ndarray, base: np.ndarray):
+        """An instance from arrays computed in this package: they are made
+        read-only in place and not checked again."""
+        coeffs.setflags(write=False)
+        base.setflags(write=False)
+        obj = object.__new__(cls)
+        vars(obj).update(space=space, coeffs=coeffs, base=base)
+        return obj
+
+    @property
+    def order(self) -> int:
+        return self.space.order
+
+    def monomials(self, x) -> np.ndarray:
+        """The monomial vector (x - base)^exponents of the space."""
+        return self.space.monomials(np.asarray(x, dtype=float) - self.base)
+
+    def degree(self) -> int:
+        """Largest total degree with a nonzero coefficient."""
+        nz = np.flatnonzero(self.coeffs.reshape(-1, self.space.size).any(axis=0))
+        return int(self.space.degrees[nz].max()) if nz.size else 0
+
+    def __add__(self, other):
+        check_compatible(self, other)
+        return self._of(self.space, self.coeffs + other.coeffs, self.base)
+
+    def __neg__(self):
+        return self._of(self.space, -self.coeffs, self.base)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, _Poly):
+            return jet_mul(self, other)
+        return self._of(self.space, self.coeffs * float(other), self.base)
+
+    __rmul__ = __mul__
+
+    def rebased(self, new_base):
+        """Re-expand at a new base point.
+
+        Exact when the polynomial has degree <= order (higher coefficients
+        that were truncated away would feed back into low ones).
+        """
+        new_base = np.array(new_base, dtype=float)
+        v = new_base - self.base
+        if not np.any(v):
+            return self
+        shift = PolyMap.affine(np.eye(len(v)), v, self.order)
+        at_zero = self._of(self.space, self.coeffs, np.zeros(len(v)))
+        return self._of(self.space, _compose(at_zero, shift, exact=True), new_base)
+
+    def with_order(self, order: int):
+        """Truncate or zero-pad to another order.  Graded lex lists the
+        monomials of degree <= min(order, self.order) first in both spaces,
+        in the same order, so that prefix is copied."""
+        if order == self.order:
+            return self
+        target = jet_space(self.space.dim, order)
+        out = np.zeros(self.coeffs.shape[:-1] + (target.size,))
+        n = min(self.space.size, target.size)
+        out[..., :n] = self.coeffs[..., :n]
+        return self._of(target, out, self.base)
+
+
+@dataclass(frozen=True, eq=False)
+class Jet(_Poly):
+    """Truncated Taylor polynomial: sum of coeffs[i] * (x - base)^exponents[i]."""
+
     def __post_init__(self):
-        coeffs = _freeze(self.coeffs)
-        base = _freeze(self.base)
-        if coeffs.shape != (self.space.size,):
-            raise JetError(f"coefficient table has shape {coeffs.shape}, expected ({self.space.size},)")
-        if base.shape != (self.space.dim,):
-            raise JetError(f"base point has shape {base.shape}, expected ({self.space.dim},)")
-        if not (np.isfinite(coeffs).all() and np.isfinite(base).all()):
-            raise JetError("non-finite jet data")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "base", base)
+        coeffs, base = _checked(self.space, self.coeffs, self.base, (self.space.size,))
+        vars(self).update(coeffs=coeffs, base=base)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -145,8 +300,7 @@ class Jet:
         base = _default_base(space, base)
         c = np.zeros(space.size)
         c[0] = base[i]
-        e = tuple(1 if k == i else 0 for k in range(space.dim))
-        c[space.index[e]] = 1.0
+        c[space.index[tuple(1 if k == i else 0 for k in range(space.dim))]] = 1.0
         return cls(space, c, base)
 
     @classmethod
@@ -167,10 +321,6 @@ class Jet:
     def dim(self) -> int:
         return self.space.dim
 
-    @property
-    def order(self) -> int:
-        return self.space.order
-
     def terms(self) -> dict:
         """Sparse view: exponent tuple -> nonzero coefficient."""
         nz = np.nonzero(self.coeffs)[0]
@@ -179,108 +329,29 @@ class Jet:
     def coefficient(self, exp) -> float:
         return float(self.coeffs[self.space.index[tuple(int(e) for e in exp)]])
 
-    def degree(self) -> int:
-        nz = np.nonzero(self.coeffs)[0]
-        return int(self.space.degrees[nz].max()) if nz.size else 0
-
-    # -- arithmetic -----------------------------------------------------
-    def _check_compatible(self, other: "Jet"):
-        if self.space is not other.space:
-            raise JetError(
-                f"jet space mismatch: (dim={self.dim}, order={self.order}) vs "
-                f"(dim={other.dim}, order={other.order})"
-            )
-        # bases are finite (checked at construction), so this is allclose(atol=1e-12)
-        if self.base is not other.base and not (np.abs(self.base - other.base) <= 1e-12).all():
-            raise JetError(f"base point mismatch: {self.base} vs {other.base}")
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            self._check_compatible(other)
-            return Jet(self.space, self.coeffs + other.coeffs, self.base)
-        return self + Jet.constant(self.space, float(other), self.base)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(self.space, -self.coeffs, self.base)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -float(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            return jet_mul(self, other)
-        return Jet(self.space, self.coeffs * float(other), self.base)
-
-    __rmul__ = __mul__
-
     def partial(self, v: int) -> "Jet":
         """Partial derivative with respect to x_v (same truncation order)."""
-        src, dst, fac = self.space.diff_tables[v]
-        out = np.zeros(self.space.size)
-        out[dst] = self.coeffs[src] * fac
-        return Jet(self.space, out, self.base)
+        return Jet._of(self.space, _partial(self.space, self.coeffs, v), self.base)
 
-    # -- evaluation -----------------------------------------------------
     def __call__(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        return self.space.monomials(np.asarray(pts, dtype=float) - self.base) @ self.coeffs
-
-    # -- base / order changes --------------------------------------------
-    def rebased(self, new_base) -> "Jet":
-        """Re-expand at a new base point.
-
-        Exact when the jet is an exact polynomial of degree <= order (higher
-        coefficients that were truncated away would feed back into low ones).
-        """
-        new_base = np.asarray(new_base, dtype=float)
-        v = new_base - self.base
-        if not np.any(v):
-            return self
-        as_poly = Jet(self.space, self.coeffs, np.zeros(self.dim))
-        shift = PolyMap.affine(np.eye(self.dim), v, self.order)
-        return Jet(self.space, jet_compose(as_poly, shift, exact=True).coeffs, new_base)
-
-    def with_order(self, order: int) -> "Jet":
-        if order == self.order:
-            return self
-        target = jet_space(self.dim, order)
-        out = np.zeros(target.size)
-        for i in np.nonzero(self.coeffs)[0]:
-            e = tuple(self.space.exponents[i])
-            if sum(e) > order:
-                continue
-            out[target.index[e]] = self.coeffs[i]
-        return Jet(target, out, self.base)
+        return self.monomials(pts) @ self.coeffs
 
     def __repr__(self) -> str:  # pragma: no cover
         body = " + ".join(f"{c:.6g}*z^{e}" for e, c in sorted(self.terms().items())) or "0"
         return f"Jet<{self.dim},{self.order}>({body} @ {self.base})"
 
 
-def _default_base(space: JetSpace, base) -> np.ndarray:
-    if base is None:
-        return np.zeros(space.dim)
-    return np.asarray(base, dtype=float)
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    """Product truncated at the common order."""
-    a._check_compatible(b)
+def jet_mul(a: _Poly, b: _Poly) -> _Poly:
+    """Product truncated at the common order; a jet times a map multiplies
+    every row of the map."""
+    check_compatible(a, b)
     s = a.space
-    return Jet(s, _mul_coeffs(s, a.coeffs, b.coeffs), a.base)
-
-
-def _mul_coeffs(s: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Truncated product: ``out[coo_out[k]] += x[coo_a[k]] * y[coo_b[k]]``,
-    summed in table order."""
-    return np.bincount(s.coo_out, weights=x[s.coo_a] * y[s.coo_b], minlength=s.size)
+    out = mul_rows(s, a.coeffs.reshape(-1, s.size), b.coeffs.reshape(-1, s.size))
+    wide = b if b.coeffs.ndim > a.coeffs.ndim else a
+    return wide._of(s, out.reshape(wide.coeffs.shape), a.base)
 
 
 def jet_compose(outer: Jet, inner: "PolyMap", *, exact: bool = False) -> Jet:
@@ -291,71 +362,30 @@ def jet_compose(outer: Jet, inner: "PolyMap", *, exact: bool = False) -> Jet:
     for outer jets that are exact polynomials, where composition with an
     arbitrary constant offset is still well defined.
     """
-    if inner.dim_out != outer.dim:
-        raise JetError(f"inner map produces {inner.dim_out} values, outer expects {outer.dim}")
-    if inner.order != outer.order:
-        raise JetError(f"order mismatch: outer {outer.order}, inner {inner.order}")
-    s = inner.space
-    deltas = []
-    for i, comp in enumerate(inner.components):
-        d = comp.coeffs.copy()
-        d[0] -= outer.base[i]
-        deltas.append(d)
-    if not exact:
-        scale = max(1.0, float(np.max(np.abs(outer.base))), *(float(np.max(np.abs(d))) for d in deltas))
-        worst = max(abs(d[0]) for d in deltas)
-        if worst > 1e-9 * scale:
-            raise JetError(f"inner constant terms differ from outer base by {worst:.3e}")
-
-    out = np.zeros(s.size)
-    out[0] = outer.coeffs[0]
-    powers: dict = {}
-
-    def power(v: int, k: int) -> np.ndarray:
-        got = powers.get((v, k))
-        if got is None:
-            got = deltas[v] if k == 1 else _mul_coeffs(s, power(v, k - 1), deltas[v])
-            powers[(v, k)] = got
-        return got
-
-    for idx in np.nonzero(outer.coeffs)[0]:
-        if idx == 0:
-            continue
-        exp = outer.space.exponents[idx]
-        term = None
-        for v in range(outer.dim):
-            if exp[v] == 0:
-                continue
-            p = power(v, int(exp[v]))
-            term = p if term is None else _mul_coeffs(s, term, p)
-        out = out + outer.coeffs[idx] * term
-    return Jet(s, out, inner.base)
+    return Jet._of(inner.space, _compose(outer, inner, exact), inner.base)
 
 
-@dataclass(frozen=True, eq=False)
-class PolyMap:
-    """A polynomial map given by one jet per output coordinate.
+@dataclass(frozen=True, eq=False, init=False)
+class PolyMap(_Poly):
+    """A polynomial map x -> (f_1(x), ..., f_m(x)): row i of the (m, size)
+    table `coeffs` holds f_i.  `PolyMap(jets)` stacks jets that share a jet
+    space and base point; `components` gives the rows back as jets."""
 
-    All components share the input dimension, order and base point; the map
-    sends x to (f_1(x), ..., f_m(x)).
-    """
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
+    def __init__(self, components):
+        jets = tuple(components)
+        if not jets:
             raise JetError("empty polynomial map")
-        first = comps[0]
-        for c in comps[1:]:
-            first._check_compatible(c)
-        object.__setattr__(self, "components", comps)
+        for jet in jets[1:]:
+            check_compatible(jets[0], jet)
+        coeffs = np.stack([jet.coeffs for jet in jets])
+        coeffs.setflags(write=False)
+        vars(self).update(space=jets[0].space, coeffs=coeffs, base=jets[0].base)
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def identity(cls, dim: int, order: int, base=None) -> "PolyMap":
-        s = jet_space(dim, order)
-        return cls(tuple(Jet.coordinate(s, i, base) for i in range(dim)))
+        base = _default_base(jet_space(dim, order), base)
+        return cls.affine(np.eye(dim), base, order, base)
 
     @classmethod
     def affine(cls, A: np.ndarray, c: np.ndarray, order: int, base=None) -> "PolyMap":
@@ -363,49 +393,31 @@ class PolyMap:
         A = np.asarray(A, dtype=float)
         dim_out, dim_in = A.shape
         s = jet_space(dim_in, order)
-        base_arr = _freeze(_default_base(s, base))
         table = np.zeros((dim_out, s.size))
         table[:, 0] = c
         table[:, 1 : dim_in + 1] = A[:, ::-1]  # graded lex: x_{dim-1} comes first
-        return cls(tuple(Jet(s, row, base_arr) for row in table))
+        return cls._of(s, *_checked(s, table, _default_base(s, base), table.shape))
 
     # -- inspection -----------------------------------------------------
-    @property
-    def space(self) -> JetSpace:
-        return self.components[0].space
-
     @property
     def dim_in(self) -> int:
         return self.space.dim
 
     @property
     def dim_out(self) -> int:
-        return len(self.components)
-
-    @property
-    def order(self) -> int:
-        return self.space.order
-
-    @property
-    def base(self) -> np.ndarray:
-        return self.components[0].base
+        return len(self.coeffs)
 
     @cached_property
-    def coeffs(self) -> np.ndarray:
-        """(dim_out, size) table, one row per component; read-only."""
-        return _freeze(np.stack([c.coeffs for c in self.components]))
+    def components(self) -> tuple:
+        """One `Jet` per row."""
+        return tuple(Jet._of(self.space, row, self.base) for row in self.coeffs)
 
     @cached_property
     def partials(self) -> np.ndarray:
         """(dim_out, dim_in, size) table of every d_j f_i; read-only."""
-        out = np.zeros((self.dim_out, self.dim_in, self.space.size))
-        for v, (src, dst, fac) in enumerate(self.space.diff_tables):
-            out[:, v, dst] = self.coeffs[:, src] * fac
-        return _freeze(out)
-
-    def monomials(self, x) -> np.ndarray:
-        """The monomial vector (x - base)^exponents of the map's space."""
-        return self.space.monomials(np.asarray(x, dtype=float) - self.base)
+        out = np.stack([_partial(self.space, self.coeffs, v) for v in range(self.dim_in)], axis=1)
+        out.setflags(write=False)
+        return out
 
     def constant(self) -> np.ndarray:
         return self.coeffs[:, 0].copy()
@@ -426,21 +438,11 @@ class PolyMap:
     def jacobian(self, x) -> np.ndarray:
         return self.partials @ self.monomials(x)
 
-    # -- transforms -----------------------------------------------------
     def compose(self, inner: "PolyMap", *, exact: bool = False) -> "PolyMap":
-        """self after inner; exact=True rebases exact-polynomial components
-        onto inner's constant term instead of requiring aligned bases."""
-        outs = []
-        for comp in self.components:
-            outer = comp.rebased(inner.constant()) if exact else comp
-            outs.append(jet_compose(outer, inner, exact=exact))
-        return PolyMap(tuple(outs))
-
-    def rebased(self, new_base) -> "PolyMap":
-        return PolyMap(tuple(c.rebased(new_base) for c in self.components))
-
-    def with_order(self, order: int) -> "PolyMap":
-        return PolyMap(tuple(c.with_order(order) for c in self.components))
+        """self after inner; exact=True rebases an exact-polynomial self onto
+        inner's constant term instead of requiring aligned bases."""
+        outer = self.rebased(inner.constant()) if exact else self
+        return PolyMap._of(inner.space, _compose(outer, inner, exact), inner.base)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PolyMap<{self.dim_in}->{self.dim_out}, order {self.order}>"
@@ -451,26 +453,19 @@ def jet_invert(f: PolyMap) -> PolyMap:
     and invertible linear part; f o g = id up to the truncation order."""
     if f.dim_in != f.dim_out:
         raise JetError(f"cannot invert a {f.dim_in}->{f.dim_out} map")
-    const = f.constant()
-    scale = max(1.0, float(np.max(np.abs(f.linear()))))
-    if np.max(np.abs(const)) > 1e-9 * scale or np.max(np.abs(f.base)) > 1e-9:
-        raise JetError("formal inverse needs zero base point and zero constant term")
     A = f.linear()
+    scale = max(1.0, float(np.max(np.abs(A))))
+    if np.max(np.abs(f.constant())) > 1e-9 * scale or np.max(np.abs(f.base)) > 1e-9:
+        raise JetError("formal inverse needs zero base point and zero constant term")
     det = np.linalg.det(A)
     if abs(det) < 1e-12 * max(1.0, np.max(np.abs(A)) ** f.dim_in):
         raise JetError(f"linear part is singular (det={det:.3e})")
-    Ainv = np.linalg.inv(A)
-    dim, order = f.dim_in, f.order
-    s = f.space
+    linear_inv = PolyMap.affine(np.linalg.inv(A), np.zeros(f.dim_in), f.order)
 
-    # nonlinear part N with f(x) = A x + N(x), deg N >= 2
-    lin = PolyMap.affine(A, np.zeros(dim), order)
-    N = PolyMap(tuple(fc - lc for fc, lc in zip(f.components, lin.components)))
-
-    g = PolyMap.affine(Ainv, np.zeros(dim), order)
-    ident = PolyMap.identity(dim, order)
-    for _ in range(order - 1):
-        ng = N.compose(g)
-        resid = PolyMap(tuple(ic - nc for ic, nc in zip(ident.components, ng.components)))
-        g = PolyMap.affine(Ainv, np.zeros(dim), order).compose(resid)
+    # nonlinear part N with f(x) = A x + N(x), deg N >= 2; g <- A^-1 (x - N(g))
+    N = PolyMap._of(f.space, np.where(f.space.degrees == 1, 0.0, f.coeffs), f.base)
+    ident = PolyMap.identity(f.dim_in, f.order)
+    g = linear_inv
+    for _ in range(f.order - 1):
+        g = linear_inv.compose(ident - N.compose(g))
     return g

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Box, HFrame, VectorField
-from .jets import Jet, PolyMap, jet_space
+from .jets import PolyMap, jet_space
 
 
 class ValidationError(ValueError):
@@ -109,10 +109,13 @@ def _parse_polymap(entries, dim_in, n_out, order, where) -> PolyMap:
     if len(entries) != n_out:
         raise ValidationError(f"{where}: expected {n_out} components, got {len(entries)}")
     s = jet_space(dim_in, order)
-    comps = []
+    table = np.zeros((n_out, s.size))
     for i, entry in enumerate(entries):
-        comps.append(Jet.from_terms(s, _parse_poly_terms(entry, dim_in, order, f"{where}[{i}]")))
-    return PolyMap(tuple(comps))
+        for exps, coeff in _parse_poly_terms(entry, dim_in, order, f"{where}[{i}]").items():
+            if not np.isfinite(coeff):
+                raise ValidationError(f"{where}[{i}]: non-finite coefficient {coeff!r}")
+            table[i, s.index[exps]] += coeff
+    return PolyMap._of(s, table, np.zeros(dim_in))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,6 +6,7 @@ is sorted by id."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import approx, coords, group, groupoid
-from .fields import LeviForm, pushforward_preserves_H
+from .fields import FrameError, LeviForm, pushforward_preserves_H
 from .manifests import Manifest, ValidationError
 from .rates import default_t_grid
 
@@ -146,12 +147,17 @@ class SuiteRunner:
         return self.manifest.seed
 
     def preserving_residual(self, spec) -> float:
+        """Runs while the checks are collected, so a chart that cannot hold
+        the diffeo's image, or a singular frame, is a `ValidationError`."""
         hit = self._preserving.get(spec.name)
         if hit is None:
             src = self.manifest.chart(spec.source).frame
             dst = self.manifest.chart(spec.target).frame
             pts = self.base_points(spec.source, limit=12)
-            hit = pushforward_preserves_H(spec.fwd, src, dst, pts, self.tol["preserve"]).max_residual
+            try:
+                hit = pushforward_preserves_H(spec.fwd, src, dst, pts, self.tol["preserve"]).max_residual
+            except FrameError as exc:
+                raise ValidationError(f"diffeo {spec.name!r}: {exc}") from exc
             self._preserving[spec.name] = hit
         return hit
 
@@ -306,12 +312,9 @@ class SuiteRunner:
                 L = hm.levi
                 for j in range(1, frame.dim):
                     for k in range(1, frame.dim):
-                        br = bracket(fields[j], fields[k])
-                        got = br.components.components[0].coeffs.copy()
-                        got[0] -= L[j - 1, k - 1]
+                        got = bracket(fields[j], fields[k]).components.coeffs.copy()
+                        got[0, 0] -= L[j - 1, k - 1]
                         worst = max(worst, float(np.max(np.abs(got))))
-                        for c in br.components.components[1:]:
-                            worst = max(worst, float(np.max(np.abs(c.coeffs))))
             return Outcome({"chart": name}, _verdict(worst < tol["model_structure"]), (worst,))
 
         @check(f"coords/{name}/shear-grading", "heisenberg-coords.shear-grading")
@@ -483,13 +486,19 @@ class SuiteRunner:
         base = self.base_points(spec.source, limit=4, shrink=0.15)
         preserving = self.preserving_residual(spec) < tol["preserve"]
 
-        def expansion(m):
-            return approx.diffeo_expansion_check(
-                spec.fwd, src, dst, m, self.t_grid,
-                sample_half=0.6, slope_min=tol["slope_min"],
-                quad_tol=tol["quad_coeffs"], order=self.manifest.jet_order,
-                zero_floor=tol["zero_floor"],
-            )
+        @functools.cache
+        def expansions():
+            """One expansion per base point, shared by the rate and uniformity
+            checks; an exception is not cached, so both become `error` records."""
+            return [
+                approx.diffeo_expansion_check(
+                    spec.fwd, src, dst, m, self.t_grid,
+                    sample_half=0.6, slope_min=tol["slope_min"],
+                    quad_tol=tol["quad_coeffs"], order=self.manifest.jet_order,
+                    zero_floor=tol["zero_floor"],
+                )
+                for m in base
+            ]
 
         # a map that does not preserve H is the negative control: the detector must fire
         kind = "quadratic-vanishing" if preserving else "negative-control"
@@ -518,7 +527,7 @@ class SuiteRunner:
 
         @check(f"diffeo/{spec.name}/rate", "diffeo-approx.scaled-limit")
         def rate():
-            worst_rep = _worst_rate([expansion(m) for m in base])
+            worst_rep = _worst_rate(expansions())
             return Outcome(
                 {"diffeo": spec.name, "points": len(base)},
                 _verdict(worst_rep.passed),
@@ -528,7 +537,7 @@ class SuiteRunner:
 
         @check(f"diffeo/{spec.name}/uniformity", "diffeo-approx.uniformity")
         def uniformity():
-            slopes = [rep.rate.slope for rep in map(expansion, base) if not rep.rate.exact]
+            slopes = [rep.rate.slope for rep in expansions() if not rep.rate.exact]
             spread = max(slopes) - min(slopes) if len(slopes) >= 2 else 0.0
             return Outcome({"diffeo": spec.name, "points": len(base)}, _verdict(spread < tol["uniformity"]), (spread,))
 

@@ -12,7 +12,7 @@ from heisgeom.cli import (
     EXIT_VALIDATION_ERROR,
     main,
 )
-from heisgeom.manifests import load_doc
+from heisgeom.manifests import builtin_doc, load_doc
 
 
 def run(tmp_path, manifest, *extra):
@@ -72,6 +72,40 @@ def test_malformed_config_value_is_validation_error(tmp_path, capsys, section, k
     assert code == EXIT_VALIDATION_ERROR
     assert report is None
     assert f"config.{section}.{key}" in capsys.readouterr().err
+
+
+def write_json(tmp_path, doc):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_target_chart_too_small_is_validation_error(tmp_path, capsys):
+    doc = builtin_doc("contact-darboux")
+    (target,) = [chart for chart in doc["charts"] if chart["name"] == "darboux1"]
+    target["domain"] = [[-1.0, 1.0]] * 3
+    code, report = run(tmp_path, write_json(tmp_path, doc), "--suite", "diffeo")
+    assert code == EXIT_VALIDATION_ERROR
+    assert report is None
+    err = capsys.readouterr().err
+    assert "darboux-change" in err and "outside the target domain" in err
+
+
+def test_singular_frame_is_validation_error(tmp_path, capsys):
+    doc = builtin_doc("heisenberg3")
+    doc["charts"][0]["frame"][1][1] = [[1.0, [0, 1, 0]]]  # X_1 = x_1 d_1 + x_2 d_0: singular on x_1 = 0
+    code, report = run(tmp_path, write_json(tmp_path, doc), "--suite", "all")
+    assert code == EXIT_VALIDATION_ERROR
+    assert report is None
+    assert "nearly singular" in capsys.readouterr().err
+
+
+def test_nonfinite_coefficient_is_validation_error(tmp_path, capsys):
+    doc = builtin_doc("heisenberg3")
+    doc["charts"][0]["frame"][1][0] = [[float("inf"), [0, 0, 1]]]
+    code, _ = run(tmp_path, write_json(tmp_path, doc))
+    assert code == EXIT_VALIDATION_ERROR
+    assert "charts[0].frame[1][0]" in capsys.readouterr().err
 
 
 def test_malformed_tol_override_is_validation_error(tmp_path, capsys):

@@ -26,6 +26,15 @@ from conftest import (
     sym_box,
     unit_exp,
 )
+from test_jets import (
+    random_jet,
+    random_map,
+    reference_compose,
+    reference_jet_compose,
+    reference_mul,
+    reference_partial,
+    reference_rebased,
+)
 
 
 def fd_bracket(X, Y, m, h=1e-5):
@@ -242,6 +251,72 @@ def test_pushforward_field_left_invariance():
         pushed = pushforward_field(fwd, inv, f, order=4)
         for got, want in zip(pushed.components.components, f.with_order(4).components.components):
             np.testing.assert_allclose(got.coeffs, want.coeffs, atol=1e-12)
+
+
+def reference_bracket(X, Y):
+    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i), one jet product at a time."""
+    s, dim = X.components.space, X.dim
+    xc, yc = X.components.coeffs, Y.components.coeffs
+    out = []
+    for i in range(dim):
+        acc = None
+        for j in range(dim):
+            term = reference_mul(s, xc[j], reference_partial(s, yc[i], j)) - reference_mul(
+                s, yc[j], reference_partial(s, xc[i], j)
+            )
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return np.array(out)
+
+
+def reference_pushforward(fwd, inv, X):
+    """fwd'(inv(y)) X(inv(y)), one composed partial and one product per (i, j)."""
+    s, dim = inv.space, X.dim
+    x_inv = reference_compose(X.components, inv, exact=True)
+    out = []
+    for i in range(dim):
+        acc = None
+        for j in range(dim):
+            dfij = Jet(fwd.space, reference_partial(fwd.space, fwd.coeffs[i], j), fwd.base)
+            dfij_at = reference_jet_compose(reference_rebased(dfij, inv.constant()), inv, exact=True)
+            term = reference_mul(s, dfij_at, x_inv[j])
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("dim, order", [(d, k) for d in range(2, 6) for k in range(2, 6)])
+def test_bracket_bitwise_matches_double_loop(dim, order):
+    rng = np.random.default_rng(200 + 10 * dim + order)
+    s = jet_space(dim, order)
+    base = rng.uniform(-1, 1, dim)
+    X, Y = (VectorField(random_map(rng, s, base)) for _ in range(2))
+    got = bracket(X, Y).components
+    np.testing.assert_array_equal(got.coeffs, reference_bracket(X, Y))
+    np.testing.assert_array_equal(got.base, base)
+
+
+@pytest.mark.parametrize("dim, order", [(d, k) for d in range(2, 6) for k in range(2, 6)])
+def test_pushforward_field_bitwise_matches_double_loop(dim, order):
+    rng = np.random.default_rng(300 + 10 * dim + order)
+    s = jet_space(dim, order)
+    fwd, inv, X = (random_map(rng, s, rng.uniform(-1, 1, dim), density=0.5) for _ in range(3))
+    got = pushforward_field(fwd, inv, VectorField(X)).components
+    np.testing.assert_array_equal(got.coeffs, reference_pushforward(fwd, inv, VectorField(X)))
+    np.testing.assert_array_equal(got.base, inv.base)
+
+
+def test_scaled_by_jet_and_sum_match_per_component_products():
+    rng = np.random.default_rng(5)
+    s = jet_space(3, 4)
+    base = rng.uniform(-1, 1, 3)
+    X, Y = (VectorField(random_map(rng, s, base)) for _ in range(2))
+    f = random_jet(rng, s, base=base)
+    got = (X + 2.5 * Y.scaled_by_jet(f)).components.coeffs
+    want = [x + (reference_mul(s, f.coeffs, y) * 2.5) for x, y in zip(X.components.coeffs, Y.components.coeffs)]
+    np.testing.assert_array_equal(got, want)
+    with pytest.raises(JetError):
+        X.scaled_by_jet(random_jet(rng, s, base=base + 1.0))
 
 
 def test_box_grid_deterministic():

@@ -12,6 +12,7 @@ from heisgeom.jets import (
     jet_invert,
     jet_mul,
     jet_space,
+    mul_rows,
 )
 
 
@@ -83,6 +84,8 @@ def test_mismatch_errors():
         jet_mul(a, Jet.constant(jet_space(2, 3), 1.0))
     with pytest.raises(JetError):
         jet_mul(a, Jet.constant(jet_space(2, 2), 1.0, base=np.array([1.0, 0.0])))
+    with pytest.raises(JetError):
+        PolyMap((a, Jet.constant(jet_space(2, 3), 1.0)))
 
 
 def test_nonfinite_rejected():
@@ -301,6 +304,115 @@ def test_compose_base_guard():
     assert jet_compose(outer, shifted, exact=True).terms() == {(0, 0): 1.0, (1, 0): 1.0}
 
 
+def reference_mul(s, x, y):
+    """The one-row product: one bincount over the product table."""
+    return np.bincount(s.coo_out, weights=x[s.coo_a] * y[s.coo_b], minlength=s.size)
+
+
+def reference_partial(s, c, v):
+    src, dst, fac = s.diff_tables[v]
+    out = np.zeros(s.size)
+    out[dst] = c[src] * fac
+    return out
+
+
+def reference_jet_compose(outer, inner, exact=False):
+    """Composition of one jet that builds its own powers of the inner map:
+    the per-component algorithm that the shared-term compose replaced."""
+    s = inner.space
+    deltas = []
+    for i, row in enumerate(inner.coeffs):
+        d = row.copy()
+        d[0] -= outer.base[i]
+        deltas.append(d)
+    if not exact:
+        scale = max(1.0, float(np.max(np.abs(outer.base))), *(float(np.max(np.abs(d))) for d in deltas))
+        assert max(abs(d[0]) for d in deltas) <= 1e-9 * scale
+    out = np.zeros(s.size)
+    out[0] = outer.coeffs[0]
+    powers = {}
+
+    def power(v, k):
+        if (v, k) not in powers:
+            powers[(v, k)] = deltas[v] if k == 1 else reference_mul(s, power(v, k - 1), deltas[v])
+        return powers[(v, k)]
+
+    for idx in np.nonzero(outer.coeffs)[0]:
+        if idx == 0:
+            continue
+        term = None
+        for v, e in enumerate(outer.space.exponents[idx]):
+            if e:
+                term = power(v, int(e)) if term is None else reference_mul(s, term, power(v, int(e)))
+        out = out + outer.coeffs[idx] * term
+    return out
+
+
+def reference_rebased(jet, new_base):
+    v = np.asarray(new_base, dtype=float) - jet.base
+    if not np.any(v):
+        return jet
+    shift = PolyMap.affine(np.eye(jet.dim), v, jet.order)
+    at_zero = Jet(jet.space, jet.coeffs, np.zeros(jet.dim))
+    return Jet(jet.space, reference_jet_compose(at_zero, shift, exact=True), new_base)
+
+
+def reference_compose(outer, inner, exact=False):
+    """One `reference_jet_compose` per component, each rebased onto the
+    inner constant term first when exact."""
+    rows = [
+        reference_jet_compose(reference_rebased(comp, inner.constant()) if exact else comp, inner, exact)
+        for comp in outer.components
+    ]
+    return np.array(rows)
+
+
+def random_map(rng, space, base, density=0.7):
+    return PolyMap(tuple(random_jet(rng, space, base=base, density=density) for _ in range(space.dim)))
+
+
+@pytest.mark.parametrize("dim, order", [(d, k) for d in range(2, 6) for k in range(2, 6)])
+def test_compose_bitwise_matches_per_component_reference(dim, order):
+    rng = np.random.default_rng(100 * dim + order)
+    s = jet_space(dim, order)
+    outer = random_map(rng, s, rng.uniform(-1, 1, dim))
+    inner = random_map(rng, s, rng.uniform(-1, 1, dim))
+    # exact: outer is rebased onto inner's constant term
+    np.testing.assert_array_equal(outer.compose(inner, exact=True).coeffs, reference_compose(outer, inner, exact=True))
+    # guarded: inner's constant term is outer's base point
+    aligned = PolyMap(
+        tuple(Jet(s, np.concatenate([[b], row[1:]]), inner.base) for b, row in zip(outer.base, inner.coeffs))
+    )
+    got = outer.compose(aligned)
+    np.testing.assert_array_equal(got.coeffs, reference_compose(outer, aligned))
+    np.testing.assert_array_equal(got.base, aligned.base)
+    np.testing.assert_array_equal(jet_compose(outer.components[0], aligned).coeffs, got.coeffs[0])
+
+
+@pytest.mark.parametrize("dim, order", [(2, 5), (3, 8), (5, 4), (7, 6)])  # (7, 6): two blocks of rows
+def test_mul_rows_bitwise_matches_one_row_products(dim, order):
+    rng = np.random.default_rng(dim + 10 * order)
+    s = jet_space(dim, order)
+    x, y = rng.uniform(-1, 1, (2, 7, s.size))
+    got = mul_rows(s, x, y)
+    for r in range(7):
+        np.testing.assert_array_equal(got[r], reference_mul(s, x[r], y[r]))
+    np.testing.assert_array_equal(mul_rows(s, x[:1], y), [reference_mul(s, x[0], row) for row in y])
+    np.testing.assert_array_equal(jet_mul(Jet(s, x[0], np.zeros(dim)), Jet(s, y[0], np.zeros(dim))).coeffs, got[0])
+
+
+def test_polymap_of_its_components_rebuilds_the_table():
+    rng = np.random.default_rng(11)
+    s = jet_space(4, 3)
+    pm = random_map(rng, s, rng.uniform(-1, 1, 4))
+    again = PolyMap(pm.components)
+    np.testing.assert_array_equal(again.coeffs, pm.coeffs)
+    np.testing.assert_array_equal(again.base, pm.base)
+    assert all(jet.space is s for jet in pm.components)
+    with pytest.raises(JetError):
+        PolyMap(())
+
+
 def test_invert_affine():
     A = np.array([[2.0, 1.0], [0.0, -1.0]])
     f = PolyMap.affine(A, np.zeros(2), 3)
@@ -366,6 +478,23 @@ def test_with_order_embed_truncate():
     assert up.terms() == f.terms()
     down = up.with_order(1)
     assert down.terms() == {(0, 0): 1.0}
+
+
+@pytest.mark.parametrize("dim", [1, 3, 5])
+def test_with_order_moves_each_coefficient_to_its_exponent(dim):
+    rng = np.random.default_rng(dim)
+    s = jet_space(dim, 4)
+    pm = random_map(rng, s, rng.uniform(-1, 1, dim))
+    for order in (1, 2, 6):
+        t = jet_space(dim, order)
+        want = np.zeros((dim, t.size))
+        for i, e in enumerate(s.exponents):
+            if e.sum() <= order:
+                want[:, t.index[tuple(e)]] = pm.coeffs[:, i]
+        got = pm.with_order(order)
+        assert got.space is t
+        np.testing.assert_array_equal(got.coeffs, want)
+        np.testing.assert_array_equal(pm.components[0].with_order(order).coeffs, want[0])
 
 
 def test_terms_roundtrip_sparse_view():
