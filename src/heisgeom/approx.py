@@ -194,9 +194,8 @@ def diffeo_expansion_check(
     residuals = []
     for t in t_grid:
         pre_disp = hm_src.inverse_displacement(dilate(t, pts))
-        for p in pre_disp:
-            if not frame_src.domain.contains(m + p):
-                raise FrameError(f"sample leaves the source domain at t={t}; shrink the box")
+        if not np.all(frame_src.domain.contains(m + pre_disp)):
+            raise FrameError(f"sample leaves the source domain at t={t}; shrink the box")
         img_disp = phi_disp.eval_many(pre_disp)
         expr = dilate_inv(t, hm_dst.forward_from_displacement(img_disp))
         residuals.append(float(np.max(np.abs(expr - target))))

@@ -20,13 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import FrameError, HFrame, VectorField, bracket, pushforward_field
-from .group import GradedShear, weight_vector
+from .group import GradedShear, per_map, weight_vector
 from .jets import PolyMap, jet_space
 from .rates import RateReport, default_t_grid, fit_report
-
-
-def frame_degree(frame: HFrame) -> int:
-    return frame.stacked.degree()
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,14 +92,23 @@ def privileged_map(frame: HFrame, u, order: int | None = None) -> PrivilegedMap:
     return PrivilegedMap(u, A, tuple(pushed))
 
 
-def b_matrix(frame: HFrame, u) -> np.ndarray:
-    """The d x d matrix b_jk = d_k a_j0(0) in privileged coordinates at u."""
-    return privileged_map(frame, u).b_matrix()
+def _times_transpose(w, M: np.ndarray) -> np.ndarray:
+    """w @ M^t for one matrix M or a stack S + (dim, dim), with w the points of
+    each matrix, S + (..., dim).  The points of one matrix are the rows of one
+    product, so many points through one map round as a single product."""
+    w = np.asarray(w, dtype=float)
+    return (per_map(w, M.shape[:-2]) @ M.mT).reshape(w.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class HeisenbergMap:
-    """eps_u = phi_u . psi_u with exact closed-form inverse."""
+    """eps_u = phi_u . psi_u with exact closed-form inverse.
+
+    A batch of base points u (S + (dim,)) gives one map per point: A and b
+    carry the leading shape S, and the point maps take one point per map,
+    S + (dim,).  A single map takes any number of points, (..., dim).  The
+    polynomial forms and model frames need a single map.
+    """
 
     u: np.ndarray
     A: np.ndarray  # privileged linear part
@@ -111,7 +116,7 @@ class HeisenbergMap:
 
     @property
     def dim(self) -> int:
-        return self.u.size
+        return self.u.shape[-1]
 
     @property
     def d(self) -> int:
@@ -119,20 +124,18 @@ class HeisenbergMap:
 
     @property
     def levi(self) -> np.ndarray:
-        return self.b.T - self.b
+        return self.b.mT - self.b
 
     @property
     def shear(self) -> GradedShear:
-        return GradedShear(-(self.b + self.b.T) / 2)
+        return GradedShear(-(self.b + self.b.mT) / 2)
 
     def forward(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self.shear.apply((x - self.u) @ self.A.T)
+        return self.shear.apply(_times_transpose(x - self.u, self.A))
 
     def inverse(self, w) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        y = self.shear.inverse().apply(w)
-        return self.u + y @ np.linalg.inv(self.A).T
+        return self.u + self.inverse_displacement(w)
 
     def inverse_displacement(self, w) -> np.ndarray:
         """eps_u^-1(w) - u, computed without adding and re-subtracting u.
@@ -140,13 +143,11 @@ class HeisenbergMap:
         Keeps the graded rescaling sweeps free of large-minus-large
         cancellation when w ~ t.X is small.
         """
-        w = np.asarray(w, dtype=float)
-        return self.shear.inverse().apply(w) @ np.linalg.inv(self.A).T
+        return _times_transpose(self.shear.inverse().apply(w), np.linalg.inv(self.A))
 
     def forward_from_displacement(self, disp) -> np.ndarray:
         """eps_u(u + disp) evaluated directly from the displacement."""
-        disp = np.asarray(disp, dtype=float)
-        return self.shear.apply(disp @ self.A.T)
+        return self.shear.apply(_times_transpose(disp, self.A))
 
     def as_polymap(self, order: int) -> PolyMap:
         psi = PolyMap.affine(self.A, -self.A @ self.u, order)
@@ -196,22 +197,25 @@ def _linear_transverse_frame(coef: np.ndarray, order: int) -> tuple:
 
 
 def heisenberg_map(frame: HFrame, u) -> HeisenbergMap:
-    """Heisenberg coordinates at u.
+    """Heisenberg coordinates at one point u (dim,) or at each of a batch (N, dim).
 
-    One monomial vector at u, multiplied into the frame's stacked tables,
-    gives B(u) and every DX_j(u); the determinant guard runs on that B.  The
-    b matrix comes from the Jacobian identity b_jk = (A DX_j(u) B^t)_0k,
-    which agrees with the degree-1 jet route of `b_matrix` (tested against
-    it); this keeps the per-point construction cheap for the groupoid caches.
+    One monomial vector per point, multiplied into the frame's stacked
+    tables, gives B(u) and every DX_j(u); the determinant guard runs on that
+    B.  The b matrix comes from the Jacobian identity
+    b_jk = (A DX_j(u) B^t)_0k, which agrees with the degree-1 jet route of
+    `PrivilegedMap.b_matrix` (tested against it).  Every product is taken
+    per point, so a batch equals one call per point bit for bit.
     """
     u = np.asarray(u, dtype=float)
-    if not frame.domain.contains(u):
-        raise FrameError(f"base point {u} outside the frame domain")
+    inside = frame.domain.contains(u)
+    if not np.all(inside):
+        raise FrameError(f"base point {u[~inside][0]} outside the frame domain")
     B, DX = frame.matrix_and_jacobians(u)
     frame.check_invertible(u, B=B)
-    A = np.linalg.inv(B.T)
-    b = (A[0] @ DX[1:] @ B.T)[:, 1:]
-    return HeisenbergMap(u, A, b)
+    Bt = B.mT
+    A = np.linalg.inv(Bt)
+    row0 = (A[..., None, :1, :] @ DX[..., 1:, :, :])[..., 0, :]  # row j is A[0] DX_j
+    return HeisenbergMap(u, A, (row0 @ Bt)[..., 1:])
 
 
 def graded_weight_violation(pm: PolyMap) -> float:

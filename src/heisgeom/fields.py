@@ -107,9 +107,10 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = 1e-9):
+        """Whether each point of x, shape (..., dim), lies in the box widened by tol."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+        return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
@@ -168,41 +169,42 @@ class HFrame:
         return self.fields[0].order
 
     def matrix_at(self, x) -> np.ndarray:
-        """B(x): row j holds the components of X_j at x (one matmul of the
-        stacked coefficient table with the monomial vector at x)."""
-        return (self.stacked.coeffs @ self.stacked.monomials(x)).reshape(self.dim, self.dim)
+        """B(x) for x of shape (..., dim): row j holds the components of X_j
+        at x (the stacked coefficient table times the monomial vector at x)."""
+        mono = self.stacked.monomials(x)[..., None]
+        return (self.stacked.coeffs @ mono).reshape(mono.shape[:-2] + (self.dim, self.dim))
 
     def matrix_and_jacobians(self, x):
-        """B(x) and DX(x) with DX[j, i, k] = d_k X_j^i(x), from one monomial vector."""
+        """B(x) and DX(x) with DX[..., j, i, k] = d_k X_j^i(x), from one monomial
+        vector per point of x (..., dim).  Each point takes its own
+        matrix-vector products, which round as they do for a single point."""
         pm, n = self.stacked, self.dim
-        mono = pm.monomials(x)
-        return (pm.coeffs @ mono).reshape(n, n), (pm.partials @ mono).reshape(n, n, n)
+        mono = pm.monomials(x)[..., None]
+        lead = mono.shape[:-2]
+        B = (pm.coeffs @ mono).reshape(lead + (n, n))
+        return B, (pm.partials @ mono[..., None, :, :]).reshape(lead + (n, n, n))
 
     def basis_at(self, x) -> np.ndarray:
         """Columns are the frame vectors at x (= B(x)^t)."""
         return self.matrix_at(x).T
 
-    def check_invertible(self, x, rtol: float = 1e-8, B=None) -> float:
-        """Determinant guard at x; pass B when B(x) is already at hand."""
+    def check_invertible(self, x, rtol: float = 1e-8, B=None):
+        """Determinant guard at each point of x (..., dim); pass B when B(x)
+        is already at hand.  The error names the first singular point."""
+        x = np.asarray(x, dtype=float)
         B = self.matrix_at(x) if B is None else B
         det = np.linalg.det(B)
-        scale = max(np.max(np.abs(B), initial=0.0), 1e-300)
-        if abs(det) <= rtol * scale**self.dim:
-            raise FrameError(f"frame matrix nearly singular at {np.asarray(x)}: det={det:.3e}")
+        scale = np.maximum(np.max(np.abs(B), axis=(-2, -1), initial=0.0), 1e-300)
+        bad = np.abs(det) <= rtol * scale**self.dim
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise FrameError(f"frame matrix nearly singular at {x.reshape(-1, self.dim)[i]}: det={det.ravel()[i]:.3e}")
         return det
 
     def expand(self, x, v) -> np.ndarray:
         """Coefficients of the vector v in the frame at x."""
         self.check_invertible(x)
         return np.linalg.solve(self.basis_at(x), np.asarray(v, dtype=float))
-
-    def with_order(self, order: int) -> "HFrame":
-        return HFrame(tuple(f.with_order(order) for f in self.fields), self.domain)
-
-    def validate(self, per_axis: int = 5, limit: int = 200):
-        """Determinant guard over a deterministic sample grid."""
-        for x in self.domain.grid(per_axis, limit=limit):
-            self.check_invertible(x)
 
 
 def _stack(fields) -> PolyMap:
@@ -274,11 +276,6 @@ class LeviForm:
             L[j - 1, k - 1] = np.linalg.solve(B.T, v)[0]
             L[k - 1, j - 1] = np.linalg.solve(B.T, -v)[0]
         return L
-
-
-def levi_matrix(frame: HFrame, m) -> StructureConstants:
-    """The Levi matrix of the frame at m (see LeviForm for batch use)."""
-    return LeviForm(frame).matrix(m)
 
 
 def pushforward_field(fwd: PolyMap, inv: PolyMap, X: VectorField, order: int | None = None) -> VectorField:

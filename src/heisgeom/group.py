@@ -14,6 +14,7 @@ Heisenberg x abelian factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +29,22 @@ def weight_vector(dim: int) -> np.ndarray:
     return w
 
 
-def dilate(t: float, x) -> np.ndarray:
-    """Graded dilation t.x = (t^2 x_0, t x_1, ..., t x_d)."""
+def dilate(t, x) -> np.ndarray:
+    """Graded dilation t.x = (t^2 x_0, t x_1, ..., t x_d); t is one number or
+    one per point of x (..., dim)."""
     x = np.asarray(x, dtype=float)
-    return x * float(t) ** weight_vector(x.shape[-1])
+    return x * np.asarray(t, dtype=float)[..., None] ** weight_vector(x.shape[-1])
 
 
-def dilate_inv(t: float, x) -> np.ndarray:
+def dilate_inv(t, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return x * float(t) ** -weight_vector(x.shape[-1])
+    return x * np.asarray(t, dtype=float)[..., None] ** -weight_vector(x.shape[-1])
+
+
+def per_map(x: np.ndarray, lead: tuple) -> np.ndarray:
+    """Points x of shape lead + (..., n) regrouped as lead + (k, n): the k
+    points of each map of a stack of shape lead, as the rows of one matrix."""
+    return x.reshape(lead + (math.prod(x.shape[len(lead) : -1]), x.shape[-1]))
 
 
 def pseudo_norm(x) -> np.ndarray | float:
@@ -102,28 +110,30 @@ class GradedShear:
     """x -> (x_0 + 1/2 sum_jk c_jk x_j x_k, x') with symmetric c.
 
     A graded group isomorphism carrying the bilinear law of b onto that of
-    b + c.
+    b + c.  c may be a stack S + (d, d), one shear per point of a batch;
+    `apply` then takes the points of each shear, S + (..., d + 1).
     """
 
     c: np.ndarray
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
             raise ValueError("shear matrix must be square")
-        if np.max(np.abs(c - c.T), initial=0.0) > 1e-12:
+        if np.max(np.abs(c - c.mT), initial=0.0) > 1e-12:
             raise ValueError("shear matrix must be symmetric")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
 
     @property
     def d(self) -> int:
-        return self.c.shape[0]
+        return self.c.shape[-1]
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
+        xh = per_map(x[..., 1:], self.c.shape[:-2])
         out = x.copy()
-        out[..., 0] += 0.5 * np.einsum("...j,jk,...k->...", x[..., 1:], self.c, x[..., 1:])
+        out[..., 0] += 0.5 * np.einsum("...nj,...jk,...nk->...n", xh, self.c, xh).reshape(x.shape[:-1])
         return out
 
     def inverse(self) -> "GradedShear":

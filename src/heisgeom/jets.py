@@ -436,7 +436,8 @@ class PolyMap(_Poly):
     eval = eval_many  # a single point x gives the (dim_out,) value
 
     def jacobian(self, x) -> np.ndarray:
-        return self.partials @ self.monomials(x)
+        """(..., dim_out, dim_in) Jacobians at the points x (..., dim_in)."""
+        return (self.partials @ self.monomials(x)[..., None, :, None])[..., 0]
 
     def compose(self, inner: "PolyMap", *, exact: bool = False) -> "PolyMap":
         """self after inner; exact=True rebases an exact-polynomial self onto

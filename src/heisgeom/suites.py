@@ -109,6 +109,12 @@ def _verdict(ok: bool, flagged: bool = False) -> str:
     return "flagged" if flagged else "pass"
 
 
+def _elements(rows):
+    """Stack (p, v, t) rows into the arrays (p, v, t) of groupoid elements."""
+    p, v, t = zip(*rows)
+    return np.array(p), np.array(v), np.array(t)
+
+
 def _worst_rate(reports, rate=lambda rep: rep.rate):
     """The first report whose rate is not exact and has the least slope, or
     the first report when every rate is exact (exact slopes are +inf)."""
@@ -125,7 +131,7 @@ class SuiteRunner:
         self.manifest = manifest
         self.tol = manifest.tolerances
         self.t_grid = default_t_grid(*manifest.t_grid_range)
-        self.charts = {c.name: groupoid.GroupoidChart(c.frame, c.name, self.tol["composability"]) for c in manifest.charts}
+        self.charts = {c.name: groupoid.GroupoidChart(c.frame, self.tol["composability"]) for c in manifest.charts}
         self._levi = {c.name: LeviForm(c.frame) for c in manifest.charts}
         self._preserving: dict = {}
 
@@ -554,33 +560,26 @@ class SuiteRunner:
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/axioms")
             p0 = self.base_points(name, limit=1)[0]
-            worst = 0.0
+            rows1, rows2 = [], []
             for _ in range(n_tuples):
-                interior = rng.uniform() < 0.5
-                if interior:
+                if rng.uniform() < 0.5:
                     p, mm, q = rng.uniform(-1, 1, (3, dim))
                     t = float(rng.uniform(0.1, 2.0))
-                    g1, g2 = groupoid.Interior(p, mm, t), groupoid.Interior(mm, q, t)
+                    rows1.append((p, mm, t))
+                    rows2.append((mm, q, t))
                 else:
                     p = p0 + rng.uniform(-0.5, 0.5, dim)
                     X, Y = rng.uniform(-1, 1, (2, dim))
-                    g1, g2 = groupoid.Boundary(p, X), groupoid.Boundary(p, Y)
-                comp = gchart.compose(g1, g2)
-                ru, su = gchart.range_of(comp), gchart.source_of(comp)
-                worst = max(worst, float(np.max(np.abs(ru.m - gchart.range_of(g1).m))))
-                worst = max(worst, float(np.max(np.abs(su.m - gchart.source_of(g2).m))))
-                s1 = gchart.source_of(g1)
-                left = gchart.compose(g1, gchart.iota(s1.m, s1.t))
-                if isinstance(left, groupoid.Boundary):
-                    worst = max(worst, float(np.max(np.abs(left.X - g1.X))))
-                else:
-                    worst = max(worst, float(np.max(np.abs(left.q - g1.q))))
-                inv = gchart.inverse(g1)
-                unit = gchart.compose(g1, inv)
-                if isinstance(unit, groupoid.Boundary):
-                    worst = max(worst, float(np.max(np.abs(unit.X))))
-                else:
-                    worst = max(worst, float(np.max(np.abs(unit.q - unit.p))))
+                    rows1.append((p, X, 0.0))
+                    rows2.append((p, Y, 0.0))
+            g1, g2 = _elements(rows1), _elements(rows2)
+            comp = gchart.compose(g1, g2)
+            worst = float(np.max(np.abs(gchart.range_of(comp)[0] - gchart.range_of(g1)[0])))
+            worst = max(worst, float(np.max(np.abs(gchart.source_of(comp)[0] - gchart.source_of(g2)[0]))))
+            left = gchart.compose(g1, gchart.iota(*gchart.source_of(g1)))
+            worst = max(worst, float(np.max(np.abs(left[1] - g1[1]))))
+            unit = gchart.compose(g1, gchart.inverse(g1))
+            worst = max(worst, float(np.max(np.abs(unit[1] - gchart.iota(*gchart.range_of(g1))[1]))))
             return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["group_axioms"]), (worst,))
 
         @check(f"groupoid/{name}/chart-roundtrip", "groupoid-chart.roundtrip")
@@ -617,24 +616,19 @@ class SuiteRunner:
 
         @check(f"groupoid/{name}/continuity", "groupoid.continuity-condition")
         def continuity():
-            x = self.sweep_points(name)[0]
+            hm = gchart.eps(self.sweep_points(name)[0])
             X = 0.5 * np.ones(dim)
-            seq = []
-            for k in range(self.manifest.t_grid_range[0], self.manifest.t_grid_range[1]):
-                t = 2.0**-k
-                seq.append((x, gchart.eps(x).inverse(group.dilate(t, X)), t))
-            rep = groupoid.continuity_check(gchart, seq, X, tol["continuity"])
+            ts = [2.0**-k for k in range(*self.manifest.t_grid_range)]
+            rep = groupoid.continuity_check(hm, [hm.inverse(group.dilate(t, X)) for t in ts], ts, X, tol["continuity"])
             return Outcome({"chart": name}, _verdict(rep.converged and not rep.diverged), rep.residuals)
 
         @check(f"groupoid/{name}/continuity-negative", "groupoid.continuity-negative")
         def continuity_negative():
-            x = self.sweep_points(name)[0]
+            hm = gchart.eps(self.sweep_points(name)[0])
             v = 0.5 * np.ones(dim)
-            seq = []
-            for k in range(self.manifest.t_grid_range[0], self.manifest.t_grid_range[1]):
-                t = 2.0**-k
-                seq.append((x, gchart.eps(x).inverse(t * v), t))  # linear, not graded
-            rep = groupoid.continuity_check(gchart, seq, v, tol["continuity"])
+            ts = [2.0**-k for k in range(*self.manifest.t_grid_range)]
+            qs = [hm.inverse(t * v) for t in ts]  # linear, not graded
+            rep = groupoid.continuity_check(hm, qs, ts, v, tol["continuity"])
             return Outcome({"chart": name}, _verdict(rep.diverged), rep.residuals)
 
         @check(f"groupoid/{name}/composition-limit", "groupoid.composition-limit")
@@ -697,15 +691,12 @@ class SuiteRunner:
         @check(f"groupoid/{spec.name}/continuity-chart-independence", "groupoid.continuity-chart-independence")
         def chart_independence():
             x = base[0]
+            hm = src_chart.eps(x)
             X = 0.4 * np.ones(self.manifest.dim)
-            seq = []
-            for k in range(max(3, self.manifest.t_grid_range[0]), self.manifest.t_grid_range[1]):
-                t = 2.0**-k
-                seq.append((x, src_chart.eps(x).inverse(group.dilate(t, X)), t))
-            rep1 = groupoid.continuity_check(src_chart, seq, X, tol["continuity"])
-            rep2 = groupoid.continuity_chart_independence(
-                src_chart, dst_chart, spec.fwd, seq, x, X, tol=1e-2
-            )
+            ts = [2.0**-k for k in range(max(3, self.manifest.t_grid_range[0]), self.manifest.t_grid_range[1])]
+            qs = [hm.inverse(group.dilate(t, X)) for t in ts]
+            rep1 = groupoid.continuity_check(hm, qs, ts, X, tol["continuity"])
+            rep2 = groupoid.continuity_chart_independence(src_chart, dst_chart, spec.fwd, x, qs, ts, X, tol=1e-2)
             return Outcome({"diffeo": spec.name}, _verdict(rep1.converged and rep2.converged), rep2.residuals)
 
         @check(f"groupoid/{spec.name}/functor", "groupoid.functoriality")
@@ -717,31 +708,32 @@ class SuiteRunner:
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{spec.name}/functor")
             morph = groupoid.GroupoidMorphism(spec.fwd, spec.inv, src_chart, dst_chart)
-            worst = 0.0
+            rows1, rows2, charted = [], [], []
             for _ in range(40):
                 if rng.uniform() < 0.5:
                     p, mm, q = (base[0] + rng.uniform(-0.5, 0.5, self.manifest.dim) for _ in range(3))
                     t = float(rng.uniform(0.1, 1.5))
-                    g1, g2 = groupoid.Interior(p, mm, t), groupoid.Interior(mm, q, t)
+                    rows1.append((p, mm, t))
+                    rows2.append((mm, q, t))
                 else:
                     p = base[0] + rng.uniform(-0.5, 0.5, self.manifest.dim)
                     Xv, Yv = rng.uniform(-1, 1, (2, self.manifest.dim))
-                    g1, g2 = groupoid.Boundary(p, Xv), groupoid.Boundary(p, Yv)
-                lhs = morph.apply(src_chart.compose(g1, g2))
-                rhs = dst_chart.compose(morph.apply(g1), morph.apply(g2))
-                if isinstance(lhs, groupoid.Boundary):
-                    worst = max(worst, float(np.max(np.abs(lhs.X - rhs.X))))
-                else:
-                    worst = max(worst, float(np.max(np.abs(lhs.q - rhs.q))))
-                ru = morph.apply_unit(src_chart.range_of(g1))
-                worst = max(worst, float(np.max(np.abs(ru.m - dst_chart.range_of(morph.apply(g1)).m))))
+                    rows1.append((p, Xv, 0.0))
+                    rows2.append((p, Yv, 0.0))
                 # chart conjugation identity
                 x = base[0] + rng.uniform(-0.3, 0.3, self.manifest.dim)
                 Xv = rng.uniform(-1, 1, self.manifest.dim)
-                t = float(rng.choice([0.0, 0.125, 0.5]))
-                e = morph.gamma_precomposed(x, Xv, t)
-                x2, X2, t2 = dst_chart.gamma_inv(morph.apply(e))
-                worst = max(worst, float(np.max(np.abs(x2 - x))), float(np.max(np.abs(X2 - Xv))), abs(t2 - t))
+                charted.append((x, Xv, float(rng.choice([0.0, 0.125, 0.5]))))
+            g1, g2 = _elements(rows1), _elements(rows2)
+            lhs = morph.apply(src_chart.compose(g1, g2))
+            rhs = dst_chart.compose(morph.apply(g1), morph.apply(g2))
+            worst = float(np.max(np.abs(lhs[1] - rhs[1])))
+            ru = morph.apply_unit(src_chart.range_of(g1))[0]
+            worst = max(worst, float(np.max(np.abs(ru - dst_chart.range_of(morph.apply(g1))[0]))))
+            x, Xv, t = _elements(charted)
+            x2, X2, t2 = dst_chart.gamma_inv(morph.apply(morph.gamma_precomposed(x, Xv, t)))
+            for got, want in ((x2, x), (X2, Xv), (t2, t)):
+                worst = max(worst, float(np.max(np.abs(got - want))))
             return Outcome({"diffeo": spec.name, "seed": seed}, _verdict(worst < tol["functor"]), (worst,))
 
 

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from heisgeom.coords import (
-    b_matrix,
     dilation_limit_check,
-    frame_degree,
     graded_weight_violation,
     heisenberg_map,
     model_field,
@@ -12,6 +10,7 @@ from heisgeom.coords import (
 )
 from heisgeom.fields import FrameError, LeviForm, bracket
 from heisgeom.jets import Jet
+from heisgeom.manifests import builtin_names, load_manifest
 
 from conftest import degenerate_frame, flat_frame, heisenberg_frame, shear1d_frame
 
@@ -22,6 +21,12 @@ CORPUS = {
     "degenerate": degenerate_frame(),
     "shear1d": shear1d_frame(),
 }
+
+
+def b_matrix(frame, u) -> np.ndarray:
+    """Reference b_jk = d_k a_j0(0), read from the degree-1 jets of the frame
+    pushed into privileged coordinates at u."""
+    return privileged_map(frame, u).b_matrix()
 
 
 def test_privileged_flat_identity():
@@ -258,5 +263,36 @@ def test_dilation_limit_rejects_bad_grid():
 
 
 def test_frame_degree():
-    assert frame_degree(heisenberg_frame()) == 1
-    assert frame_degree(degenerate_frame()) == 2
+    assert heisenberg_frame().stacked.degree() == 1
+    assert degenerate_frame().stacked.degree() == 2
+
+
+BUILTIN_CHARTS = [(name, chart) for name in builtin_names() for chart in load_manifest(name).charts]
+
+
+@pytest.mark.parametrize("name,chart", BUILTIN_CHARTS, ids=[f"{n}-{c.name}" for n, c in BUILTIN_CHARTS])
+def test_heisenberg_map_batch_equals_single_calls(name, chart):
+    frame = chart.frame
+    rng = np.random.default_rng(17)
+    box = frame.domain.shrunk(0.1)  # where the groupoid sweeps sample
+    pts = box.lo + (box.hi - box.lo) * rng.uniform(size=(300, frame.dim))
+    batch = heisenberg_map(frame, pts)
+    assert batch.A.shape == (300, frame.dim, frame.dim) and batch.b.shape == (300, frame.d, frame.d)
+    for i, u in enumerate(pts):
+        one = heisenberg_map(frame, u)
+        assert np.array_equal(batch.A[i], one.A) and np.array_equal(batch.b[i], one.b)
+        assert np.array_equal(batch.levi[i], one.levi)
+    # a batch of maps takes one point per map, as one map per point would
+    w = rng.uniform(-0.1, 0.1, pts.shape)
+    got = batch.inverse_displacement(w)
+    for i in (0, 150, 299):
+        np.testing.assert_allclose(got[i], heisenberg_map(frame, pts[i]).inverse_displacement(w[i]), rtol=1e-13, atol=1e-16)
+    empty = heisenberg_map(frame, np.zeros((0, frame.dim)))
+    assert empty.A.shape == (0, frame.dim, frame.dim) and empty.b.shape == (0, frame.d, frame.d)
+
+
+def test_heisenberg_map_batch_names_first_bad_point():
+    frame = heisenberg_frame(half=1.0)
+    pts = np.array([[0.0, 0.0, 0.0], [0.0, 3.0, 0.0], [5.0, 0.0, 0.0]])
+    with pytest.raises(FrameError, match=r"base point \[0\. 3\. 0\.\] outside"):
+        heisenberg_map(frame, pts)

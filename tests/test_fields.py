@@ -10,7 +10,6 @@ from heisgeom.fields import (
     StructureConstants,
     VectorField,
     bracket,
-    levi_matrix,
     pushforward_field,
     pushforward_preserves_H,
 )
@@ -106,6 +105,11 @@ def test_jacobi_identity(seed):
     )
     for c in total.components.components:
         np.testing.assert_allclose(c.coeffs, 0.0, atol=1e-10)
+
+
+def levi_matrix(frame: HFrame, m) -> StructureConstants:
+    """The Levi matrix of the frame at m, through a fresh LeviForm."""
+    return LeviForm(frame).matrix(m)
 
 
 def test_levi_heisenberg3():
@@ -211,6 +215,31 @@ def test_frame_singular_guard():
     with pytest.raises(FrameError):
         frame.check_invertible(np.array([0.0, 1.0]))
     frame.check_invertible(np.zeros(2))
+    # a batch is guarded point by point, and the error names the first singular point
+    pts = np.array([[0.0, 0.0], [0.3, 1.0], [0.0, 1.0]])
+    with pytest.raises(FrameError, match=r"singular at \[0\.3 1\. \]"):
+        frame.check_invertible(pts)
+    np.testing.assert_array_equal(frame.check_invertible(pts[:1]), [np.linalg.det(frame.matrix_at(pts[0]))])
+
+
+def test_box_contains_each_point():
+    box = Box(np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
+    assert box.contains(np.array([1.0 + 1e-10, -2.0]))
+    assert not box.contains(np.array([0.0, 2.1]))
+    pts = np.array([[0.0, 0.0], [0.0, 2.1], [-1.5, 0.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(box.contains(pts), [True, False, False, True])
+    np.testing.assert_array_equal(box.contains(pts.reshape(2, 2, 2)), [[True, False], [False, True]])
+    assert box.contains(np.zeros((0, 2))).shape == (0,)
+
+
+def test_matrix_and_jacobians_batch_equals_single_points():
+    frame = degenerate_frame()
+    pts = np.random.default_rng(4).uniform(-1.5, 1.5, (40, frame.dim))
+    B, DX = frame.matrix_and_jacobians(pts)
+    np.testing.assert_array_equal(frame.matrix_at(pts), B)
+    for i, x in enumerate(pts):
+        B1, DX1 = frame.matrix_and_jacobians(x)
+        assert np.array_equal(B[i], B1) and np.array_equal(DX[i], DX1)
 
 
 def test_pushforward_preserves_H_identity():
