@@ -341,8 +341,7 @@ class GroupoidMorphism:
         """Pairs go to (phi p, phi q, t), fibre points to (phi p, T(p) X, 0)."""
         p, v, t = _arrays(*e)
         at0 = t == 0
-        w = np.empty_like(v)
-        w[~at0] = self.phi.eval(v[~at0])
+        w = self.phi.eval(v)  # right on the pair rows; the fibre rows are replaced
         w[at0] = _matvec(self.tangent(p[at0]), v[at0])
         return self.phi.eval(p), w, t
 
@@ -357,8 +356,6 @@ class GroupoidMorphism:
             raise ValueError("needs the exact inverse of phi")
         x, X, t = _arrays(x, X, t)
         at0 = t == 0
-        v = np.empty_like(X)
-        q = self.dst.eps(x[~at0]).inverse(dilate(t[~at0], X[~at0]))
-        v[~at0] = self.phi_inv.eval(q)
+        v = self.phi_inv.eval(self.dst.eps(x).inverse(dilate(t, X)))  # the fibre rows are replaced
         v[at0] = _matvec(tangent_matrix(self.dst, self.src, self.phi_inv, x[at0]), X[at0])
         return self.phi_inv.eval(x), v, t
