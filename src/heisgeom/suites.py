@@ -725,11 +725,12 @@ class SuiteRunner:
                 Xv = rng.uniform(-1, 1, self.manifest.dim)
                 charted.append((x, Xv, float(rng.choice([0.0, 0.125, 0.5]))))
             g1, g2 = _elements(rows1), _elements(rows2)
+            image1 = morph.apply(g1)
             lhs = morph.apply(src_chart.compose(g1, g2))
-            rhs = dst_chart.compose(morph.apply(g1), morph.apply(g2))
+            rhs = dst_chart.compose(image1, morph.apply(g2))
             worst = float(np.max(np.abs(lhs[1] - rhs[1])))
             ru = morph.apply_unit(src_chart.range_of(g1))[0]
-            worst = max(worst, float(np.max(np.abs(ru - dst_chart.range_of(morph.apply(g1))[0]))))
+            worst = max(worst, float(np.max(np.abs(ru - dst_chart.range_of(image1)[0]))))
             x, Xv, t = _elements(charted)
             x2, X2, t2 = dst_chart.gamma_inv(morph.apply(morph.gamma_precomposed(x, Xv, t)))
             for got, want in ((x2, x), (X2, Xv), (t2, t)):

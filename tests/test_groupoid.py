@@ -3,7 +3,6 @@ import pytest
 
 from heisgeom.groupoid import (
     CompositionError,
-    ContinuityReport,
     GroupoidChart,
     GroupoidMorphism,
     composition_limit_check,
@@ -16,7 +15,6 @@ from heisgeom.groupoid import (
 from heisgeom.fields import FrameError
 from heisgeom.group import TangentGroup, dilate, dilate_inv
 from heisgeom.jets import PolyMap
-from heisgeom.rates import default_t_grid
 
 from conftest import (
     degenerate_frame,
@@ -328,7 +326,6 @@ def test_continuity_constructed_sequence():
     p = np.array([0.2, -0.4, 0.3])
     X = np.array([0.5, 1.0, -0.7])
     rep = continuity_check(*seq_from_fiber(H3_CHART, p, X), X)
-    assert isinstance(rep, ContinuityReport)
     assert rep.converged and not rep.diverged
 
 
@@ -404,7 +401,6 @@ def test_psi_composition_claim():
     x = np.array([0.1, 0.2, -0.1, 0.4, 0.3])
     rep2 = psi_composition_check(DEG_CHART, x, np.array([0.5, 0.8, -0.4, 0.6, -0.2]), np.array([-0.3, 0.5, 0.7, -0.5, 0.4]))
     assert rep2.rate.passed
-    assert len(rep2.rate.residuals) == len(default_t_grid())
 
 
 # ---- functoriality ---------------------------------------------------------------
