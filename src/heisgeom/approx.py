@@ -22,7 +22,6 @@ from .coords import HeisenbergMap, heisenberg_map, sample_box
 from .fields import FrameError, HFrame
 from .group import dilate, dilate_inv
 from .jets import PolyMap
-from .rates import RateReport, default_t_grid, fit_report, rate_fit  # noqa: F401  (re-exported surface)
 
 
 class ApproxError(ValueError):
@@ -70,22 +69,17 @@ def tangent_block_matrix(phi: PolyMap, hm_src: HeisenbergMap, hm_dst: Heisenberg
     return hm_dst.A @ phi.jacobian(np.asarray(m, dtype=float)) @ np.linalg.inv(hm_src.A)
 
 
-def tangent_map_H(
-    phi: PolyMap,
-    frame_src: HFrame,
-    frame_dst: HFrame,
-    m,
-    require_preserving: bool = True,
-    preserve_tol: float = 1e-8,
-) -> TangentMapH:
-    """The graded tangent map of phi at m, frames normalized on both sides."""
+def tangent_map_H(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, m) -> TangentMapH:
+    """The graded tangent map of phi at m, frames normalized on both sides;
+    raises when the top row of the differential exceeds 1e-8 relative (phi
+    does not preserve H at m)."""
     m = np.asarray(m, dtype=float)
     hm_src = heisenberg_map(frame_src, m)
     hm_dst = heisenberg_map(frame_dst, phi.eval(m))
     C = tangent_block_matrix(phi, hm_src, hm_dst, m)
     upper = float(np.max(np.abs(C[0, 1:]), initial=0.0))
     scale = max(1.0, float(np.max(np.abs(C))))
-    if require_preserving and upper > preserve_tol * scale:
+    if upper > 1e-8 * scale:
         raise ApproxError(f"map does not preserve H at {m}: top-row residual {upper:.3e}")
     return TangentMapH(float(C[0, 0]), C[1:, 1:].copy(), C[1:, 0].copy(), upper)
 
@@ -123,60 +117,26 @@ def horizontal_quadratic(conj: PolyMap) -> np.ndarray:
     return c
 
 
-@dataclass(frozen=True, eq=False)
-class ExpansionReport:
-    """Outcome of the two-sided diffeomorphism approximation check."""
-
-    tangent: TangentMapH
-    quad: np.ndarray
-    quad_max: float
-    quad_tol: float
-    rate: RateReport
-
-    @property
-    def quad_ok(self) -> bool:
-        return self.quad_max < self.quad_tol
-
-    @property
-    def passed(self) -> bool:
-        return self.quad_ok and self.rate.passed
-
-
-def displacement_map(phi: PolyMap, m, order: int | None = None) -> PolyMap:
+def displacement_map(phi: PolyMap, m) -> PolyMap:
     """z -> phi(m + z) - phi(m) as an exact polynomial map with zero constant."""
-    if order is not None:
-        phi = phi.with_order(order)
     table = phi.rebased(m).coeffs.copy()
     table[:, 0] = 0.0
     return PolyMap._of(phi.space, table, np.zeros(phi.dim_in))
 
 
-def diffeo_expansion_check(
-    phi: PolyMap,
-    frame_src: HFrame,
-    frame_dst: HFrame,
-    m,
-    t_grid=None,
-    sample_half: float = 0.8,
-    per_axis: int = 3,
-    slope_min: float = 0.85,
-    quad_tol: float = 1e-10,
-    order: int = 3,
-    zero_floor: float = 1e-10,
-) -> ExpansionReport:
-    """(a) symbolically: the transverse component has no horizontal quadratic
-    terms; (b) numerically: sup over a sample box of the graded residual
-    t^-1.(eps' . phi . eps^-1)(t.x) - phi'_H(0) x fits slope >= slope_min.
+def diffeo_expansion_check(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, m, ts) -> list:
+    """Residual trace of the graded rescalings of phi at m: for each t in ts,
+    the sup over the grid `sample_box(0.6, 3, dim)` of
+
+        t^-1.(eps' . phi . eps^-1)(t.x) - phi'_H(0) x,
+
+    which the tangent approximation claims is O(t); the caller fits it.
 
     The sweep works on exact closed-form maps in displacement coordinates
     around m and phi(m): this avoids large-minus-large cancellation, leaving
-    float noise of order eps/t in the transverse slot, which the zero_floor
-    (matching the library's 1e-10 exactness tolerances) absorbs for maps
-    whose conjugation is exactly linear.
+    float noise of order eps/t in the transverse slot, below the zero floor
+    for maps whose conjugation is exactly linear.
     """
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
     m = np.asarray(m, dtype=float)
     hm_src = heisenberg_map(frame_src, m)
     hm_dst = heisenberg_map(frame_dst, phi.eval(m))
@@ -184,20 +144,15 @@ def diffeo_expansion_check(
     C = tangent_block_matrix(phi, hm_src, hm_dst, m)
     tangent = TangentMapH(float(C[0, 0]), C[1:, 1:].copy(), C[1:, 0].copy(), float(np.max(np.abs(C[0, 1:]))))
 
-    conj = conjugated_jets(phi, frame_src, frame_dst, m, order=order)
-    quad = horizontal_quadratic(conj)
-    quad_max = float(np.max(np.abs(quad), initial=0.0))
-
-    pts = sample_box(sample_half, per_axis, frame_src.dim)
+    pts = sample_box(0.6, 3, frame_src.dim)
     target = tangent.apply(pts)
     phi_disp = displacement_map(phi, m)
     residuals = []
-    for t in t_grid:
+    for t in ts:
         pre_disp = hm_src.inverse_displacement(dilate(t, pts))
         if not np.all(frame_src.domain.contains(m + pre_disp)):
             raise FrameError(f"sample leaves the source domain at t={t}; shrink the box")
         img_disp = phi_disp.eval_many(pre_disp)
         expr = dilate_inv(t, hm_dst.forward_from_displacement(img_disp))
         residuals.append(float(np.max(np.abs(expr - target))))
-    rate = fit_report(t_grid, residuals, slope_min, zero_floor=zero_floor)
-    return ExpansionReport(tangent, quad, quad_max, quad_tol, rate)
+    return residuals

@@ -16,13 +16,13 @@ the left-invariant model fields X_j^m = d_j - 1/2 sum_k L_jk x_k d_0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .fields import FrameError, HFrame, VectorField, bracket, pushforward_field
 from .group import GradedShear, per_map, weight_vector
 from .jets import PolyMap, jet_space
-from .rates import RateReport, default_t_grid, fit_report
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,15 +59,15 @@ class PrivilegedMap:
         return np.array([f.components.linear()[0, 1:] for f in self.pushed[1:]])
 
 
-def privileged_map(frame: HFrame, u, order: int | None = None) -> PrivilegedMap:
-    """Privileged coordinates at u; raises on a singular frame matrix."""
+def privileged_map(frame: HFrame, u) -> PrivilegedMap:
+    """Privileged coordinates at u, to the frame's order; raises on a
+    singular frame matrix."""
     u = np.asarray(u, dtype=float)
     if not frame.domain.contains(u):
         raise FrameError(f"base point {u} outside the frame domain")
     B = frame.matrix_at(u)
     frame.check_invertible(u, B=B)
-    if order is None:
-        order = frame.order
+    order = frame.order
     A = np.linalg.inv(B.T)
     resid = np.max(np.abs(A @ B.T - np.eye(frame.dim)))
     if resid > 1e-10:
@@ -126,9 +126,18 @@ class HeisenbergMap:
     def levi(self) -> np.ndarray:
         return self.b.mT - self.b
 
-    @property
+    # the shear, its inverse and A^-1 are built once per map, on first use
+    @cached_property
     def shear(self) -> GradedShear:
         return GradedShear(-(self.b + self.b.mT) / 2)
+
+    @cached_property
+    def shear_inv(self) -> GradedShear:
+        return self.shear.inverse()
+
+    @cached_property
+    def A_inv(self) -> np.ndarray:
+        return np.linalg.inv(self.A)
 
     def forward(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -143,7 +152,7 @@ class HeisenbergMap:
         Keeps the graded rescaling sweeps free of large-minus-large
         cancellation when w ~ t.X is small.
         """
-        return _times_transpose(self.shear.inverse().apply(w), np.linalg.inv(self.A))
+        return _times_transpose(self.shear_inv.apply(w), self.A_inv)
 
     def forward_from_displacement(self, disp) -> np.ndarray:
         """eps_u(u + disp) evaluated directly from the displacement."""
@@ -154,9 +163,8 @@ class HeisenbergMap:
         return self.shear.as_polymap(order).compose(psi, exact=True)
 
     def inverse_polymap(self, order: int) -> PolyMap:
-        Ainv = np.linalg.inv(self.A)
-        psi_inv = PolyMap.affine(Ainv, self.u, order)
-        return psi_inv.compose(self.shear.inverse().as_polymap(order), exact=True)
+        psi_inv = PolyMap.affine(self.A_inv, self.u, order)
+        return psi_inv.compose(self.shear_inv.as_polymap(order), exact=True)
 
     def dilation_model_frame(self, order: int) -> tuple:
         """Privileged-coordinate dilation limits: X_j^(u) = d_j + sum b_jk x_k d_0."""
@@ -166,11 +174,12 @@ class HeisenbergMap:
         """Left-invariant model fields X_j^m = d_j - 1/2 sum L_jk x_k d_0."""
         return _linear_transverse_frame(-0.5 * self.levi, order)
 
-    def pushed_model_residual(self, order: int = 4) -> float:
-        """Coefficient distance between phi_u-pushed dilation-limit fields and
-        the model fields; zero by the graded-shear transport identity."""
+    def pushed_model_residual(self) -> float:
+        """Coefficient distance, at order 4, between phi_u-pushed dilation-limit
+        fields and the model fields; zero by the graded-shear transport identity."""
+        order = 4
         shear_pm = self.shear.as_polymap(order)
-        shear_inv_pm = self.shear.inverse().as_polymap(order)
+        shear_inv_pm = self.shear_inv.as_polymap(order)
         want = self.model_frame(order)
         worst = 0.0
         for Xu, Xm in zip(self.dilation_model_frame(order), want):
@@ -260,17 +269,17 @@ class ModelField:
         return VectorField(PolyMap._of(s, acc, np.zeros(s.dim)))
 
 
-def model_field(X: VectorField, frame: HFrame, m, rel_threshold: float = 1e-9) -> ModelField:
+def model_field(X: VectorField, frame: HFrame, m) -> ModelField:
     """Case split on the frame expansion a of X(m): weight 2 with coefficient
-    a_0 when |a_0| clears the scale-aware threshold, else weight 1 with the
-    horizontal coefficients; near-threshold inputs are flagged."""
+    a_0 when |a_0| > 1e-9 |a|, else weight 1 with the horizontal
+    coefficients; inputs within a factor 10 of that threshold are flagged."""
     m = np.asarray(m, dtype=float)
     a = frame.expand(m, X(m))
     hm = heisenberg_map(frame, m)
     scale = float(np.linalg.norm(a))
     ratio = abs(a[0]) / scale if scale > 0 else 0.0
-    weight = 2 if ratio > rel_threshold else 1
-    flagged = bool(scale > 0 and rel_threshold / 10 < ratio < rel_threshold * 10)
+    weight = 2 if ratio > 1e-9 else 1
+    flagged = bool(scale > 0 and 1e-10 < ratio < 1e-8)
     coeffs = np.zeros_like(a)
     if weight == 2:
         coeffs[0] = a[0]
@@ -285,33 +294,18 @@ def sample_box(half: float, per_axis: int, dim: int) -> np.ndarray:
     return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
 
 
-def dilation_limit_check(
-    X: VectorField,
-    frame: HFrame,
-    m,
-    t_grid=None,
-    sample_half: float = 0.8,
-    per_axis: int = 3,
-    slope_min: float = 0.85,
-    order: int | None = None,
-) -> RateReport:
-    """Rescaled dilation pullback against the model field.
+def dilation_limit_check(X: VectorField, frame: HFrame, m, ts) -> list:
+    """Residual trace of the rescaled dilation pullback against the model field.
 
-    In Heisenberg coordinates at m the residual field t^w delta_t^* X - X^m
-    is evaluated over a sample box for each t; the sup norms must decay at
-    least linearly in t (or vanish identically for exactly homogeneous
-    fields).
+    In Heisenberg coordinates at m, for each t in ts, the sup norm over the
+    grid `sample_box(0.8, 3, dim)` of the residual field t^w delta_t^* X - X^m.
+    The claim is that the trace decays at least linearly in t, or vanishes
+    identically for exactly homogeneous fields; the caller fits it.
     """
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0):
-        raise ValueError("t grid must be positive")
     m = np.asarray(m, dtype=float)
     hm = heisenberg_map(frame, m)
     dim = frame.dim
-    if order is None:
-        order = max(frame.order, 2 * (X.components.degree() + 1))
+    order = max(frame.order, 2 * (X.components.degree() + 1))
     fwd = hm.as_polymap(order)
     inv = hm.inverse_polymap(order)
     Xh = pushforward_field(fwd, inv, X, order=order)
@@ -321,14 +315,14 @@ def dilation_limit_check(
     space = Xh.components.space
     w = weight_vector(dim)
     mono_w = space.exponents @ w
-    mono = space.monomials(sample_box(sample_half, per_axis, dim))
+    mono = space.monomials(sample_box(0.8, 3, dim))
 
     residuals = []
-    for t in t_grid:
+    for t in ts:
         worst = 0.0
         for i in range(dim):
             scaled = Xh.components.coeffs[i] * t ** (mf.weight + mono_w - w[i])
             diff = scaled - target.components.coeffs[i]
             worst = max(worst, float(np.max(np.abs(mono @ diff))))
         residuals.append(worst)
-    return fit_report(t_grid, residuals, slope_min)
+    return residuals

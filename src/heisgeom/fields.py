@@ -107,10 +107,10 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
-    def contains(self, x, tol: float = 1e-9):
-        """Whether each point of x, shape (..., dim), lies in the box widened by tol."""
+    def contains(self, x):
+        """Whether each point of x, shape (..., dim), lies in the box widened by 1e-9."""
         x = np.asarray(x, dtype=float)
-        return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
+        return np.all((x >= self.lo - 1e-9) & (x <= self.hi + 1e-9), axis=-1)
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
@@ -188,14 +188,15 @@ class HFrame:
         """Columns are the frame vectors at x (= B(x)^t)."""
         return self.matrix_at(x).T
 
-    def check_invertible(self, x, rtol: float = 1e-8, B=None):
-        """Determinant guard at each point of x (..., dim); pass B when B(x)
-        is already at hand.  The error names the first singular point."""
+    def check_invertible(self, x, B=None):
+        """Determinant guard at each point of x (..., dim): |det B| must exceed
+        1e-8 max|B|^dim.  Pass B when B(x) is already at hand.  The error names
+        the first singular point."""
         x = np.asarray(x, dtype=float)
         B = self.matrix_at(x) if B is None else B
         det = np.linalg.det(B)
         scale = np.maximum(np.max(np.abs(B), axis=(-2, -1), initial=0.0), 1e-300)
-        bad = np.abs(det) <= rtol * scale**self.dim
+        bad = np.abs(det) <= 1e-8 * scale**self.dim
         if bad.any():
             i = np.flatnonzero(bad)[0]
             raise FrameError(f"frame matrix nearly singular at {x.reshape(-1, self.dim)[i]}: det={det.ravel()[i]:.3e}")
@@ -221,14 +222,13 @@ class StructureConstants:
     """Frame-relative Levi matrix L with L_jk the X_0-part of [X_j, X_k]."""
 
     L: np.ndarray
-    atol: float = 1e-10
 
     def __post_init__(self):
         L = np.asarray(self.L, dtype=float)
         if L.ndim != 2 or L.shape[0] != L.shape[1]:
             raise ValueError("structure constants must form a square matrix")
         skew = np.max(np.abs(L + L.T), initial=0.0)
-        if skew > self.atol:
+        if skew > 1e-10:
             raise ValueError(f"Levi matrix not antisymmetric: |L + L^t| = {skew:.3e}")
         L.setflags(write=False)
         object.__setattr__(self, "L", L)

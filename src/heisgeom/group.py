@@ -62,8 +62,8 @@ class TangentGroup:
     constants: StructureConstants
 
     @classmethod
-    def from_matrix(cls, L, atol: float = 1e-10) -> "TangentGroup":
-        return cls(StructureConstants(np.asarray(L, dtype=float), atol))
+    def from_matrix(cls, L) -> "TangentGroup":
+        return cls(StructureConstants(np.asarray(L, dtype=float)))
 
     @property
     def L(self) -> np.ndarray:
@@ -201,18 +201,14 @@ def _orient(v: np.ndarray) -> np.ndarray:
     return -v if v[lead] < 0 else v
 
 
-def classify_fiber(
-    G: TangentGroup,
-    metric: np.ndarray | None = None,
-    rank_rtol: float = 1e-8,
-    flag_band: float = 10.0,
-) -> FiberClassification:
+def classify_fiber(G: TangentGroup, metric: np.ndarray | None = None) -> FiberClassification:
     """Classify the fiber as H^(2n+1) x R^(d-2n).
 
     Whitens the metric, pairs the antisymmetric form's planes through the
     eigendecomposition of -S^2, scales an adapted basis to the -2 relations
     and completes it with a metric-orthonormal kernel basis.  Near-threshold
-    singular values set the `flagged` bit instead of being silently rounded.
+    singular values, within a factor 10 of the rank threshold 1e-8 sigma_max,
+    set the `flagged` bit instead of being silently rounded.
     """
     d = G.d
     L = G.L
@@ -232,8 +228,8 @@ def classify_fiber(
     # -S^2 would smear exact zeros up to sqrt(eps) * sigma_max
     sigma = np.linalg.svd(S, compute_uv=False)
     sig_max = float(sigma.max(initial=0.0))
-    thresh = rank_rtol * sig_max if sig_max > 0 else np.inf
-    flagged = bool(np.any((sigma > thresh / flag_band) & (sigma < thresh * flag_band)))
+    thresh = 1e-8 * sig_max if sig_max > 0 else np.inf
+    flagged = bool(np.any((sigma > thresh / 10) & (sigma < thresh * 10)))
 
     lam, V = np.linalg.eigh(-S @ S)
     pairs = []

@@ -26,7 +26,6 @@ from .coords import HeisenbergMap, heisenberg_map
 from .fields import FrameError, HFrame
 from .group import TangentGroup, bilinear_mul, dilate, dilate_inv
 from .jets import PolyMap
-from .rates import RateReport, default_t_grid, fit_report
 
 
 class CompositionError(ValueError):
@@ -162,24 +161,13 @@ def tangent_matrix(src: GroupoidChart, dst: GroupoidChart, phi: PolyMap, x) -> n
     return _graded_part(tangent_block_matrix(phi, src.eps(x), dst.eps(phi.eval(x)), x))
 
 
-def transition_rate_check(
-    src: GroupoidChart,
-    dst: GroupoidChart,
-    phi: PolyMap,
-    x,
-    X,
-    t_grid=None,
-    slope_min: float = 0.85,
-    zero_floor: float = 1e-10,
-) -> tuple[RateReport, np.ndarray]:
-    """Convergence X'(t) -> phi'_H(x) X measured in displacement space.
+def transition_rate_check(src: GroupoidChart, dst: GroupoidChart, phi: PolyMap, x, X, ts) -> list:
+    """Residual trace of the transition X'(t) -> phi'_H(x) X, measured in
+    displacement space: for each t in ts, the componentwise sup norm of
+    X'(t) - phi'_H(x) X.
 
-    The slope is fitted on componentwise residuals (the convergence statement
-    is componentwise O(t); the pseudo-norm gauge would turn a transverse t
-    into sqrt(t))."""
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
+    The convergence statement is componentwise O(t); the pseudo-norm gauge
+    would turn a transverse t into sqrt(t).  The caller fits the trace."""
     x = np.asarray(x, dtype=float)
     X = np.asarray(X, dtype=float)
     hm_src = src.eps(x)
@@ -187,14 +175,14 @@ def transition_rate_check(
     target = _graded_part(tangent_block_matrix(phi, hm_src, hm_dst, x)) @ X
     phi_disp = displacement_map(phi, x)
     residuals = []
-    for t in t_grid:
+    for t in ts:
         pre = hm_src.inverse_displacement(dilate(t, X)[None, :])
         if not src.frame.domain.contains(x + pre[0]):
             raise FrameError(f"transition sample leaves the source domain at t={t}")
         img = phi_disp.eval_many(pre)
         Xp = dilate_inv(t, hm_dst.forward_from_displacement(img)[0])
         residuals.append(float(np.max(np.abs(Xp - target))))
-    return fit_report(t_grid, residuals, slope_min, zero_floor=zero_floor), target
+    return residuals
 
 
 # -- continuity --------------------------------------------------------------
@@ -246,37 +234,21 @@ def continuity_chart_independence(
 # -- composition limit --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompositionLimitReport:
-    rate: RateReport  # componentwise residuals drive the slope verdict
-    target: np.ndarray
-
-
-def composition_limit_check(
-    chart: GroupoidChart,
-    x,
-    X,
-    Y,
-    t_grid=None,
-    slope_min: float = 0.85,
-    zero_floor: float = 1e-10,
-) -> CompositionLimitReport:
-    """The interior composition read in the chart,
+def composition_limit_check(chart: GroupoidChart, x, X, Y, ts) -> list:
+    """Residual trace of the interior composition read in the chart,
 
         expr(t) = t^-1 . eps_x . eps_{eps_x^-1(t.X)}^-1 (t.Y),
 
-    must converge to the fiber product X.Y at rate O(t) (exactly X + Y when
-    the Levi matrix vanishes and the frame is flat)."""
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
+    against the fiber product X.Y: for each t in ts, the componentwise sup
+    norm of expr(t) - X.Y.  The claim is O(t) decay (exactly zero when the
+    Levi matrix vanishes and the frame is flat); the caller fits the trace."""
     x = np.asarray(x, dtype=float)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     hm_x = chart.eps(x)
     target = TangentGroup.from_matrix(hm_x.levi).mul(X, Y)
     residuals = []
-    for t in t_grid:
+    for t in ts:
         disp_z = hm_x.inverse_displacement(dilate(t, X))
         z = x + disp_z
         if not chart.frame.domain.contains(z):
@@ -286,23 +258,13 @@ def composition_limit_check(
             raise FrameError(f"endpoint leaves the domain at t={t}; shrink the grid")
         expr = dilate_inv(t, hm_x.forward_from_displacement(disp_z + disp_q))
         residuals.append(float(np.max(np.abs(expr - target))))
-    return CompositionLimitReport(fit_report(t_grid, residuals, slope_min, zero_floor=zero_floor), target)
+    return residuals
 
 
-def psi_composition_check(
-    chart: GroupoidChart,
-    u,
-    v,
-    w,
-    t_grid=None,
-    slope_min: float = 0.85,
-    zero_floor: float = 1e-10,
-) -> CompositionLimitReport:
-    """Same limit at the privileged-coordinate level, against the bilinear
-    law x_0 + y_0 + sum b_kj x_j y_k of the dilation-limit group."""
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
+def psi_composition_check(chart: GroupoidChart, u, v, w, ts) -> list:
+    """The same limit at the privileged-coordinate level: the residual trace
+    against the bilinear law x_0 + y_0 + sum b_kj x_j y_k of the
+    dilation-limit group, for each t in ts; the caller fits it."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -310,7 +272,7 @@ def psi_composition_check(
     target = bilinear_mul(hm_u.b, v, w)
     Bt_u = np.linalg.inv(hm_u.A)
     residuals = []
-    for t in t_grid:
+    for t in ts:
         disp_z = dilate(t, v) @ Bt_u.T
         z = u + disp_z
         if not chart.frame.domain.contains(z):
@@ -319,7 +281,7 @@ def psi_composition_check(
         disp_q = dilate(t, w) @ np.linalg.inv(hm_z.A).T
         expr = dilate_inv(t, (disp_z + disp_q) @ hm_u.A.T)
         residuals.append(float(np.max(np.abs(expr - target))))
-    return CompositionLimitReport(fit_report(t_grid, residuals, slope_min, zero_floor=zero_floor), target)
+    return residuals
 
 
 # -- functoriality ------------------------------------------------------------

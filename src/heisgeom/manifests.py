@@ -82,6 +82,38 @@ def _config_number(val, kind, where):
     raise ValidationError(f"{where}: {val!r} is not {'an integer' if kind is int else 'a number'}")
 
 
+def _check_jet_space(dim: int, order: int):
+    """The frames are read into jet_space(dim, order), whose product table has
+    comb(order + 2 dim, order) entries; refuse more than 2e6 (48 MB of int64
+    indices; jet_space(7, 8) has 319,770), counting no further than that."""
+    size = 1
+    for i in range(1, order + 1):
+        size = size * (2 * dim + i) // i  # comb(2 dim + i, i)
+        if size > 2_000_000:
+            raise ValidationError(f"jet order {order} in dimension {dim} needs over 2e6 monomial products")
+
+
+def _typed(val, kind, where):
+    """`val` if it is a JSON object (`kind` dict) or array (list), else a
+    ValidationError naming `where`."""
+    if not isinstance(val, kind):
+        raise ValidationError(f"{where}: expected {'an object' if kind is dict else 'a list'}, got {type(val).__name__}")
+    return val
+
+
+def _float_array(val, shape, where) -> np.ndarray:
+    """`val` as a finite float array of `shape`, else a ValidationError naming `where`."""
+    try:
+        arr = np.asarray(val, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where}: not an array of numbers") from exc
+    if arr.shape != shape:
+        raise ValidationError(f"{where}: expected shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{where}: non-finite entry")
+    return arr
+
+
 def _parse_poly_terms(entry, dim, max_degree, where):
     terms = {}
     if not isinstance(entry, list):
@@ -91,7 +123,7 @@ def _parse_poly_terms(entry, dim, max_degree, where):
             coeff, exps = item
             exps = tuple(int(e) for e in exps)
             coeff = float(coeff)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{where}[{k}]: malformed monomial {item!r}") from exc
         if len(exps) != dim:
             raise ValidationError(f"{where}[{k}]: exponent vector has arity {len(exps)}, expected {dim}")
@@ -106,7 +138,7 @@ def _parse_poly_terms(entry, dim, max_degree, where):
 
 
 def _parse_polymap(entries, dim_in, n_out, order, where) -> PolyMap:
-    if len(entries) != n_out:
+    if len(_typed(entries, list, where)) != n_out:
         raise ValidationError(f"{where}: expected {n_out} components, got {len(entries)}")
     s = jet_space(dim_in, order)
     table = np.zeros((n_out, s.size))
@@ -160,33 +192,34 @@ class Manifest:
 
     @classmethod
     def from_dict(cls, doc: dict, jet_order: int | None = None, seed: int | None = None) -> "Manifest":
+        doc = _typed(doc, dict, "manifest")
         try:
             name = str(doc["name"])
-            dim = int(doc["dimension"])
-            charts_doc = doc["charts"]
-        except (KeyError, TypeError, ValueError) as exc:
+            dim = _config_number(doc["dimension"], int, "dimension")
+            charts_doc = _typed(doc["charts"], list, "charts")
+        except KeyError as exc:
             raise ValidationError(f"manifest missing required field: {exc}") from exc
         if dim < 2:
             raise ValidationError("dimension must be at least 2 (one transverse + one horizontal)")
-        config = doc.get("config", {})
-        order = int(jet_order if jet_order is not None else config.get("jet_order", 3))
+        config = _typed(doc.get("config", {}), dict, "config")
+        order = _config_number(jet_order if jet_order is not None else config.get("jet_order", 3), int, "config.jet_order")
         if order < 1:
             raise ValidationError("jet order must be >= 1")
+        _check_jet_space(dim, order)
         use_seed = seed if seed is not None else config.get("seed")
         if use_seed is not None:
-            use_seed = int(use_seed)
+            use_seed = _config_number(use_seed, int, "config.seed")
 
         charts = []
         seen = set()
         for ci, cdoc in enumerate(charts_doc):
             where = f"charts[{ci}]"
+            cdoc = _typed(cdoc, dict, where)
             cname = str(cdoc.get("name", f"chart{ci}"))
             if cname in seen:
                 raise ValidationError(f"{where}: duplicate chart name {cname!r}")
             seen.add(cname)
-            dom = np.asarray(cdoc.get("domain"), dtype=float)
-            if dom.shape != (dim, 2):
-                raise ValidationError(f"{where}.domain: expected {dim} [lo, hi] pairs")
+            dom = _float_array(cdoc.get("domain"), (dim, 2), f"{where}.domain")
             if np.any(dom[:, 1] <= dom[:, 0]):
                 raise ValidationError(f"{where}.domain: empty box")
             frame_doc = cdoc.get("frame")
@@ -199,29 +232,26 @@ class Manifest:
             frame = HFrame(tuple(fields), Box(dom[:, 0], dom[:, 1]))
             exp_levi = cdoc.get("expected_levi")
             if exp_levi is not None:
-                exp_levi = np.asarray(exp_levi, dtype=float)
-                if exp_levi.shape != (dim - 1, dim - 1):
-                    raise ValidationError(f"{where}.expected_levi: wrong shape")
+                exp_levi = _float_array(exp_levi, (dim - 1, dim - 1), f"{where}.expected_levi")
             charts.append(ChartSpec(cname, frame, exp_levi, cdoc.get("expected_type")))
 
         diffeos = []
-        for di, ddoc in enumerate(doc.get("diffeos", [])):
+        for di, ddoc in enumerate(_typed(doc.get("diffeos", []), list, "diffeos")):
             where = f"diffeos[{di}]"
+            ddoc = _typed(ddoc, dict, where)
             dname = str(ddoc.get("name", f"diffeo{di}"))
             src, dst = str(ddoc.get("source")), str(ddoc.get("target"))
             if src not in seen or dst not in seen:
                 raise ValidationError(f"{where}: unknown source/target chart")
-            fwd = _parse_polymap(ddoc["components"], dim, dim, order, f"{where}.components")
+            fwd = _parse_polymap(ddoc.get("components"), dim, dim, order, f"{where}.components")
             inv = None
             if "inverse" in ddoc:
                 inv = _parse_polymap(ddoc["inverse"], dim, dim, order, f"{where}.inverse")
             diffeos.append(DiffeoSpec(dname, src, dst, fwd, inv))
 
         metrics = {}
-        for mname, mat in doc.get("metrics", {}).items():
-            g = np.asarray(mat, dtype=float)
-            if g.shape != (dim - 1, dim - 1):
-                raise ValidationError(f"metrics[{mname}]: expected a {dim - 1} x {dim - 1} matrix")
+        for mname, mat in _typed(doc.get("metrics", {}), dict, "metrics").items():
+            g = _float_array(mat, (dim - 1, dim - 1), f"metrics[{mname}]")
             if np.max(np.abs(g - g.T)) > 1e-12:
                 raise ValidationError(f"metrics[{mname}]: not symmetric")
             try:
@@ -230,14 +260,16 @@ class Manifest:
                 raise ValidationError(f"metrics[{mname}]: not positive definite") from exc
             metrics[str(mname)] = g
 
-        t_range = tuple(config.get("t_grid", (2, 12)))
-        if len(t_range) != 2 or t_range[0] >= t_range[1]:
-            raise ValidationError("config.t_grid must be [kmin, kmax] with kmin < kmax")
-        samples = {**DEFAULT_SAMPLES, **config.get("samples", {})}
+        t_grid = _typed(config.get("t_grid", [2, 12]), list, "config.t_grid")
+        t_range = tuple(_config_number(k, int, f"config.t_grid[{i}]") for i, k in enumerate(t_grid))
+        # 2^-k underflows to zero past k = 1074
+        if len(t_range) != 2 or not 1 <= t_range[0] < t_range[1] <= 1074:
+            raise ValidationError("config.t_grid must be [kmin, kmax] with 1 <= kmin < kmax <= 1074")
+        samples = {**DEFAULT_SAMPLES, **_typed(config.get("samples", {}), dict, "config.samples")}
         for key, default in DEFAULT_SAMPLES.items():
             samples[key] = _config_number(samples[key], type(default), f"config.samples.{key}")
         tolerances = dict(DEFAULT_TOLERANCES)
-        for key, val in config.get("tolerances", {}).items():
+        for key, val in _typed(config.get("tolerances", {}), dict, "config.tolerances").items():
             if key not in tolerances:
                 raise ValidationError(f"config.tolerances: unknown tolerance {key!r}")
             tolerances[key] = _config_number(val, float, f"config.tolerances.{key}")
@@ -254,13 +286,14 @@ class Manifest:
             tolerances,
         )
 
-    def validate_diffeo_inverses(self, samples_per_axis: int = 2):
-        """phi . phi^-1 = id spot check on declared inverses."""
+    def validate_diffeo_inverses(self):
+        """phi^-1 . phi = id spot check on declared inverses, on at most 8
+        points of a 2-per-axis grid."""
         for spec in self.diffeos:
             if spec.inv is None:
                 continue
             src = self.chart(spec.source)
-            pts = src.frame.domain.shrunk(0.2).grid(samples_per_axis, limit=8)
+            pts = src.frame.domain.shrunk(0.2).grid(2, limit=8)
             round1 = spec.inv.eval_many(spec.fwd.eval_many(pts))
             if np.max(np.abs(round1 - pts)) > 1e-9:
                 raise ValidationError(f"diffeos[{spec.name}]: declared inverse fails phi^-1(phi(x)) = x")

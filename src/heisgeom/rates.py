@@ -13,7 +13,7 @@ class RateError(ValueError):
     """Not enough usable residuals to fit a rate."""
 
 
-def rate_fit(ts, residuals, zero_floor: float = 1e-13) -> float:
+def rate_fit(ts, residuals, zero_floor: float) -> float:
     """Least-squares slope of log residual against log t.
 
     Residuals at or below `zero_floor` are treated as exactly zero; when all
@@ -64,11 +64,11 @@ class RateReport:
         return float(max(self.residuals))
 
 
-def fit_report(ts, residuals, slope_min: float, zero_floor: float = 1e-13) -> RateReport:
-    slope = rate_fit(ts, residuals, zero_floor=zero_floor)
+def fit_report(ts, residuals, slope_min: float, zero_floor: float) -> RateReport:
+    slope = rate_fit(ts, residuals, zero_floor)
     return RateReport(tuple(float(t) for t in ts), tuple(float(r) for r in residuals), slope, slope_min)
 
 
-def default_t_grid(kmin: int = 2, kmax: int = 12) -> np.ndarray:
+def default_t_grid(kmin: int, kmax: int) -> np.ndarray:
     """Decreasing geometric grid t = 2^-k, k = kmin..kmax."""
     return 2.0 ** (-np.arange(kmin, kmax + 1, dtype=float))

@@ -16,7 +16,7 @@ import numpy as np
 from . import approx, coords, group, groupoid
 from .fields import FrameError, LeviForm, pushforward_preserves_H
 from .manifests import Manifest, ValidationError
-from .rates import default_t_grid
+from .rates import RateReport, default_t_grid, fit_report
 
 ANCHORS = {
     "levi-form.antisymmetry": "Levi matrix is antisymmetric at every sampled point",
@@ -115,10 +115,10 @@ def _elements(rows):
     return np.array(p), np.array(v), np.array(t)
 
 
-def _worst_rate(reports, rate=lambda rep: rep.rate):
-    """The first report whose rate is not exact and has the least slope, or
-    the first report when every rate is exact (exact slopes are +inf)."""
-    return min(reports, key=lambda rep: (rate(rep).exact, rate(rep).slope))
+def _worst_rate(reports):
+    """The first report that is not exact and has the least slope, or the
+    first report when every rate is exact (exact slopes are +inf)."""
+    return min(reports, key=lambda rep: (rep.exact, rep.slope))
 
 
 SUITE_NAMES = ("levi", "coords", "group", "classify", "diffeo", "groupoid")
@@ -166,6 +166,11 @@ class SuiteRunner:
                 raise ValidationError(f"diffeo {spec.name!r}: {exc}") from exc
             self._preserving[spec.name] = hit
         return hit
+
+    def fit(self, residuals) -> RateReport:
+        """The rate verdict of every sweep: the residual trace over the
+        manifest's t grid, fitted with its `slope_min` and `zero_floor`."""
+        return fit_report(self.t_grid, residuals, self.tol["slope_min"], self.tol["zero_floor"])
 
     # -- check builders -----------------------------------------------------
     def collect(self, suite: str) -> list:
@@ -334,9 +339,7 @@ class SuiteRunner:
         @check(f"coords/{name}/dilation-exact", "nilpotent-approx.dilation-limit")
         def dilation_exact():
             m = self.base_points(name, limit=1)[0]
-            rep = coords.dilation_limit_check(
-                frame.fields[1], frame, m, self.t_grid, slope_min=tol["slope_min"]
-            )
+            rep = self.fit(coords.dilation_limit_check(frame.fields[1], frame, m, self.t_grid))
             return Outcome({"chart": name, "field": 1}, _verdict(rep.passed), rep.residuals, rep.slope)
 
         @check(f"coords/{name}/dilation-perturbed", "nilpotent-approx.dilation-limit")
@@ -347,7 +350,7 @@ class SuiteRunner:
             s = frame.fields[0].components.space
             e = tuple(2 if i == 1 else 0 for i in range(frame.dim))
             X = frame.fields[1] + frame.fields[0].scaled_by_jet(Jet.from_terms(s, {e: 1.0}))
-            rep = coords.dilation_limit_check(X, frame, m, self.t_grid, slope_min=tol["slope_min"])
+            rep = self.fit(coords.dilation_limit_check(X, frame, m, self.t_grid))
             return Outcome({"chart": name, "field": "perturbed"}, _verdict(rep.passed), rep.residuals, rep.slope)
 
     # -- group -------------------------------------------------------------------
@@ -496,15 +499,7 @@ class SuiteRunner:
         def expansions():
             """One expansion per base point, shared by the rate and uniformity
             checks; an exception is not cached, so both become `error` records."""
-            return [
-                approx.diffeo_expansion_check(
-                    spec.fwd, src, dst, m, self.t_grid,
-                    sample_half=0.6, slope_min=tol["slope_min"],
-                    quad_tol=tol["quad_coeffs"], order=self.manifest.jet_order,
-                    zero_floor=tol["zero_floor"],
-                )
-                for m in base
-            ]
+            return [self.fit(approx.diffeo_expansion_check(spec.fwd, src, dst, m, self.t_grid)) for m in base]
 
         # a map that does not preserve H is the negative control: the detector must fire
         kind = "quadratic-vanishing" if preserving else "negative-control"
@@ -535,15 +530,12 @@ class SuiteRunner:
         def rate():
             worst_rep = _worst_rate(expansions())
             return Outcome(
-                {"diffeo": spec.name, "points": len(base)},
-                _verdict(worst_rep.passed),
-                worst_rep.rate.residuals,
-                worst_rep.rate.slope,
+                {"diffeo": spec.name, "points": len(base)}, _verdict(worst_rep.passed), worst_rep.residuals, worst_rep.slope
             )
 
         @check(f"diffeo/{spec.name}/uniformity", "diffeo-approx.uniformity")
         def uniformity():
-            slopes = [rep.rate.slope for rep in expansions() if not rep.rate.exact]
+            slopes = [rep.slope for rep in expansions() if not rep.exact]
             spread = max(slopes) - min(slopes) if len(slopes) >= 2 else 0.0
             return Outcome({"diffeo": spec.name, "points": len(base)}, _verdict(spread < tol["uniformity"]), (spread,))
 
@@ -639,15 +631,12 @@ class SuiteRunner:
             reps = []
             for x in self.sweep_points(name):
                 X, Y = rng.uniform(-1, 1, (2, dim))
-                reps.append(groupoid.composition_limit_check(
-                    self.charts[name], x, X, Y, self.t_grid,
-                    slope_min=tol["slope_min"], zero_floor=tol["zero_floor"],
-                ))
+                reps.append(self.fit(groupoid.composition_limit_check(gchart, x, X, Y, self.t_grid)))
             worst_rep = _worst_rate(reps)
-            ok = worst_rep.rate.passed
+            ok = worst_rep.passed
             if flat:
-                ok = ok and max(rep.rate.max_residual for rep in reps) < tol["flat_exact"]
-            return Outcome({"chart": name, "seed": seed}, _verdict(ok), worst_rep.rate.residuals, worst_rep.rate.slope)
+                ok = ok and max(rep.max_residual for rep in reps) < tol["flat_exact"]
+            return Outcome({"chart": name, "seed": seed}, _verdict(ok), worst_rep.residuals, worst_rep.slope)
 
         @check(f"groupoid/{name}/psi-claim", "groupoid.privileged-composition-claim")
         def psi_claim():
@@ -656,14 +645,9 @@ class SuiteRunner:
             reps = []
             for u in self.sweep_points(name):
                 v, w = rng.uniform(-1, 1, (2, dim))
-                reps.append(groupoid.psi_composition_check(
-                    self.charts[name], u, v, w, self.t_grid,
-                    slope_min=tol["slope_min"], zero_floor=tol["zero_floor"],
-                ))
+                reps.append(self.fit(groupoid.psi_composition_check(gchart, u, v, w, self.t_grid)))
             worst_rep = _worst_rate(reps)
-            return Outcome(
-                {"chart": name, "seed": seed}, _verdict(worst_rep.rate.passed), worst_rep.rate.residuals, worst_rep.rate.slope
-            )
+            return Outcome({"chart": name, "seed": seed}, _verdict(worst_rep.passed), worst_rep.residuals, worst_rep.slope)
 
     def _groupoid_diffeo_checks(self, spec, check):
         tol = self.tol
@@ -680,12 +664,8 @@ class SuiteRunner:
             reps = []
             for x in base:
                 X = rng.uniform(-1, 1, self.manifest.dim)
-                rep, _ = groupoid.transition_rate_check(
-                    src_chart, dst_chart, spec.fwd, x, X, self.t_grid,
-                    slope_min=tol["slope_min"], zero_floor=tol["zero_floor"],
-                )
-                reps.append(rep)
-            worst_rep = _worst_rate(reps, rate=lambda rep: rep)
+                reps.append(self.fit(groupoid.transition_rate_check(src_chart, dst_chart, spec.fwd, x, X, self.t_grid)))
+            worst_rep = _worst_rate(reps)
             return Outcome({"diffeo": spec.name, "seed": seed}, _verdict(worst_rep.passed), worst_rep.residuals, worst_rep.slope)
 
         @check(f"groupoid/{spec.name}/continuity-chart-independence", "groupoid.continuity-chart-independence")

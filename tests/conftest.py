@@ -2,6 +2,14 @@ import numpy as np
 
 from heisgeom.fields import Box, HFrame, VectorField
 from heisgeom.jets import Jet, PolyMap, jet_space
+from heisgeom.rates import default_t_grid, fit_report
+
+TS = default_t_grid(2, 12)  # the builtins' t grid
+
+
+def fit_rate(residuals):
+    """A residual trace over TS, fitted as the suites fit it at the default tolerances."""
+    return fit_report(TS, residuals, slope_min=0.85, zero_floor=1e-10)
 
 
 def unit_exp(dim, j):

@@ -9,19 +9,27 @@ from heisgeom.approx import (
     conjugated_jets,
     diffeo_expansion_check,
     horizontal_quadratic,
-    rate_fit,
     tangent_map_H,
 )
 from heisgeom.fields import pushforward_field, pushforward_preserves_H
 from heisgeom.group import TangentGroup, bilinear_mul
 from heisgeom.jets import Jet, PolyMap, jet_space
-from heisgeom.rates import RateError, RateReport, fit_report
+from heisgeom.rates import RateError, RateReport, fit_report, rate_fit
 from heisgeom.coords import heisenberg_map
 
-from conftest import heisenberg_frame, left_translation, vertical_shear_diffeo
+from conftest import TS, fit_rate, heisenberg_frame, left_translation, vertical_shear_diffeo
 
 H3 = heisenberg_frame(half=8.0)
 DARBOUX_Q = {(0, 1, 1): 1.0, (0, 3, 0): 0.4}
+
+
+def expansion_fit(phi, src, dst, m):
+    return fit_rate(diffeo_expansion_check(phi, src, dst, m, TS))
+
+
+def quad_max(phi, src, dst, m):
+    """Largest horizontal quadratic coefficient of the conjugated transverse component."""
+    return float(np.max(np.abs(horizontal_quadratic(conjugated_jets(phi, src, dst, m)))))
 
 
 # ---- rate fitting ----------------------------------------------------------
@@ -29,29 +37,34 @@ DARBOUX_Q = {(0, 1, 1): 1.0, (0, 3, 0): 0.4}
 
 def test_rate_fit_linear():
     ts = 2.0 ** -np.arange(2, 9)
-    assert rate_fit(ts, 3.7 * ts) == pytest.approx(1.0, abs=1e-6)
+    assert rate_fit(ts, 3.7 * ts, zero_floor=1e-13) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rate_fit_quadratic():
     ts = 2.0 ** -np.arange(2, 9)
-    assert rate_fit(ts, 0.2 * ts**2) == pytest.approx(2.0, abs=1e-6)
+    assert rate_fit(ts, 0.2 * ts**2, zero_floor=1e-13) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_rate_fit_constant_fails_verdict():
     ts = 2.0 ** -np.arange(2, 9)
-    rep = fit_report(ts, np.full(len(ts), 0.3), slope_min=0.85)
+    rep = fit_report(ts, np.full(len(ts), 0.3), slope_min=0.85, zero_floor=1e-13)
     assert rep.slope == pytest.approx(0.0, abs=1e-9)
     assert not rep.passed
 
 
 def test_rate_fit_exact_short_circuit():
     ts = 2.0 ** -np.arange(2, 9)
-    assert math.isinf(rate_fit(ts, np.zeros(len(ts))))
+    assert math.isinf(rate_fit(ts, np.zeros(len(ts)), zero_floor=1e-13))
 
 
 def test_rate_fit_too_few_points():
     with pytest.raises(RateError):
-        rate_fit([0.5, 0.25, 0.125], [1.0, 0.5, 0.25])
+        rate_fit([0.5, 0.25, 0.125], [1.0, 0.5, 0.25], zero_floor=1e-13)
+
+
+def test_rate_fit_rejects_nonpositive_t():
+    with pytest.raises(RateError, match="positive"):
+        rate_fit([0.5, 0.25, 0.125, -0.0625], [1.0, 0.5, 0.25, 0.125], zero_floor=1e-13)
 
 
 def test_rate_report_requires_decreasing_grid():
@@ -125,16 +138,17 @@ def test_tangent_map_a00_zero_rejected():
 
 
 def test_expansion_identity_exact():
-    rep = diffeo_expansion_check(PolyMap.identity(3, 3), H3, H3, np.zeros(3))
-    assert rep.quad_max == 0.0
-    assert rep.rate.exact and rep.passed
+    assert quad_max(PolyMap.identity(3, 3), H3, H3, np.zeros(3)) == 0.0
+    rep = expansion_fit(PolyMap.identity(3, 3), H3, H3, np.zeros(3))
+    assert rep.exact and rep.passed
 
 
 def test_expansion_left_translation_exact():
     fwd, _ = left_translation([0.0, 1.0, 0.0])
-    rep = diffeo_expansion_check(fwd, H3, H3, np.array([0.2, 0.1, -0.3]), sample_half=0.5)
-    assert rep.quad_max < 1e-12
-    assert rep.rate.exact and rep.passed
+    m = np.array([0.2, 0.1, -0.3])
+    assert quad_max(fwd, H3, H3, m) < 1e-12
+    rep = expansion_fit(fwd, H3, H3, m)
+    assert rep.exact and rep.passed
 
 
 def test_expansion_rotation_exact():
@@ -143,10 +157,10 @@ def test_expansion_rotation_exact():
         [[1.0, 0.0, 0.0], [0.0, np.cos(th), -np.sin(th)], [0.0, np.sin(th), np.cos(th)]]
     )
     rot = PolyMap.affine(R, np.zeros(3), 3)
-    rep = diffeo_expansion_check(rot, H3, H3, np.array([0.1, 0.4, 0.2]), sample_half=0.5)
-    assert rep.quad_max < 1e-12
-    assert rep.rate.exact
-    np.testing.assert_allclose(rep.tangent.A_par, R[1:, 1:], atol=1e-12)
+    m = np.array([0.1, 0.4, 0.2])
+    assert quad_max(rot, H3, H3, m) < 1e-12
+    assert expansion_fit(rot, H3, H3, m).exact
+    np.testing.assert_allclose(tangent_map_H(rot, H3, H3, m).A_par, R[1:, 1:], atol=1e-12)
 
 
 def test_darboux_shear_pushforward_closed_form():
@@ -172,10 +186,10 @@ def test_expansion_darboux_quadratic_vanishes_and_slope_one():
     fwd, inv, pushed = vertical_shear_diffeo(DARBOUX_Q)
     src = heisenberg_frame()
     for m in [np.zeros(3), np.array([0.3, 0.25, -0.2]), np.array([-0.2, -0.4, 0.35])]:
-        rep = diffeo_expansion_check(fwd, src, pushed, m, sample_half=0.6)
-        assert rep.quad_max < 1e-10
-        assert not rep.rate.exact
-        assert 0.85 <= rep.rate.slope <= 1.35
+        assert quad_max(fwd, src, pushed, m) < 1e-10
+        rep = expansion_fit(fwd, src, pushed, m)
+        assert not rep.exact
+        assert 0.85 <= rep.slope <= 1.35
         assert rep.passed
 
 
@@ -184,8 +198,7 @@ def test_expansion_uniformity_across_base_points():
     src = heisenberg_frame()
     slopes = []
     for m in [np.array([0.0, 0.2, 0.1]), np.array([0.1, -0.3, 0.2]), np.array([-0.2, 0.4, -0.1]), np.array([0.25, 0.1, 0.3])]:
-        rep = diffeo_expansion_check(fwd, src, pushed, m, sample_half=0.6)
-        slopes.append(rep.rate.slope)
+        slopes.append(expansion_fit(fwd, src, pushed, m).slope)
     assert max(slopes) - min(slopes) < 0.1
 
 
@@ -195,9 +208,7 @@ def test_expansion_negative_control_fails_quadratic():
     bad = PolyMap((comp0, Jet.coordinate(s, 1), Jet.coordinate(s, 2)))
     rep_pres = pushforward_preserves_H(bad, H3, H3, H3.domain.shrunk(0.1).grid(3))
     assert rep_pres.max_residual > 1e-3  # genuinely not H-preserving
-    rep = diffeo_expansion_check(bad, H3, H3, np.zeros(3))
-    assert rep.quad_max > 0.5
-    assert not rep.quad_ok
+    assert quad_max(bad, H3, H3, np.zeros(3)) > 0.5
 
 
 def test_conjugated_jets_constant_vanishes():

@@ -1,8 +1,12 @@
 """The `heisgeom run` exit-code contract: 0 pass, 1 check failed or flagged,
 2 parse error, 3 validation error."""
 
+import copy
+import functools
 import json
+import operator
 
+import numpy as np
 import pytest
 
 from heisgeom.cli import (
@@ -12,7 +16,7 @@ from heisgeom.cli import (
     EXIT_VALIDATION_ERROR,
     main,
 )
-from heisgeom.manifests import builtin_doc, load_doc
+from heisgeom.manifests import builtin_doc, builtin_names, load_doc
 
 
 def run(tmp_path, manifest, *extra):
@@ -128,3 +132,97 @@ def test_tightened_tolerance_fails_the_run(tmp_path, capsys):
     assert verdicts.pop("group/flat/pseudo-norm") == "fail"
     assert set(verdicts.values()) == {"pass"}
     assert "1 failed" in capsys.readouterr().out
+
+
+def test_one_zero_floor_for_every_rate_check(tmp_path, capsys):
+    # every residual trace of heisenberg3 stays below 10, so with that floor
+    # each rate record, the dilation checks included, must read exact
+    code, report = run(tmp_path, "heisenberg3", "--tol", "zero_floor=10")
+    rates = [rec for rec in report["checks"] if "slope" in rec]
+    assert {rec["id"].split("/")[-1] for rec in rates} >= {"dilation-exact", "dilation-perturbed", "rate", "transition-limit"}
+    assert [rec["id"] for rec in rates if not rec["exact"]] == []
+
+
+# ---- malformed manifests ------------------------------------------------------
+
+REPLACEMENTS = (None, "s", -1, 0, 1e308, float("nan"), [], {}, [[]], True, 2.5, [1, 2], {"a": 1})
+
+
+def node_paths(node, path=()):
+    """The path of every node below the document root."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+def mutated_builtins(n, seed):
+    """(document, suite) pairs: a builtin with one node replaced by one of
+    REPLACEMENTS or, in 15 % of cases, deleted, and one of the suites that
+    need no diffeo."""
+    rng = np.random.default_rng(seed)
+    names = builtin_names()
+    for _ in range(n):
+        doc = builtin_doc(names[rng.integers(len(names))])
+        paths = list(node_paths(doc))
+        *parents, key = paths[rng.integers(len(paths))]
+        parent = functools.reduce(operator.getitem, parents, doc)
+        if rng.uniform() < 0.15:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(REPLACEMENTS[rng.integers(len(REPLACEMENTS))])
+        yield doc, ("levi", "coords", "group", "classify")[rng.integers(4)]
+
+
+def test_mutated_manifests_keep_the_exit_code_contract(tmp_path, capsys):
+    codes = []
+    for doc, suite in mutated_builtins(200, seed=12):
+        codes.append(main(["run", "--manifest", str(write_json(tmp_path, doc)), "--suite", suite, "--seed", "1"]))
+    assert set(codes) <= {EXIT_PASS, EXIT_CHECK_FAILED, EXIT_VALIDATION_ERROR}
+    assert codes.count(EXIT_VALIDATION_ERROR) > 100
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        # a ragged or non-numeric array
+        (("charts", 0, "domain", 1), [[]], "charts[0].domain"),
+        (("charts", 0, "expected_levi", 0, 1), "s", "charts[0].expected_levi"),
+        (("metrics", "spd", 1, 0), [1, 2], "metrics[spd]"),
+        # a number that is a dict, a list or a string
+        (("charts", 0, "expected_levi", 0, 1), {"a": 1}, "charts[0].expected_levi"),
+        (("config", "jet_order"), [[]], "config.jet_order"),
+        (("config", "t_grid", 0), "s", "config.t_grid[0]"),
+        # a huge jet order or t grid bound
+        (("config", "jet_order"), 1e308, "jet order"),
+        (("config", "t_grid", 1), 1e308, "config.t_grid"),
+        # a mapping that is not one
+        (("config",), [1, 2], "config"),
+        (("config", "samples"), [1, 2], "config.samples"),
+        (("config", "tolerances"), "s", "config.tolerances"),
+        (("metrics",), 0, "metrics"),
+        (("charts", 0), "s", "charts[0]"),
+        (("diffeos", 1), None, "diffeos[1]"),
+        (("charts",), 1e308, "charts"),
+        # a polynomial map that is not a list
+        (("charts", 0, "frame", 1), 0, "charts[0].frame[1]"),
+        (("diffeos", 0, "inverse"), None, "diffeos[0].inverse"),
+        # a domain bound that is not a finite number
+        (("charts", 0, "domain", 1, 0), float("nan"), "charts[0].domain"),
+        (("charts", 0, "domain", 2, 1), None, "charts[0].domain"),
+    ],
+)
+def test_malformed_manifest_node_is_validation_error(tmp_path, capsys, path, value, where):
+    doc = builtin_doc("heisenberg3")
+    *parents, key = path
+    functools.reduce(operator.getitem, parents, doc)[key] = value
+    code = main(["run", "--manifest", str(write_json(tmp_path, doc)), "--suite", "levi", "--seed", "1"])
+    assert code == EXIT_VALIDATION_ERROR
+    assert where in capsys.readouterr().err
+
+
+def test_missing_diffeo_components_is_validation_error(tmp_path, capsys):
+    doc = builtin_doc("heisenberg3")
+    del doc["diffeos"][0]["components"]
+    assert main(["run", "--manifest", str(write_json(tmp_path, doc)), "--suite", "levi"]) == EXIT_VALIDATION_ERROR
+    assert "diffeos[0].components" in capsys.readouterr().err

@@ -12,7 +12,7 @@ from heisgeom.fields import FrameError, LeviForm, bracket
 from heisgeom.jets import Jet
 from heisgeom.manifests import builtin_names, load_manifest
 
-from conftest import degenerate_frame, flat_frame, heisenberg_frame, shear1d_frame
+from conftest import TS, degenerate_frame, fit_rate, flat_frame, heisenberg_frame, shear1d_frame
 
 CORPUS = {
     "heisenberg3": heisenberg_frame(),
@@ -223,13 +223,13 @@ def test_model_field_threshold_flagging():
 
 def test_dilation_limit_exact_for_frame_field():
     frame = heisenberg_frame()
-    rep = dilation_limit_check(frame.fields[1], frame, np.zeros(3))
+    rep = fit_rate(dilation_limit_check(frame.fields[1], frame, np.zeros(3), TS))
     assert rep.exact and rep.passed
 
 
 def test_dilation_limit_exact_flat():
     frame = flat_frame()
-    rep = dilation_limit_check(frame.fields[1], frame, np.array([0.1, 0.0, -0.2]))
+    rep = fit_rate(dilation_limit_check(frame.fields[1], frame, np.array([0.1, 0.0, -0.2]), TS))
     assert rep.exact
 
 
@@ -238,7 +238,7 @@ def test_dilation_limit_perturbed_slope_one():
     s = frame.fields[0].components.space
     x1sq = Jet.from_terms(s, {(0, 2, 0): 1.0})
     X = frame.fields[1] + frame.fields[0].scaled_by_jet(x1sq)
-    rep = dilation_limit_check(X, frame, np.zeros(3))
+    rep = fit_rate(dilation_limit_check(X, frame, np.zeros(3), TS))
     assert not rep.exact
     assert rep.slope == pytest.approx(1.0, abs=0.1)
     assert rep.passed
@@ -252,14 +252,8 @@ def test_dilation_limit_weight2_branch():
     m = np.array([0.0, 0.5, 0.0])  # here a_0(m) = 0.25 != 0 -> weight 2
     mf = model_field(X, frame, m)
     assert mf.weight == 2
-    rep = dilation_limit_check(X, frame, m)
+    rep = fit_rate(dilation_limit_check(X, frame, m, TS))
     assert rep.passed
-
-
-def test_dilation_limit_rejects_bad_grid():
-    frame = heisenberg_frame()
-    with pytest.raises(ValueError):
-        dilation_limit_check(frame.fields[1], frame, np.zeros(3), t_grid=[0.5, -0.25])
 
 
 def test_frame_degree():

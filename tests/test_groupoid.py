@@ -17,7 +17,9 @@ from heisgeom.group import TangentGroup, dilate, dilate_inv
 from heisgeom.jets import PolyMap
 
 from conftest import (
+    TS,
     degenerate_frame,
+    fit_rate,
     flat_frame,
     heisenberg_frame,
     left_translation,
@@ -295,21 +297,20 @@ def test_transition_rate_to_boundary():
     dst = GroupoidChart(pushed)
     x = np.array([0.2, 0.3, -0.1])
     X = np.array([0.5, 1.0, -0.6])
-    rep, target = transition_rate_check(src, dst, fwd, x, X)
+    rep = fit_rate(transition_rate_check(src, dst, fwd, x, X, TS))
     assert rep.passed
     if not rep.exact:
         assert rep.slope >= 0.85
     # the measured limit agrees with the block-matrix action
     xp, Xp, _ = transition(src, dst, fwd, x, X, 2.0**-14)
-    np.testing.assert_allclose(Xp, target, atol=1e-3)
+    np.testing.assert_allclose(Xp, tangent_matrix(src, dst, fwd, x) @ X, atol=1e-3)
 
 
 def test_transition_left_translation_exact():
     fwd, _ = left_translation([0.0, 1.0, 0.0])
     x, X = np.array([0.1, -0.2, 0.3]), np.array([0.7, 0.4, -0.5])
-    rep, target = transition_rate_check(H3_CHART, H3_CHART, fwd, x, X)
-    assert rep.exact
-    np.testing.assert_allclose(target, X, atol=1e-12)
+    assert fit_rate(transition_rate_check(H3_CHART, H3_CHART, fwd, x, X, TS)).exact
+    np.testing.assert_allclose(tangent_matrix(H3_CHART, H3_CHART, fwd, x) @ X, X, atol=1e-12)
 
 
 # ---- continuity ----------------------------------------------------------------
@@ -366,41 +367,42 @@ def test_continuity_chart_independence():
 def test_composition_limit_flat_exact():
     x = np.array([0.3, -0.2, 0.5])
     X, Y = np.array([0.4, 1.0, -0.3]), np.array([-0.2, 0.6, 0.8])
-    rep = composition_limit_check(FLAT_CHART, x, X, Y)
-    assert rep.rate.exact
-    assert rep.rate.max_residual == 0.0  # displacement arithmetic is exact here
-    np.testing.assert_allclose(rep.target, X + Y, atol=0)
+    rep = fit_rate(composition_limit_check(FLAT_CHART, x, X, Y, TS))
+    assert rep.exact
+    assert rep.max_residual == 0.0  # displacement arithmetic is exact here
+    np.testing.assert_allclose(group_at(FLAT_CHART, x).mul(X, Y), X + Y, atol=0)
 
 
 def test_composition_limit_h3_golden():
-    rep = composition_limit_check(H3_CHART, np.zeros(3), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
-    np.testing.assert_allclose(rep.target, [-1.0, 1.0, 1.0], atol=1e-14)
-    assert rep.rate.exact  # left-invariant normalization makes expr(t) constant
+    X, Y = np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    np.testing.assert_allclose(group_at(H3_CHART, np.zeros(3)).mul(X, Y), [-1.0, 1.0, 1.0], atol=1e-14)
+    # left-invariant normalization makes expr(t) constant
+    assert fit_rate(composition_limit_check(H3_CHART, np.zeros(3), X, Y, TS)).exact
 
 
 def test_composition_limit_degenerate_slope():
     x = np.array([0.1, 0.2, -0.1, 0.4, 0.3])
     X = np.array([0.5, 0.8, -0.4, 0.6, -0.2])
     Y = np.array([-0.3, 0.5, 0.7, -0.5, 0.4])
-    rep = composition_limit_check(DEG_CHART, x, X, Y)
-    assert not rep.rate.exact
-    assert rep.rate.slope >= 0.85
-    assert rep.rate.passed
+    rep = fit_rate(composition_limit_check(DEG_CHART, x, X, Y, TS))
+    assert not rep.exact
+    assert rep.slope >= 0.85
+    assert rep.passed
 
 
 def test_composition_limit_domain_guard():
     small = GroupoidChart(heisenberg_frame(half=0.5))
     with pytest.raises(FrameError):
-        composition_limit_check(small, np.zeros(3), np.array([0.0, 8.0, 0.0]), np.zeros(3), t_grid=[0.25, 0.125, 0.0625, 0.03125])
+        composition_limit_check(small, np.zeros(3), np.array([0.0, 8.0, 0.0]), np.zeros(3), [0.25, 0.125, 0.0625, 0.03125])
 
 
 def test_psi_composition_claim():
     # Heisenberg chart: exact; degenerate chart: O(t)
-    rep = psi_composition_check(H3_CHART, np.array([0.2, 0.1, -0.3]), np.array([0.4, 1.0, -0.2]), np.array([0.1, -0.5, 0.6]))
-    assert rep.rate.exact
+    rep = fit_rate(psi_composition_check(H3_CHART, np.array([0.2, 0.1, -0.3]), np.array([0.4, 1.0, -0.2]), np.array([0.1, -0.5, 0.6]), TS))
+    assert rep.exact
     x = np.array([0.1, 0.2, -0.1, 0.4, 0.3])
-    rep2 = psi_composition_check(DEG_CHART, x, np.array([0.5, 0.8, -0.4, 0.6, -0.2]), np.array([-0.3, 0.5, 0.7, -0.5, 0.4]))
-    assert rep2.rate.passed
+    rep2 = fit_rate(psi_composition_check(DEG_CHART, x, np.array([0.5, 0.8, -0.4, 0.6, -0.2]), np.array([-0.3, 0.5, 0.7, -0.5, 0.4]), TS))
+    assert rep2.passed
 
 
 # ---- functoriality ---------------------------------------------------------------
