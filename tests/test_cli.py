@@ -137,7 +137,7 @@ def test_tightened_tolerance_fails_the_run(tmp_path, capsys):
 def test_one_zero_floor_for_every_rate_check(tmp_path, capsys):
     # every residual trace of heisenberg3 stays below 10, so with that floor
     # each rate record, the dilation checks included, must read exact
-    code, report = run(tmp_path, "heisenberg3", "--tol", "zero_floor=10")
+    _, report = run(tmp_path, "heisenberg3", "--tol", "zero_floor=10")
     rates = [rec for rec in report["checks"] if "slope" in rec]
     assert {rec["id"].split("/")[-1] for rec in rates} >= {"dilation-exact", "dilation-perturbed", "rate", "transition-limit"}
     assert [rec["id"] for rec in rates if not rec["exact"]] == []
