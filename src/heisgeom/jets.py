@@ -1,6 +1,6 @@
 """Exact arithmetic on truncated multivariate Taylor polynomials (jets).
 
-A jet of order K in n variables at a base point p is the dense table of
+A jet of order K in n variables at a base point p is the table of
 coefficients of a polynomial in (x - p) over all monomials of total degree
 <= K, stored in graded-lexicographic order (ascending total degree, then
 ascending exponent tuple).  Addition, multiplication, composition, formal
@@ -10,8 +10,10 @@ coefficient is exact up to float rounding.
 
 The product and derivative tables of a space are built with array code:
 each exponent tuple is a number in mixed radix K + 1, so a product's key is
-the sum of its factors' keys and `searchsorted` finds its position.  The
-monomial vectors are gathered from per-axis power tables.
+the sum of its factors' keys and `searchsorted` finds its position.  Work
+follows a table's support: a product walks only the entries whose factor
+columns are nonzero, and monomials, gathered from per-axis power tables,
+can be built for chosen columns only.
 
 A `PolyMap` is one read-only (m, size) coefficient table and a `Jet` is the
 one-row case: each operation has one implementation over row tables.  Data
@@ -52,13 +54,14 @@ class JetSpace:
     def size(self) -> int:
         return len(self.degrees)
 
-    def monomials(self, dx) -> np.ndarray:
-        """dx^exponents for displacements dx of shape (..., dim): shape (..., size),
-        C-contiguous; the factors dx_v^e_v multiply left to right, as np.prod would."""
+    def monomials(self, dx, cols=slice(None)) -> np.ndarray:
+        """dx^exponents[cols] for displacements dx (..., dim): (..., len(cols)),
+        C-contiguous; factors dx_v^e_v multiply left to right, as np.prod would."""
+        exponents = self.exponents[cols]
         powers = dx[..., :, None] ** np.arange(self.order + 1)
-        out = powers[..., 0, :].take(self.exponents[:, 0], axis=-1)
+        out = powers[..., 0, :].take(exponents[:, 0], axis=-1)
         for v in range(1, self.dim):
-            out *= powers[..., v, :].take(self.exponents[:, v], axis=-1)
+            out *= powers[..., v, :].take(exponents[:, v], axis=-1)
         return out
 
     def __repr__(self) -> str:
@@ -138,15 +141,19 @@ def mul_rows(s: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     ``out[r, coo_out[k]] += x[r, coo_a[k]] * y[r, coo_b[k]]``: a bincount over
     the row-offset bins ``r * size + coo_out`` sums each row in table order.
+    Entries with a factor column that is zero in every row add exact zeros
+    and are skipped, so the sums are bit for bit those of the whole table.
     """
     if len(x) != len(y):
         x, y = np.broadcast_arrays(x, y)
-    step = max(1, _MUL_BLOCK // len(s.coo_out))
+    keep = np.flatnonzero(x.any(axis=0)[s.coo_a] & y.any(axis=0)[s.coo_b])
+    coo_a, coo_b, coo_out = s.coo_a[keep], s.coo_b[keep], s.coo_out[keep]
+    step = max(1, _MUL_BLOCK // max(1, len(keep)))
     blocks = []
     for r in range(0, len(x), step):
-        w = x[r : r + step].take(s.coo_a, axis=1) * y[r : r + step].take(s.coo_b, axis=1)
+        w = x[r : r + step].take(coo_a, axis=1) * y[r : r + step].take(coo_b, axis=1)
         n = len(w)
-        bins = s.coo_out if n == 1 else (np.arange(n)[:, None] * s.size + s.coo_out).ravel()
+        bins = coo_out if n == 1 else (np.arange(n)[:, None] * s.size + coo_out).ravel()
         blocks.append(np.bincount(bins, w.ravel(), n * s.size).reshape(n, s.size))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 

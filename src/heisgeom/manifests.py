@@ -121,7 +121,7 @@ def _parse_poly_terms(entry, dim, max_degree, where):
     for k, item in enumerate(entry):
         try:
             coeff, exps = item
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(_config_number(e, int, f"{where}[{k}]") for e in exps)
             coeff = float(coeff)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{where}[{k}]: malformed monomial {item!r}") from exc

@@ -13,12 +13,18 @@ class RateError(ValueError):
     """Not enough usable residuals to fit a rate."""
 
 
-def rate_fit(ts, residuals, zero_floor: float) -> float:
-    """Least-squares slope of log residual against log t.
+def rate_fit(ts, residuals, zero_floor: float, slope_min: float) -> float:
+    """Least-squares slope of log residual against log t at the small-t end.
 
     Residuals at or below `zero_floor` are treated as exactly zero; when all
     of them vanish the decay is reported as exact (slope = +inf).  At least
-    four positive residuals are required otherwise.
+    four positive residuals are required otherwise.  On the decreasing t
+    grid, the fit takes the longest small-t suffix of positive residuals in
+    which every local slope log(r_k / r_{k+1}) / log(t_k / t_{k+1}) is at
+    least `slope_min`, and never fewer than the last four.  A least-squares
+    slope is an average of the local slopes with positive weights, so when
+    four or more points qualify the fit is >= `slope_min`: the small-t end
+    decides, not a pre-asymptotic head.  A clean trace is fitted whole.
     """
     ts = np.asarray(ts, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
@@ -31,7 +37,10 @@ def rate_fit(ts, residuals, zero_floor: float) -> float:
         return math.inf
     if keep.sum() < 4:
         raise RateError(f"only {int(keep.sum())} residuals above the zero floor; need >= 4")
-    slope, _ = np.polyfit(np.log(ts[keep]), np.log(residuals[keep]), 1)
+    log_t, log_r = np.log(ts[keep]), np.log(residuals[keep])
+    low = np.flatnonzero(np.diff(log_r) / np.diff(log_t) < slope_min)
+    start = min(low[-1] + 1 if low.size else 0, len(log_t) - 4)
+    slope, _ = np.polyfit(log_t[start:], log_r[start:], 1)
     return float(slope)
 
 
@@ -65,7 +74,7 @@ class RateReport:
 
 
 def fit_report(ts, residuals, slope_min: float, zero_floor: float) -> RateReport:
-    slope = rate_fit(ts, residuals, zero_floor)
+    slope = rate_fit(ts, residuals, zero_floor, slope_min)
     return RateReport(tuple(float(t) for t in ts), tuple(float(r) for r in residuals), slope, slope_min)
 
 

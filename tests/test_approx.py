@@ -37,12 +37,12 @@ def quad_max(phi, src, dst, m):
 
 def test_rate_fit_linear():
     ts = 2.0 ** -np.arange(2, 9)
-    assert rate_fit(ts, 3.7 * ts, zero_floor=1e-13) == pytest.approx(1.0, abs=1e-6)
+    assert rate_fit(ts, 3.7 * ts, 1e-13, 0.85) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_rate_fit_quadratic():
     ts = 2.0 ** -np.arange(2, 9)
-    assert rate_fit(ts, 0.2 * ts**2, zero_floor=1e-13) == pytest.approx(2.0, abs=1e-6)
+    assert rate_fit(ts, 0.2 * ts**2, 1e-13, 0.85) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_rate_fit_constant_fails_verdict():
@@ -54,17 +54,58 @@ def test_rate_fit_constant_fails_verdict():
 
 def test_rate_fit_exact_short_circuit():
     ts = 2.0 ** -np.arange(2, 9)
-    assert math.isinf(rate_fit(ts, np.zeros(len(ts)), zero_floor=1e-13))
+    assert math.isinf(rate_fit(ts, np.zeros(len(ts)), 1e-13, 0.85))
 
 
 def test_rate_fit_too_few_points():
     with pytest.raises(RateError):
-        rate_fit([0.5, 0.25, 0.125], [1.0, 0.5, 0.25], zero_floor=1e-13)
+        rate_fit([0.5, 0.25, 0.125], [1.0, 0.5, 0.25], 1e-13, 0.85)
 
 
 def test_rate_fit_rejects_nonpositive_t():
     with pytest.raises(RateError, match="positive"):
-        rate_fit([0.5, 0.25, 0.125, -0.0625], [1.0, 0.5, 0.25, 0.125], zero_floor=1e-13)
+        rate_fit([0.5, 0.25, 0.125, -0.0625], [1.0, 0.5, 0.25, 0.125], 1e-13, 0.85)
+
+
+def test_rate_fit_sqrt_trace_fails():
+    rep = fit_rate(0.3 * TS**0.5)
+    assert rep.slope == pytest.approx(0.5, abs=1e-9)
+    assert not rep.passed
+
+
+def test_rate_fit_rising_noise_trace_fails():
+    # rounding noise of O(eps / t) rises as t falls: every local slope is -1
+    rep = fit_rate(1e-9 / TS)
+    assert rep.slope == pytest.approx(-1.0, abs=1e-9)
+    assert not rep.passed
+
+
+def test_rate_fit_takes_small_t_end_past_a_bump():
+    # the first 3 points rise before the O(t) decay sets in; a fit over the
+    # whole grid is pulled below slope_min by them, the small-t suffix is not
+    r = 0.3 * TS
+    r[:3] = r[3] * np.array([0.5, 0.8, 1.2])
+    assert np.polyfit(np.log(TS), np.log(r), 1)[0] < 0.85
+    rep = fit_rate(r)
+    assert rep.slope == pytest.approx(1.0, abs=1e-9)
+    assert rep.passed
+
+
+def test_rate_fit_passes_a_dip_before_linear_decay():
+    # the shape of the seed-8 composition-limit trace: a residual that nearly
+    # vanishes at t = 1/8 by cancellation, then decays as O(t)
+    r = 0.3 * TS
+    r[1] *= 1e-4
+    assert TS[1] == 0.125
+    rep = fit_rate(r)
+    assert rep.slope == pytest.approx(1.0, abs=1e-9)
+    assert rep.passed
+
+
+def test_rate_fit_clean_trace_fits_the_whole_grid():
+    r = 0.3 * TS * (1 + 2 * TS) + 1e-3 * TS**2
+    assert np.all(np.diff(np.log(r)) / np.diff(np.log(TS)) >= 0.85)
+    assert rate_fit(TS, r, 1e-10, 0.85) == np.polyfit(np.log(TS), np.log(r), 1)[0]
 
 
 def test_rate_report_requires_decreasing_grid():

@@ -112,6 +112,17 @@ def test_nonfinite_coefficient_is_validation_error(tmp_path, capsys):
     assert "charts[0].frame[1][0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("exponent", [2.5, True])
+def test_noninteger_exponent_is_validation_error(tmp_path, capsys, exponent):
+    # read as int() these became 2 and 1: a frame other than the one written
+    doc = builtin_doc("heisenberg5")
+    doc["charts"][0]["frame"][3][0][0][1][3] = exponent
+    code, report = run(tmp_path, write_json(tmp_path, doc), "--suite", "coords")
+    assert code == EXIT_VALIDATION_ERROR
+    assert report is None
+    assert "charts[0].frame[3][0][0]" in capsys.readouterr().err
+
+
 def test_malformed_tol_override_is_validation_error(tmp_path, capsys):
     code, _ = run(tmp_path, "foliation-flat", "--tol", "pseudo_norm=tight")
     assert code == EXIT_VALIDATION_ERROR

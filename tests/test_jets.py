@@ -1,9 +1,15 @@
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from heisgeom import jets
+from heisgeom.coords import dilation_limit_check, heisenberg_map, model_field, sample_box
+from heisgeom.fields import pushforward_field
+from heisgeom.group import weight_vector
 from heisgeom.jets import (
     Jet,
     JetError,
@@ -14,6 +20,12 @@ from heisgeom.jets import (
     jet_space,
     mul_rows,
 )
+from heisgeom.manifests import Manifest
+
+from conftest import TS
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "heisbench"))
+from workloads import REFERENCE_SEED, scale_h7_doc  # noqa: E402
 
 
 def brute_mul(a: dict, b: dict, order: int) -> dict:
@@ -399,6 +411,65 @@ def test_mul_rows_bitwise_matches_one_row_products(dim, order):
         np.testing.assert_array_equal(got[r], reference_mul(s, x[r], y[r]))
     np.testing.assert_array_equal(mul_rows(s, x[:1], y), [reference_mul(s, x[0], row) for row in y])
     np.testing.assert_array_equal(jet_mul(Jet(s, x[0], np.zeros(dim)), Jet(s, y[0], np.zeros(dim))).coeffs, got[0])
+
+
+def sparse_table(rng, rows, size, density):
+    """Random (rows, size) table whose columns are zero with probability 1 - density,
+    with a few more zeros scattered in the kept columns."""
+    table = rng.uniform(-1, 1, (rows, size)) * (rng.uniform(0, 1, size) < density)
+    return table * (rng.uniform(0, 1, (rows, size)) < 0.9)
+
+
+@pytest.mark.parametrize("dim, order, density", [(3, 8, 0.05), (5, 4, 0.3), (7, 6, 0.02), (3, 5, 1.0)])
+@pytest.mark.parametrize("block", [jets._MUL_BLOCK, 64])  # 64: many blocks of rows
+def test_mul_rows_on_sparse_tables_bitwise_matches_the_whole_table(monkeypatch, dim, order, density, block):
+    monkeypatch.setattr(jets, "_MUL_BLOCK", block)
+    rng = np.random.default_rng(dim + 10 * order)
+    s = jet_space(dim, order)
+    x, y = sparse_table(rng, 6, s.size, density), sparse_table(rng, 6, s.size, density)
+    zero = np.zeros((6, s.size))
+    for a, b in [(x, y), (x[:1], y), (x, y[2:3]), (zero, y), (x, zero[:1]), (x[:1], y[:1])]:
+        want = np.array([reference_mul(s, ra, rb) for ra, rb in zip(*np.broadcast_arrays(a, b))])
+        assert mul_rows(s, a, b).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [3, 7])
+@pytest.mark.parametrize("shape", [(), (40,)])
+def test_monomials_of_chosen_columns_bitwise_match_the_full_vector(dim, shape):
+    s = jet_space(dim, 5)
+    rng = np.random.default_rng(dim)
+    dx = rng.uniform(-2, 2, shape + (dim,))
+    for cols in (np.sort(rng.choice(s.size, 17, replace=False)), rng.permutation(s.size)[:9], [0], []):
+        got = s.monomials(dx, cols)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == np.ascontiguousarray(s.monomials(dx)[..., cols]).tobytes()
+
+
+def dense_dilation_trace(X, frame, m, ts):
+    """The dilation residual trace of `dilation_limit_check`, evaluated on every
+    monomial of the jet space: the whole (points, size) monomial matrix times
+    each rescaled coefficient table."""
+    hm = heisenberg_map(frame, m)
+    order = max(frame.order, 2 * (X.components.degree() + 1))
+    Xh = pushforward_field(hm.as_polymap(order), hm.inverse_polymap(order), X, order=order).components
+    mf = model_field(X, frame, m)
+    target = mf.as_field(order).components
+    w = weight_vector(frame.dim)
+    powers = mf.weight + (Xh.space.exponents @ w)[None, :] - w[:, None]
+    mono = Xh.space.monomials(sample_box(0.8, 3, frame.dim))
+    return [float(np.max(np.abs(mono @ (Xh.coeffs * t**powers - target.coeffs).T))) for t in ts]
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_c7_dilation_traces_match_a_dense_evaluation(perturbed):
+    frame = Manifest.from_dict(scale_h7_doc(REFERENCE_SEED)).charts[0].frame
+    X = frame.fields[1]
+    if perturbed:  # as the dilation-perturbed check: X_1 + x_1^2 X_0
+        e = tuple(2 if i == 1 else 0 for i in range(frame.dim))
+        X = X + frame.fields[0].scaled_by_jet(Jet.from_terms(frame.fields[0].components.space, {e: 1.0}))
+    m = np.random.default_rng(7).uniform(-1.5, 1.5, frame.dim)
+    got = dilation_limit_check(X, frame, m, TS)
+    np.testing.assert_allclose(got, dense_dilation_trace(X, frame, m, TS), rtol=1e-15, atol=0)
 
 
 def test_polymap_of_its_components_rebuilds_the_table():

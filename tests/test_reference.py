@@ -25,3 +25,11 @@ def test_checks_match_benchmark_reference(name):
     # compare lists (id, reason, wrong); a non-pass verdict that the reference
     # also has, such as scale-h7's composition-limit fail, is not wrong
     assert [entry for entry in compare(checks, load_reference(name), exact=True) if entry[2]] == []
+
+
+@pytest.mark.parametrize("seed", [8, 15, REFERENCE_SEED])
+def test_scale_h7_passes_every_check(seed):
+    # at these seeds a whole-grid fit of composition-limit (and at 8 of
+    # psi-claim) fell below slope_min on a pre-asymptotic head at large t
+    manifest = Manifest.from_dict(scale_h7_doc(seed), seed=seed)
+    assert [(rec.check_id, rec.verdict) for rec in run_suites(manifest, "all") if rec.verdict != "pass"] == []
