@@ -120,15 +120,13 @@ class Box:
         return Box(c - factor * h, c + factor * h)
 
     def grid(self, per_axis: int = 5, limit: int | None = None) -> np.ndarray:
-        """Deterministic interior product grid, optionally thinned to `limit`
-        points by even striding (row-major order kept)."""
+        """Deterministic interior product grid in row-major order, optionally
+        thinned to `limit` points by even striding; only kept points are built."""
         fracs = (2 * np.arange(per_axis) + 1) / (2 * per_axis)
-        axes = [self.lo[i] + fracs * (self.hi[i] - self.lo[i]) for i in range(self.dim)]
-        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        if limit is not None and len(pts) > limit:
-            idx = np.linspace(0, len(pts) - 1, limit).round().astype(int)
-            pts = pts[idx]
-        return pts
+        n = per_axis**self.dim
+        idx = np.arange(n) if limit is None or n <= limit else np.linspace(0, n - 1, limit).round().astype(int)
+        digits = np.unravel_index(idx, (per_axis,) * self.dim)
+        return np.stack([self.lo[i] + fracs[k] * (self.hi[i] - self.lo[i]) for i, k in enumerate(digits)], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,6 +47,15 @@ def per_map(x: np.ndarray, lead: tuple) -> np.ndarray:
     return x.reshape(lead + (math.prod(x.shape[len(lead) : -1]), x.shape[-1]))
 
 
+def levi_mul(L, x, y) -> np.ndarray:
+    """The tangent-group product x + y with 1/2 x'^t L y' added to slot 0; L is
+    one (d, d) Levi matrix or one per point, (..., d, d)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    out = x + y
+    out[..., 0] += 0.5 * np.einsum("...j,...jk,...k->...", x[..., 1:], L, y[..., 1:])
+    return out
+
+
 def pseudo_norm(x) -> np.ndarray | float:
     """Homogeneous gauge ||x|| = (x_0^2 + |x'|^4)^(1/4); ||t.x|| = |t| ||x||."""
     x = np.asarray(x, dtype=float)
@@ -81,12 +90,7 @@ class TangentGroup:
         return np.zeros(self.dim)
 
     def mul(self, x, y) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = x + y
-        twist = 0.5 * np.einsum("...j,jk,...k->...", x[..., 1:], self.L, y[..., 1:])
-        out[..., 0] += twist
-        return out
+        return levi_mul(self.L, x, y)
 
     def inverse(self, x) -> np.ndarray:
         return -np.asarray(x, dtype=float)

@@ -24,7 +24,7 @@ import numpy as np
 from .approx import displacement_map, tangent_block_matrix
 from .coords import HeisenbergMap, heisenberg_map
 from .fields import FrameError, HFrame
-from .group import TangentGroup, bilinear_mul, dilate, dilate_inv
+from .group import TangentGroup, bilinear_mul, dilate, dilate_inv, levi_mul
 from .jets import PolyMap
 
 
@@ -90,11 +90,8 @@ class GroupoidChart:
             raise CompositionError("deformation parameters differ")
         if np.any(np.max(np.abs(self.source_of(e1)[0] - p2), axis=-1) > self.point_tol):
             raise CompositionError("middle points do not match")
-        x, y = v1[at0], v2[at0]
-        prod = x + y
-        prod[..., 0] += 0.5 * np.einsum("...j,...jk,...k->...", x[..., 1:], self.eps(p1[at0]).levi, y[..., 1:])
         v = v2.copy()
-        v[at0] = prod
+        v[at0] = levi_mul(self.eps(p1[at0]).levi, v1[at0], v2[at0])
         return p1, v, t1
 
     # -- boundary chart ----------------------------------------------------

@@ -8,12 +8,11 @@ inversion and partial derivatives all truncate deterministically at K, so
 for inputs that are exact polynomials of degree <= K every surviving
 coefficient is exact up to float rounding.
 
-The product and derivative tables of a space are built with array code:
-each exponent tuple is a number in mixed radix K + 1, so a product's key is
-the sum of its factors' keys and `searchsorted` finds its position.  Work
-follows a table's support: a product walks only the entries whose factor
-columns are nonzero, and monomials, gathered from per-axis power tables,
-can be built for chosen columns only.
+Each exponent tuple is a number in mixed radix K + 1, so a product's key is
+the sum of its factors' keys and `JetSpace.find` gives its column.  Work
+follows a table's support: a product pairs only the nonzero columns of its
+operands, and monomials, gathered from per-axis power tables, can be built
+for chosen columns only.
 
 A `PolyMap` is one read-only (m, size) coefficient table and a `Jet` is the
 one-row case: each operation has one implementation over row tables.  Data
@@ -25,7 +24,7 @@ read-only tables a `PolyMap` derives on first use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 
@@ -38,21 +37,24 @@ class JetError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class JetSpace:
-    """Monomial basis and product/derivative tables for one (dim, order)."""
+    """Monomial basis, mixed-radix keys and derivative tables for one (dim, order)."""
 
     dim: int
     order: int
     exponents: np.ndarray  # (size, dim) int64, graded-lex
     degrees: np.ndarray  # (size,) int64
     index: dict  # exponent tuple -> position
-    coo_a: np.ndarray  # product table: out[coo_out] += a[coo_a] * b[coo_b], sorted by (out, a)
-    coo_b: np.ndarray
-    coo_out: np.ndarray
+    keys: np.ndarray  # (size,) int64: exponents in radix order + 1, x_0 least significant
+    key_order: np.ndarray  # (size,) argsort of keys
     diff_tables: tuple  # per variable: (src, dst, factor)
 
     @property
     def size(self) -> int:
         return len(self.degrees)
+
+    def find(self, keys) -> np.ndarray:
+        """The columns whose keys are `keys`; each must be a key of the space."""
+        return self.key_order[np.searchsorted(self.keys, keys, sorter=self.key_order)]
 
     def monomials(self, dx, cols=slice(None)) -> np.ndarray:
         """dx^exponents[cols] for displacements dx (..., dim): (..., len(cols)),
@@ -83,25 +85,14 @@ def jet_space(dim: int, order: int) -> JetSpace:
     # mixed radix order + 1: a product's key is the sum of its factors' keys
     radix = (order + 1) ** np.arange(dim, dtype=np.int64)
     keys = exponents @ radix
-    sorter = np.argsort(keys)
-
-    def find(k):
-        return sorter[np.searchsorted(keys, k, sorter=sorter)]
-
-    # degrees ascend, so a row of degree d pairs with the column prefix of
-    # degree <= order - d, whose length searchsorted gives
-    counts = np.searchsorted(degrees, order - degrees, side="right")
-    coo_a = np.repeat(np.arange(len(degrees)), counts)
-    coo_b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    coo = np.array([coo_a, coo_b, find(keys[coo_a] + keys[coo_b])], dtype=np.int64)
-    coo = np.ascontiguousarray(coo[:, np.lexsort((coo[0], coo[2]))])
+    key_order = np.argsort(keys)
+    for arr in (exponents, degrees, keys, key_order):
+        arr.setflags(write=False)
+    s = JetSpace(dim, order, exponents, degrees, index, keys, key_order, ())
 
     srcs = [np.flatnonzero(exponents[:, v] > 0) for v in range(dim)]
-    diff_tables = [(s, find(keys[s] - radix[v]), exponents[s, v].astype(np.float64)) for v, s in enumerate(srcs)]
-
-    for arr in (exponents, degrees, coo):
-        arr.setflags(write=False)
-    return JetSpace(dim, order, exponents, degrees, index, coo[0], coo[1], coo[2], tuple(diff_tables))
+    diff_tables = [(src, s.find(keys[src] - radix[v]), exponents[src, v].astype(np.float64)) for v, src in enumerate(srcs)]
+    return replace(s, diff_tables=tuple(diff_tables))
 
 
 def _checked(space: JetSpace, coeffs, base, shape: tuple):
@@ -139,21 +130,25 @@ def mul_rows(s: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Row-wise truncated products of (m, size) tables; a one-row operand
     multiplies every row of the other.
 
-    ``out[r, coo_out[k]] += x[r, coo_a[k]] * y[r, coo_b[k]]``: a bincount over
-    the row-offset bins ``r * size + coo_out`` sums each row in table order.
-    Entries with a factor column that is zero in every row add exact zeros
-    and are skipped, so the sums are bit for bit those of the whole table.
+    The nonzero columns a of x and b of y ascend in degree, so a[i] pairs
+    with the prefix of b of degree <= order - deg a[i]; a pair's key sum finds
+    its product column.  A bincount over the row-offset bins adds the pairs
+    a-major, so each column sums in ascending a from +0.0, bit for bit as over
+    every pair of the space: the skipped pairs add exact zeros.
     """
     if len(x) != len(y):
         x, y = np.broadcast_arrays(x, y)
-    keep = np.flatnonzero(x.any(axis=0)[s.coo_a] & y.any(axis=0)[s.coo_b])
-    coo_a, coo_b, coo_out = s.coo_a[keep], s.coo_b[keep], s.coo_out[keep]
-    step = max(1, _MUL_BLOCK // max(1, len(keep)))
+    a, b = np.flatnonzero(x.any(axis=0)), np.flatnonzero(y.any(axis=0))
+    counts = np.searchsorted(s.degrees[b], s.order - s.degrees[a], side="right")
+    pair_a = np.repeat(a, counts)
+    pair_b = b[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)]
+    pair_out = s.find(s.keys[pair_a] + s.keys[pair_b])
+    step = max(1, _MUL_BLOCK // max(1, len(pair_out)))
     blocks = []
     for r in range(0, len(x), step):
-        w = x[r : r + step].take(coo_a, axis=1) * y[r : r + step].take(coo_b, axis=1)
+        w = x[r : r + step].take(pair_a, axis=1) * y[r : r + step].take(pair_b, axis=1)
         n = len(w)
-        bins = coo_out if n == 1 else (np.arange(n)[:, None] * s.size + coo_out).ravel()
+        bins = pair_out if n == 1 else (np.arange(n)[:, None] * s.size + pair_out).ravel()
         blocks.append(np.bincount(bins, w.ravel(), n * s.size).reshape(n, s.size))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 

@@ -72,6 +72,31 @@ DEFAULT_SAMPLES = {
 }
 
 
+# Bounds on config.samples, from what the checks build.  groupoid/*/axioms
+# keeps `tuples` element pairs as Python rows, about 0.5 kB per tuple and
+# dimension (the group checks' (3, tuples, dimension) arrays are smaller):
+# tuples * dimension <= 3e5 keeps them near 150 MB.  `base_limit` and
+# `sweep_tuples` count base points, each with its own Heisenberg maps and
+# rate sweeps: 1e3 of each run in about 5 s in dimension 3.  `Box.grid`
+# thins the per_axis ** dimension grid by float64 indices, exact to 2^53.
+_MAX_TUPLE_ENTRIES = 300_000
+_MAX_POINTS = 1_000
+_MAX_GRID = 2**53
+
+
+def _check_samples(samples: dict, dim: int):
+    caps = {"tuples": _MAX_TUPLE_ENTRIES // dim, "base_limit": _MAX_POINTS, "sweep_tuples": _MAX_POINTS}
+    for key, cap in caps.items():
+        if not 1 <= samples[key] <= cap:
+            raise ValidationError(f"config.samples.{key}: {samples[key]} is outside [1, {cap}] in dimension {dim}")
+    # per_axis >= 2 in dimension >= 54 has over 2^53 points, so the powers stay small
+    per_axis = samples["per_axis"]
+    if not 1 <= per_axis or min(per_axis, _MAX_GRID + 1) ** min(dim, 54) > _MAX_GRID:
+        raise ValidationError(f"config.samples.per_axis: {per_axis} ** {dim} grid points is outside [1, 2^53]")
+    if not 0 < samples["shrink"] <= 1:
+        raise ValidationError(f"config.samples.shrink: {samples['shrink']} is outside (0, 1]")
+
+
 def _config_number(val, kind, where):
     """`val` as an exact `kind` (int or float), else a ValidationError naming `where`."""
     try:
@@ -83,9 +108,10 @@ def _config_number(val, kind, where):
 
 
 def _check_jet_space(dim: int, order: int):
-    """The frames are read into jet_space(dim, order), whose product table has
-    comb(order + 2 dim, order) entries; refuse more than 2e6 (48 MB of int64
-    indices; jet_space(7, 8) has 319,770), counting no further than that."""
+    """The frames are read into jet_space(dim, order), where a dense product
+    forms comb(order + 2 dim, order) column pairs, as many as the monomials of
+    degree <= order in 2 dim variables; refuse more than 2e6 (jet_space(7, 8)
+    forms 319,770), counting no further than that."""
     size = 1
     for i in range(1, order + 1):
         size = size * (2 * dim + i) // i  # comb(2 dim + i, i)
@@ -268,6 +294,7 @@ class Manifest:
         samples = {**DEFAULT_SAMPLES, **_typed(config.get("samples", {}), dict, "config.samples")}
         for key, default in DEFAULT_SAMPLES.items():
             samples[key] = _config_number(samples[key], type(default), f"config.samples.{key}")
+        _check_samples(samples, dim)
         tolerances = dict(DEFAULT_TOLERANCES)
         for key, val in _typed(config.get("tolerances", {}), dict, "config.tolerances").items():
             if key not in tolerances:

@@ -17,14 +17,16 @@ def rate_fit(ts, residuals, zero_floor: float, slope_min: float) -> float:
     """Least-squares slope of log residual against log t at the small-t end.
 
     Residuals at or below `zero_floor` are treated as exactly zero; when all
-    of them vanish the decay is reported as exact (slope = +inf).  At least
-    four positive residuals are required otherwise.  On the decreasing t
-    grid, the fit takes the longest small-t suffix of positive residuals in
-    which every local slope log(r_k / r_{k+1}) / log(t_k / t_{k+1}) is at
-    least `slope_min`, and never fewer than the last four.  A least-squares
-    slope is an average of the local slopes with positive weights, so when
-    four or more points qualify the fit is >= `slope_min`: the small-t end
-    decides, not a pre-asymptotic head.  A clean trace is fitted whole.
+    of them vanish the decay is reported as exact (slope = +inf).  When fewer
+    than four exceed it, every positive residual is fitted: noise under the
+    floor is flat or rises as t falls, so it still fails.  Fewer than four
+    positive residuals raise.  On the decreasing t grid, the fit takes the
+    longest small-t suffix of the fitted residuals in which every local slope
+    log(r_k / r_{k+1}) / log(t_k / t_{k+1}) is at least `slope_min`, and
+    never fewer than the last four.  A least-squares slope is an average of
+    the local slopes with positive weights, so when four or more points
+    qualify the fit is >= `slope_min`: the small-t end decides, not a
+    pre-asymptotic head.  A clean trace is fitted whole.
     """
     ts = np.asarray(ts, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
@@ -35,8 +37,9 @@ def rate_fit(ts, residuals, zero_floor: float, slope_min: float) -> float:
     keep = residuals > zero_floor
     if not np.any(keep):
         return math.inf
+    keep = keep if keep.sum() >= 4 else residuals > 0
     if keep.sum() < 4:
-        raise RateError(f"only {int(keep.sum())} residuals above the zero floor; need >= 4")
+        raise RateError(f"only {int(keep.sum())} positive residuals; need >= 4")
     log_t, log_r = np.log(ts[keep]), np.log(residuals[keep])
     low = np.flatnonzero(np.diff(log_r) / np.diff(log_t) < slope_min)
     start = min(low[-1] + 1 if low.size else 0, len(log_t) - 4)

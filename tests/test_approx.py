@@ -60,6 +60,28 @@ def test_rate_fit_exact_short_circuit():
 def test_rate_fit_too_few_points():
     with pytest.raises(RateError):
         rate_fit([0.5, 0.25, 0.125], [1.0, 0.5, 0.25], 1e-13, 0.85)
+    # under the floor too: three positive residuals are too few to fit
+    with pytest.raises(RateError, match="3 positive residuals"):
+        rate_fit([0.5, 0.25, 0.125], [2e-10, 1e-11, 5e-12], 1e-10, 0.85)
+
+
+def test_rate_fit_decay_that_crosses_the_floor_is_fitted():
+    # the shape of the seed-2 darboux-change transition trace: a clean O(t)
+    # decay from 1.3e-10 down to 1.3e-13, one point above the 1e-10 floor
+    r = 1.3e-10 * TS / TS[0]
+    assert np.sum(r > 1e-10) == 1
+    rep = fit_rate(r)
+    assert rep.slope == pytest.approx(1.0, abs=1e-9)
+    assert rep.passed
+
+
+def test_rate_fit_flat_noise_under_the_floor_fails():
+    # two points above the floor, then rounding noise that stays flat
+    r = np.full(len(TS), 1e-15)
+    r[:2] = [3e-10, 2e-10]
+    rep = fit_rate(r)
+    assert rep.slope == pytest.approx(0.0, abs=1e-9)
+    assert not rep.passed
 
 
 def test_rate_fit_rejects_nonpositive_t():

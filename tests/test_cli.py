@@ -16,7 +16,7 @@ from heisgeom.cli import (
     EXIT_VALIDATION_ERROR,
     main,
 )
-from heisgeom.manifests import builtin_doc, builtin_names, load_doc
+from heisgeom.manifests import Manifest, ValidationError, builtin_doc, builtin_names, load_doc
 
 
 def run(tmp_path, manifest, *extra):
@@ -51,20 +51,25 @@ def test_builtin_passes_with_stable_checks_across_jobs(tmp_path, capsys, manifes
 
 
 def test_check_that_raises_is_an_error_record(tmp_path, capsys):
-    # at seed 2 the darboux-change transition sweep has too few nonzero residuals to fit a rate
-    code, report = run(tmp_path, "contact-darboux", "--suite", "groupoid", "--seed", "2")
+    # a 3-point t grid leaves each inexact dilation trace too few residuals to fit a rate
+    doc = builtin_doc("contact-darboux")
+    doc["config"]["t_grid"] = [2, 4]
+    code, report = run(tmp_path, write_json(tmp_path, doc), "--suite", "coords")
     assert code == EXIT_CHECK_FAILED
     err = capsys.readouterr().err
     assert "Traceback" not in err
     verdicts = {rec["id"]: rec["verdict"] for rec in report["checks"]}
-    assert verdicts.pop("groupoid/darboux-change/transition-limit") == "error"
+    raised = ["coords/darboux0/dilation-perturbed", "coords/darboux1/dilation-exact", "coords/darboux1/dilation-perturbed"]
+    assert [verdicts.pop(check_id) for check_id in raised] == ["error"] * 3
     assert set(verdicts.values()) == {"pass"}
-    (bad,) = [rec for rec in report["checks"] if rec["verdict"] == "error"]
-    assert bad["value"]["error"] == "RateError"
-    assert "residuals above the zero floor" in bad["value"]["message"]
-    assert report["summary"] == {"pass": len(verdicts), "fail": 0, "flagged": 0, "error": 1}
-    _, default_seed = run(tmp_path, "contact-darboux", "--suite", "groupoid")
-    assert [rec["id"] for rec in report["checks"]] == [rec["id"] for rec in default_seed["checks"]]
+    bad = [rec for rec in report["checks"] if rec["verdict"] == "error"]
+    assert [rec["id"] for rec in bad] == raised
+    for rec in bad:
+        assert rec["value"]["error"] == "RateError"
+        assert "only 3 positive residuals" in rec["value"]["message"]
+    assert report["summary"] == {"pass": len(verdicts), "fail": 0, "flagged": 0, "error": 3}
+    _, default_grid = run(tmp_path, "contact-darboux", "--suite", "coords")
+    assert [rec["id"] for rec in report["checks"]] == [rec["id"] for rec in default_grid["checks"]]
 
 
 @pytest.mark.parametrize(
@@ -76,6 +81,56 @@ def test_malformed_config_value_is_validation_error(tmp_path, capsys, section, k
     assert code == EXIT_VALIDATION_ERROR
     assert report is None
     assert f"config.{section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tuples", 10**9),  # once a MemoryError after 25 s and 1.3 GB
+        ("tuples", 0),
+        ("base_limit", 0),
+        ("base_limit", 1001),
+        ("sweep_tuples", -1),
+        ("sweep_tuples", 1001),
+        ("per_axis", 0),
+        ("per_axis", 2**18),  # 2^54 grid points in dimension 3
+        ("shrink", 0.0),
+        ("shrink", 1.5),
+    ],
+)
+def test_sample_count_out_of_range_is_validation_error(tmp_path, capsys, key, value):
+    code, report = run(tmp_path, write_doc(tmp_path, "samples", key, value), "--suite", "groupoid")
+    assert code == EXIT_VALIDATION_ERROR
+    assert report is None
+    assert f"config.samples.{key}" in capsys.readouterr().err
+
+
+def test_sample_caps_scale_with_dimension():
+    def with_samples(name, **samples):
+        doc = builtin_doc(name)
+        doc["config"]["samples"] = samples
+        return doc
+
+    # dimension 3: 10^5 tuples and a 2^51-point grid; dimension 5: 6 * 10^4 tuples
+    Manifest.from_dict(with_samples("heisenberg3", tuples=100_000, per_axis=2**17, base_limit=1000, sweep_tuples=1000, shrink=1.0))
+    Manifest.from_dict(with_samples("heisenberg5", tuples=60_000))
+    for name, samples in [("heisenberg3", {"tuples": 100_001}), ("heisenberg5", {"tuples": 60_001}), ("heisenberg5", {"per_axis": 2**11})]:
+        with pytest.raises(ValidationError):
+            Manifest.from_dict(with_samples(name, **samples))
+
+
+def test_fine_sample_grid_builds_only_the_kept_points(tmp_path):
+    # per_axis = 200 is an 8e6-point grid in dimension 3, thinned to base_limit points
+    code, report = run(tmp_path, write_doc(tmp_path, "samples", "per_axis", 200), "--suite", "levi")
+    assert code == EXIT_PASS
+    assert {rec["verdict"] for rec in report["checks"]} == {"pass"}
+    # the points the whole grid, built and then thinned, would give
+    box = Manifest.from_dict(load_doc("foliation-flat")).charts[0].frame.domain
+    axis = (2 * np.arange(40) + 1) / 80
+    full = np.stack(np.meshgrid(*[box.lo[i] + axis * (box.hi[i] - box.lo[i]) for i in range(3)], indexing="ij"), axis=-1)
+    for limit in (1, 30, 40**3, None):
+        kept = full.reshape(-1, 3)[np.linspace(0, 40**3 - 1, limit or 40**3).round().astype(int)]
+        assert box.grid(40, limit=limit).tobytes() == kept.tobytes()
 
 
 def write_json(tmp_path, doc):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 from pathlib import Path
@@ -171,6 +172,19 @@ def test_polymap_tables_are_read_only():
         pm.partials[0, 0, 0] = 5.0
 
 
+@functools.lru_cache(maxsize=None)
+def product_table(s):
+    """The rows (a, b, out) of every product term of the space, one column
+    per pair with deg a + deg b <= order, sorted by (out, a): a product adds
+    x[a] * y[b] to column out.  Degrees ascend, so a column of degree d pairs
+    with the column prefix of degree <= order - d, and the key sum finds out."""
+    counts = np.searchsorted(s.degrees, s.order - s.degrees, side="right")
+    coo_a = np.repeat(np.arange(s.size), counts)
+    coo_b = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    coo = np.array([coo_a, coo_b, s.find(s.keys[coo_a] + s.keys[coo_b])], dtype=np.int64)
+    return np.ascontiguousarray(coo[:, np.lexsort((coo[0], coo[2]))])
+
+
 def quadratic_tables(s):
     """The product and derivative tables by a direct O(size^2) double loop."""
     coo = []
@@ -195,7 +209,7 @@ def quadratic_tables(s):
 def test_space_tables_match_quadratic_construction(dim, order):
     s = jet_space(dim, order)
     coo, diff = quadratic_tables(s)
-    for got, want in zip((s.coo_a, s.coo_b, s.coo_out), coo):
+    for got, want in zip(product_table(s), coo):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     assert len(s.diff_tables) == dim
@@ -318,7 +332,8 @@ def test_compose_base_guard():
 
 def reference_mul(s, x, y):
     """The one-row product: one bincount over the product table."""
-    return np.bincount(s.coo_out, weights=x[s.coo_a] * y[s.coo_b], minlength=s.size)
+    coo_a, coo_b, coo_out = product_table(s)
+    return np.bincount(coo_out, weights=x[coo_a] * y[coo_b], minlength=s.size)
 
 
 def reference_partial(s, c, v):
@@ -428,9 +443,31 @@ def test_mul_rows_on_sparse_tables_bitwise_matches_the_whole_table(monkeypatch, 
     s = jet_space(dim, order)
     x, y = sparse_table(rng, 6, s.size, density), sparse_table(rng, 6, s.size, density)
     zero = np.zeros((6, s.size))
-    for a, b in [(x, y), (x[:1], y), (x, y[2:3]), (zero, y), (x, zero[:1]), (x[:1], y[:1])]:
+    dense = rng.uniform(0.5, 1, (6, s.size))  # every column nonzero: every pair of the table
+    for a, b in [(x, y), (x[:1], y), (x, y[2:3]), (zero, y), (x, zero[:1]), (x[:1], y[:1]), (dense, dense[::-1])]:
         want = np.array([reference_mul(s, ra, rb) for ra, rb in zip(*np.broadcast_arrays(a, b))])
         assert mul_rows(s, a, b).tobytes() == want.tobytes()
+
+
+def test_mul_rows_in_jet_space_11_8_matches_the_termwise_product():
+    # 75,582 monomials: the pair table of a dense product would hold 5,852,925
+    # entries; small-integer coefficients make every sum exact in any order
+    rng = np.random.default_rng(11)
+    s = jet_space(11, 8)
+    low = np.flatnonzero(s.degrees <= 4)  # most monomials have degree 8, whose products truncate away
+    x, y = np.zeros((2, 5, s.size))
+    for table in (x, y):
+        for row in table:
+            cols = np.union1d(rng.choice(low, 5, replace=False), rng.choice(s.size, 2, replace=False))
+            row[cols] = rng.choice([-3, -2, -1, 1, 2, 3], len(cols))
+    got = mul_rows(s, x, y)
+    for r in range(5):
+        terms = [{tuple(s.exponents[i]): c[i] for i in np.flatnonzero(c)} for c in (x[r], y[r])]
+        want = np.zeros(s.size)
+        for e, c in brute_mul(*terms, s.order).items():
+            want[s.index[e]] = c
+        np.testing.assert_array_equal(got[r], want)
+    assert got.any(axis=1).all()
 
 
 @pytest.mark.parametrize("dim", [3, 7])
