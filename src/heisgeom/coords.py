@@ -94,8 +94,9 @@ def privileged_map(frame: HFrame, u) -> PrivilegedMap:
 
 def _times_transpose(w, M: np.ndarray) -> np.ndarray:
     """w @ M^t for one matrix M or a stack S + (dim, dim), with w the points of
-    each matrix, S + (..., dim).  The points of one matrix are the rows of one
-    product, so many points through one map round as a single product."""
+    each matrix, S + (..., dim).  Each block of `per_map` is one product: the
+    points of one matrix of a stack; for one matrix, an (N, dim) batch, or
+    each trailing (k, dim) block of (..., k, dim)."""
     w = np.asarray(w, dtype=float)
     return (per_map(w, M.shape[:-2]) @ M.mT).reshape(w.shape)
 
@@ -106,8 +107,9 @@ class HeisenbergMap:
 
     A batch of base points u (S + (dim,)) gives one map per point: A and b
     carry the leading shape S, and the point maps take one point per map,
-    S + (dim,).  A single map takes any number of points, (..., dim).  The
-    polynomial forms and model frames need a single map.
+    S + (dim,).  A single map takes any number of points, (..., dim), and
+    multiplies them in the blocks of `group.per_map`.  The polynomial forms
+    and model frames need a single map.
     """
 
     u: np.ndarray

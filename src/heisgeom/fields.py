@@ -112,6 +112,11 @@ class Box:
         x = np.asarray(x, dtype=float)
         return np.all((x >= self.lo - 1e-9) & (x <= self.hi + 1e-9), axis=-1)
 
+    def leading_inside(self, x) -> int:
+        """How many leading t of a grid have all their points x (T, k, dim) in the box."""
+        inside = self.contains(x).all(axis=-1)
+        return len(inside) if inside.all() else int(inside.argmin())
+
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
 
@@ -187,17 +192,19 @@ class HFrame:
         return self.matrix_at(x).T
 
     def check_invertible(self, x, B=None):
-        """Determinant guard at each point of x (..., dim): |det B| must exceed
-        1e-8 max|B|^dim.  Pass B when B(x) is already at hand.  The error names
-        the first singular point."""
+        """Determinant guard at each point of x (..., dim): |det(B / max|B|)|
+        must exceed 1e-8, a test that does not depend on the scale of B and
+        cannot overflow; returns those determinants.  Pass B when B(x) is
+        already at hand.  The error names the first singular point."""
         x = np.asarray(x, dtype=float)
         B = self.matrix_at(x) if B is None else B
-        det = np.linalg.det(B)
         scale = np.maximum(np.max(np.abs(B), axis=(-2, -1), initial=0.0), 1e-300)
-        bad = np.abs(det) <= 1e-8 * scale**self.dim
+        det = np.linalg.det(B / scale[..., None, None])
+        bad = np.abs(det) <= 1e-8
         if bad.any():
             i = np.flatnonzero(bad)[0]
-            raise FrameError(f"frame matrix nearly singular at {x.reshape(-1, self.dim)[i]}: det={det.ravel()[i]:.3e}")
+            at = x.reshape(-1, self.dim)[i]
+            raise FrameError(f"frame matrix nearly singular at {at}: det(B/max|B|)={det.flat[i]:.3e}")
         return det
 
     def expand(self, x, v) -> np.ndarray:

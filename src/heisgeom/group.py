@@ -42,8 +42,13 @@ def dilate_inv(t, x) -> np.ndarray:
 
 
 def per_map(x: np.ndarray, lead: tuple) -> np.ndarray:
-    """Points x of shape lead + (..., n) regrouped as lead + (k, n): the k
-    points of each map of a stack of shape lead, as the rows of one matrix."""
+    """Points x regrouped into the blocks a map multiplies as one product each:
+    for a stack of maps of shape lead, x is lead + (..., n) and each map's k
+    points are one (k, n) block; a single map (lead == ()) takes (n,) as one
+    (1, n) block and (..., k, n) as one block per trailing (k, n), so a sweep
+    stacking each t's points as (T, k, n) rounds as a loop over t does."""
+    if not lead:
+        return np.atleast_2d(x)
     return x.reshape(lead + (math.prod(x.shape[len(lead) : -1]), x.shape[-1]))
 
 
@@ -159,15 +164,13 @@ class GradedShear:
 
 
 def shear_homomorphism_residual(shear: GradedShear, b: np.ndarray, pairs) -> float:
-    """max |shear(x .b y) - (shear x .b+c shear y)| over the sample pairs."""
+    """max |shear(x .b y) - (shear x .b+c shear y)| over the sample pairs,
+    (N, 2, dim) or a list of (x, y), evaluated as one batch."""
     b = np.asarray(b, dtype=float)
-    bc = shear.transport(b)
-    worst = 0.0
-    for x, y in pairs:
-        lhs = shear.apply(bilinear_mul(b, x, y))
-        rhs = bilinear_mul(bc, shear.apply(x), shear.apply(y))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    x, y = np.ascontiguousarray(np.moveaxis(np.asarray(pairs, dtype=float), -2, 0))
+    lhs = shear.apply(bilinear_mul(b, x, y))
+    rhs = bilinear_mul(shear.transport(b), shear.apply(x), shear.apply(y))
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def canonical_constants(d: int, n: int) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .approx import displacement_map, tangent_block_matrix
 from .coords import HeisenbergMap, heisenberg_map
 from .fields import FrameError, HFrame
-from .group import TangentGroup, bilinear_mul, dilate, dilate_inv, levi_mul
+from .group import TangentGroup, bilinear_mul, dilate, dilate_inv, levi_mul, per_map
 from .jets import PolyMap
 
 
@@ -164,22 +164,25 @@ def transition_rate_check(src: GroupoidChart, dst: GroupoidChart, phi: PolyMap, 
     X'(t) - phi'_H(x) X.
 
     The convergence statement is componentwise O(t); the pseudo-norm gauge
-    would turn a transverse t into sqrt(t).  The caller fits the trace."""
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
+    would turn a transverse t into sqrt(t).  The caller fits the trace.  Like
+    every sweep here, it runs over the whole grid as (T, k, dim) points with
+    one product per t, so its trace is bit for bit that of a loop over t,
+    and the first t in grid order whose sample leaves the domain raises."""
+    x, X, ts = _arrays(x, X, ts)
     hm_src = src.eps(x)
     hm_dst = dst.eps(phi.eval(x))
     target = _graded_part(tangent_block_matrix(phi, hm_src, hm_dst, x)) @ X
-    phi_disp = displacement_map(phi, x)
-    residuals = []
-    for t in ts:
-        pre = hm_src.inverse_displacement(dilate(t, X)[None, :])
-        if not src.frame.domain.contains(x + pre[0]):
-            raise FrameError(f"transition sample leaves the source domain at t={t}")
-        img = phi_disp.eval_many(pre)
-        Xp = dilate_inv(t, hm_dst.forward_from_displacement(img)[0])
-        residuals.append(float(np.max(np.abs(Xp - target))))
-    return residuals
+    pre = hm_src.inverse_displacement(dilate(ts[:, None], X))
+    n = src.frame.domain.leading_inside(x + pre)
+    if n < len(ts):
+        raise FrameError(f"transition sample leaves the source domain at t={ts[n]}")
+    img = displacement_map(phi, x).eval_many(pre)
+    return _sup_per_t(dilate_inv(ts[:, None], hm_dst.forward_from_displacement(img)) - target)
+
+
+def _sup_per_t(diff: np.ndarray) -> list:
+    """The sup norm of each t's rows of diff (T, k, dim), as floats."""
+    return np.abs(diff).max(axis=(1, 2)).tolist()
 
 
 # -- continuity --------------------------------------------------------------
@@ -204,28 +207,19 @@ class ContinuityReport:
 
 def continuity_check(hm: HeisenbergMap, qs, ts, target_X, tol: float = 1e-6) -> ContinuityReport:
     """Checks t_n^-1 . eps_p(q_n) -> X along a sequence (p, q_n, t_n) with a
-    fixed base point p; hm is eps_p."""
-    target_X = np.asarray(target_X, dtype=float)
-    residuals = [float(np.max(np.abs(dilate_inv(t, hm.forward(q)) - target_X))) for q, t in zip(qs, ts)]
-    return ContinuityReport(tuple(float(t) for t in ts), tuple(residuals), tol)
+    fixed base point p; hm is eps_p.  qs holds the points of each t, (T, dim)
+    or (T, k, dim), each t's points one product."""
+    qs, ts, target_X = _arrays(qs, ts, target_X)
+    residuals = _sup_per_t(dilate_inv(ts[:, None], hm.forward(per_map(qs, ts.shape))) - target_X)
+    return ContinuityReport(tuple(ts.tolist()), tuple(residuals), tol)
 
 
-def continuity_chart_independence(
-    src: GroupoidChart,
-    dst: GroupoidChart,
-    phi: PolyMap,
-    p,
-    qs,
-    ts,
-    target_X,
-    tol: float = 1e-6,
-) -> ContinuityReport:
+def continuity_chart_independence(src, dst, phi: PolyMap, p, qs, ts, target_X, tol: float = 1e-6) -> ContinuityReport:
     """Re-checks the same convergent sequence through a second chart: the
     mapped sequence must converge to the graded-tangent image of X."""
-    p = np.asarray(p, dtype=float)
-    mapped = [phi.eval(q) for q in qs]
-    target = tangent_matrix(src, dst, phi, p) @ np.asarray(target_X, dtype=float)
-    return continuity_check(dst.eps(phi.eval(p)), mapped, ts, target, tol)
+    p, qs, target_X = _arrays(p, qs, target_X)
+    mapped = phi.eval(per_map(qs, (len(ts),)))
+    return continuity_check(dst.eps(phi.eval(p)), mapped, ts, tangent_matrix(src, dst, phi, p) @ target_X, tol)
 
 
 # -- composition limit --------------------------------------------------------
@@ -238,47 +232,39 @@ def composition_limit_check(chart: GroupoidChart, x, X, Y, ts) -> list:
 
     against the fiber product X.Y: for each t in ts, the componentwise sup
     norm of expr(t) - X.Y.  The claim is O(t) decay (exactly zero when the
-    Levi matrix vanishes and the frame is flat); the caller fits the trace."""
-    x = np.asarray(x, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    Levi matrix vanishes and the frame is flat); the caller fits the trace.
+    The middle points z of all t take one batched eps.  The first t at which
+    the middle point or the endpoint leaves the domain raises, the middle
+    point first."""
+    x, X, Y, ts = _arrays(x, X, Y, ts)
+    domain = chart.frame.domain
     hm_x = chart.eps(x)
     target = TangentGroup.from_matrix(hm_x.levi).mul(X, Y)
-    residuals = []
-    for t in ts:
-        disp_z = hm_x.inverse_displacement(dilate(t, X))
-        z = x + disp_z
-        if not chart.frame.domain.contains(z):
-            raise FrameError(f"middle point leaves the domain at t={t}; shrink the grid")
-        disp_q = chart.eps(z).inverse_displacement(dilate(t, Y))
-        if not chart.frame.domain.contains(z + disp_q):
-            raise FrameError(f"endpoint leaves the domain at t={t}; shrink the grid")
-        expr = dilate_inv(t, hm_x.forward_from_displacement(disp_z + disp_q))
-        residuals.append(float(np.max(np.abs(expr - target))))
-    return residuals
+    disp_z = hm_x.inverse_displacement(dilate(ts[:, None], X))
+    n = domain.leading_inside(x + disp_z)
+    disp_q = chart.eps(x + disp_z[:n, 0]).inverse_displacement(dilate(ts[:n], Y))[:, None]
+    n_end = domain.leading_inside(x + disp_z[:n] + disp_q)
+    if n_end < n:
+        raise FrameError(f"endpoint leaves the domain at t={ts[n_end]}; shrink the grid")
+    if n < len(ts):
+        raise FrameError(f"middle point leaves the domain at t={ts[n]}; shrink the grid")
+    return _sup_per_t(dilate_inv(ts[:, None], hm_x.forward_from_displacement(disp_z + disp_q)) - target)
 
 
 def psi_composition_check(chart: GroupoidChart, u, v, w, ts) -> list:
     """The same limit at the privileged-coordinate level: the residual trace
     against the bilinear law x_0 + y_0 + sum b_kj x_j y_k of the
     dilation-limit group, for each t in ts; the caller fits it."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
+    u, v, w, ts = _arrays(u, v, w, ts)
     hm_u = chart.eps(u)
-    target = bilinear_mul(hm_u.b, v, w)
-    Bt_u = np.linalg.inv(hm_u.A)
-    residuals = []
-    for t in ts:
-        disp_z = dilate(t, v) @ Bt_u.T
-        z = u + disp_z
-        if not chart.frame.domain.contains(z):
-            raise FrameError(f"middle point leaves the domain at t={t}; shrink the grid")
-        hm_z = chart.eps(z)
-        disp_q = dilate(t, w) @ np.linalg.inv(hm_z.A).T
-        expr = dilate_inv(t, (disp_z + disp_q) @ hm_u.A.T)
-        residuals.append(float(np.max(np.abs(expr - target))))
-    return residuals
+    disp_z = dilate(ts[:, None], v) @ hm_u.A_inv.T
+    n = chart.frame.domain.leading_inside(u + disp_z)
+    hm_z = chart.eps(u + disp_z[:n, 0])
+    if n < len(ts):
+        raise FrameError(f"middle point leaves the domain at t={ts[n]}; shrink the grid")
+    disp_q = dilate(ts[:, None], w) @ hm_z.A_inv.mT
+    expr = dilate_inv(ts[:, None], (disp_z + disp_q) @ hm_u.A.T)
+    return _sup_per_t(expr - bilinear_mul(hm_u.b, v, w))
 
 
 # -- functoriality ------------------------------------------------------------

@@ -46,6 +46,7 @@ class JetSpace:
     index: dict  # exponent tuple -> position
     keys: np.ndarray  # (size,) int64: exponents in radix order + 1, x_0 least significant
     key_order: np.ndarray  # (size,) argsort of keys
+    sorted_keys: np.ndarray  # (size,) keys[key_order]
     diff_tables: tuple  # per variable: (src, dst, factor)
 
     @property
@@ -54,7 +55,7 @@ class JetSpace:
 
     def find(self, keys) -> np.ndarray:
         """The columns whose keys are `keys`; each must be a key of the space."""
-        return self.key_order[np.searchsorted(self.keys, keys, sorter=self.key_order)]
+        return self.key_order[np.searchsorted(self.sorted_keys, keys)]
 
     def monomials(self, dx, cols=slice(None)) -> np.ndarray:
         """dx^exponents[cols] for displacements dx (..., dim): (..., len(cols)),
@@ -86,9 +87,10 @@ def jet_space(dim: int, order: int) -> JetSpace:
     radix = (order + 1) ** np.arange(dim, dtype=np.int64)
     keys = exponents @ radix
     key_order = np.argsort(keys)
-    for arr in (exponents, degrees, keys, key_order):
+    sorted_keys = keys[key_order]
+    for arr in (exponents, degrees, keys, key_order, sorted_keys):
         arr.setflags(write=False)
-    s = JetSpace(dim, order, exponents, degrees, index, keys, key_order, ())
+    s = JetSpace(dim, order, exponents, degrees, index, keys, key_order, sorted_keys, ())
 
     srcs = [np.flatnonzero(exponents[:, v] > 0) for v in range(dim)]
     diff_tables = [(src, s.find(keys[src] - radix[v]), exponents[src, v].astype(np.float64)) for v, src in enumerate(srcs)]

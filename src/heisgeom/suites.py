@@ -423,7 +423,7 @@ class SuiteRunner:
             b = coords.heisenberg_map(chart.frame, m).b
             csym = rng.uniform(-1, 1, (d, d))
             shear = group.GradedShear((csym + csym.T) / 2)
-            pairs = [(rng.uniform(-2, 2, d + 1), rng.uniform(-2, 2, d + 1)) for _ in range(100)]
+            pairs = rng.uniform(-2, 2, (100, 2, d + 1))
             worst = group.shear_homomorphism_residual(shear, b, pairs)
             normal = group.GradedShear(-(b + b.T) / 2)
             worst = max(worst, group.shear_homomorphism_residual(normal, b, pairs))
@@ -579,17 +579,12 @@ class SuiteRunner:
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/roundtrip")
             p0 = self.base_points(name, limit=1)[0]
-            worst = 0.0
-            for _ in range(25):
-                x = p0 + rng.uniform(-0.3, 0.3, dim)
-                X = rng.uniform(-1, 1, dim)
-                t = float(rng.uniform(0.05, 0.5))
-                e = gchart.gamma(x, X, t)
-                x2, X2, t2 = gchart.gamma_inv(e)
-                worst = max(worst, float(np.max(np.abs(x2 - x))), float(np.max(np.abs(X2 - X))), abs(t2 - t))
-                b = gchart.gamma(x, X, 0.0)
-                x2, X2, _ = gchart.gamma_inv(b)
-                worst = max(worst, float(np.max(np.abs(X2 - X))))
+            draws = [(p0 + rng.uniform(-0.3, 0.3, dim), rng.uniform(-1, 1, dim), rng.uniform(0.05, 0.5)) for _ in range(25)]
+            x, X, t = _elements(draws)
+            # each sample at its t and, as a boundary element, at t = 0
+            x, X, t = np.concatenate([x, x]), np.concatenate([X, X]), np.concatenate([t, 0.0 * t])
+            back = gchart.gamma_inv(gchart.gamma(x, X, t))
+            worst = max(float(np.max(np.abs(got - want))) for got, want in zip(back, (x, X, t)))
             return Outcome({"chart": name, "seed": seed}, _verdict(worst < tol["roundtrip"]), (worst,))
 
         @check(f"groupoid/{name}/rs-jacobian", "groupoid.range-source-submersion")
@@ -610,16 +605,16 @@ class SuiteRunner:
         def continuity():
             hm = gchart.eps(self.sweep_points(name)[0])
             X = 0.5 * np.ones(dim)
-            ts = [2.0**-k for k in range(*self.manifest.t_grid_range)]
-            rep = groupoid.continuity_check(hm, [hm.inverse(group.dilate(t, X)) for t in ts], ts, X, tol["continuity"])
+            ts = 2.0 ** -np.arange(*self.manifest.t_grid_range)
+            rep = groupoid.continuity_check(hm, hm.inverse(group.dilate(ts[:, None], X)), ts, X, tol["continuity"])
             return Outcome({"chart": name}, _verdict(rep.converged and not rep.diverged), rep.residuals)
 
         @check(f"groupoid/{name}/continuity-negative", "groupoid.continuity-negative")
         def continuity_negative():
             hm = gchart.eps(self.sweep_points(name)[0])
             v = 0.5 * np.ones(dim)
-            ts = [2.0**-k for k in range(*self.manifest.t_grid_range)]
-            qs = [hm.inverse(t * v) for t in ts]  # linear, not graded
+            ts = 2.0 ** -np.arange(*self.manifest.t_grid_range)
+            qs = hm.inverse(ts[:, None, None] * v)  # linear, not graded
             rep = groupoid.continuity_check(hm, qs, ts, v, tol["continuity"])
             return Outcome({"chart": name}, _verdict(rep.diverged), rep.residuals)
 
@@ -673,8 +668,8 @@ class SuiteRunner:
             x = base[0]
             hm = src_chart.eps(x)
             X = 0.4 * np.ones(self.manifest.dim)
-            ts = [2.0**-k for k in range(max(3, self.manifest.t_grid_range[0]), self.manifest.t_grid_range[1])]
-            qs = [hm.inverse(group.dilate(t, X)) for t in ts]
+            ts = 2.0 ** -np.arange(max(3, self.manifest.t_grid_range[0]), self.manifest.t_grid_range[1])
+            qs = hm.inverse(group.dilate(ts[:, None], X))
             rep1 = groupoid.continuity_check(hm, qs, ts, X, tol["continuity"])
             rep2 = groupoid.continuity_chart_independence(src_chart, dst_chart, spec.fwd, x, qs, ts, X, tol=1e-2)
             return Outcome({"diffeo": spec.name}, _verdict(rep1.converged and rep2.converged), rep2.residuals)

@@ -222,6 +222,34 @@ def test_frame_singular_guard():
     np.testing.assert_array_equal(frame.check_invertible(pts[:1]), [np.linalg.det(frame.matrix_at(pts[0]))])
 
 
+def test_frame_singular_guard_is_scale_free():
+    # every coefficient times 1e110: max|B|^dim would overflow to inf at dim 3
+    frame = heisenberg_frame()
+    big = HFrame(tuple(1e110 * f for f in frame.fields), frame.domain)
+    pts = frame.domain.shrunk(0.9).grid(3)
+    with np.errstate(all="raise"):
+        big.check_invertible(pts)
+        # the same frame with X_2 replaced by X_1, scaled the same way, still fails
+        singular = HFrame(big.fields[:2] + big.fields[1:2], frame.domain)
+        with pytest.raises(FrameError, match=r"singular at .*: det\(B/max\|B\|\)=0\.000e\+00"):
+            singular.check_invertible(pts)
+
+
+def test_scaled_heisenberg3_levi_checks_are_records_not_errors():
+    from heisgeom.manifests import Manifest, load_doc
+    from heisgeom.suites import run_suites
+
+    doc = load_doc("heisenberg3")
+    for field in doc["charts"][0]["frame"]:
+        for comp in field:
+            for term in comp:
+                term[0] *= 1e110
+    with np.errstate(over="raise"):
+        records = run_suites(Manifest.from_dict(doc, seed=42), "levi")
+    assert {rec.check_id: rec.verdict for rec in records}["levi/hb3/golden"] == "fail"
+    assert all(rec.verdict != "error" for rec in records)
+
+
 def test_box_contains_each_point():
     box = Box(np.array([-1.0, -2.0]), np.array([1.0, 2.0]))
     assert box.contains(np.array([1.0 + 1e-10, -2.0]))

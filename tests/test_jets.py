@@ -172,6 +172,15 @@ def test_polymap_tables_are_read_only():
         pm.partials[0, 0, 0] = 5.0
 
 
+def test_find_matches_the_sorter_route_for_every_key():
+    for dim in range(1, 8):
+        for order in range(1, 9):
+            s = jet_space(dim, order)
+            route = s.key_order[np.searchsorted(s.keys, s.keys, sorter=s.key_order)]
+            np.testing.assert_array_equal(s.find(s.keys), route)
+            np.testing.assert_array_equal(route, np.arange(s.size))
+
+
 @functools.lru_cache(maxsize=None)
 def product_table(s):
     """The rows (a, b, out) of every product term of the space, one column
