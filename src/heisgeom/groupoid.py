@@ -241,9 +241,10 @@ def composition_limit_check(chart: GroupoidChart, x, X, Y, ts) -> list:
     hm_x = chart.eps(x)
     target = TangentGroup.from_matrix(hm_x.levi).mul(X, Y)
     disp_z = hm_x.inverse_displacement(dilate(ts[:, None], X))
-    n = domain.leading_inside(x + disp_z)
-    disp_q = chart.eps(x + disp_z[:n, 0]).inverse_displacement(dilate(ts[:n], Y))[:, None]
-    n_end = domain.leading_inside(x + disp_z[:n] + disp_q)
+    z = x + disp_z
+    n = domain.leading_inside(z)
+    disp_q = chart.eps(z[:n, 0]).inverse_displacement(dilate(ts[:n], Y))[:, None]
+    n_end = domain.leading_inside(z[:n] + disp_q)
     if n_end < n:
         raise FrameError(f"endpoint leaves the domain at t={ts[n_end]}; shrink the grid")
     if n < len(ts):
@@ -258,8 +259,9 @@ def psi_composition_check(chart: GroupoidChart, u, v, w, ts) -> list:
     u, v, w, ts = _arrays(u, v, w, ts)
     hm_u = chart.eps(u)
     disp_z = dilate(ts[:, None], v) @ hm_u.A_inv.T
-    n = chart.frame.domain.leading_inside(u + disp_z)
-    hm_z = chart.eps(u + disp_z[:n, 0])
+    z = u + disp_z
+    n = chart.frame.domain.leading_inside(z)
+    hm_z = chart.eps(z[:n, 0])
     if n < len(ts):
         raise FrameError(f"middle point leaves the domain at t={ts[n]}; shrink the grid")
     disp_q = dilate(ts[:, None], w) @ hm_z.A_inv.mT
