@@ -23,6 +23,7 @@ import numpy as np
 from .fields import FrameError, HFrame, VectorField, bracket, pushforward_field
 from .group import GradedShear, per_map, weight_vector
 from .jets import PolyMap, jet_space
+from .rates import worst_abs
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,12 +183,9 @@ class HeisenbergMap:
         order = 4
         shear_pm = self.shear.as_polymap(order)
         shear_inv_pm = self.shear_inv.as_polymap(order)
+        pushed = (pushforward_field(shear_pm, shear_inv_pm, Xu, order=order) for Xu in self.dilation_model_frame(order))
         want = self.model_frame(order)
-        worst = 0.0
-        for Xu, Xm in zip(self.dilation_model_frame(order), want):
-            pushed = pushforward_field(shear_pm, shear_inv_pm, Xu, order=order)
-            worst = max(worst, float(np.max(np.abs(pushed.components.coeffs - Xm.components.coeffs))))
-        return worst
+        return worst_abs(*(Xh.components.coeffs - Xm.components.coeffs for Xh, Xm in zip(pushed, want)))
 
 
 def _linear_transverse_tables(coef: np.ndarray, order: int):
@@ -303,7 +301,8 @@ def dilation_limit_check(X: VectorField, frame: HFrame, m, ts) -> list:
     grid `sample_box(0.8, 3, dim)` of the residual field t^w delta_t^* X - X^m.
     The claim is that the trace decays at least linearly in t, or vanishes
     identically for exactly homogeneous fields; the caller fits it.  Only
-    the monomials where the pushed field or X^m is nonzero are evaluated.
+    the monomials where the pushed field or X^m is nonzero are evaluated.  A
+    NaN in the residual field makes that t's residual NaN.
     """
     m = np.asarray(m, dtype=float)
     hm = heisenberg_map(frame, m)
@@ -322,12 +321,6 @@ def dilation_limit_check(X: VectorField, frame: HFrame, m, ts) -> list:
     mono_w = space.exponents[cols] @ w
     mono = space.monomials(sample_box(0.8, 3, dim), cols)
 
-    residuals = []
-    for t in ts:
-        worst = 0.0
-        for i in range(dim):
-            scaled = coeffs[i] * t ** (mf.weight + mono_w - w[i])
-            diff = scaled - want[i]
-            worst = max(worst, float(np.max(np.abs(mono @ diff))))
-        residuals.append(worst)
-    return residuals
+    return [
+        worst_abs(*(mono @ (coeffs[i] * t ** (mf.weight + mono_w - w[i]) - want[i]) for i in range(dim))) for t in ts
+    ]

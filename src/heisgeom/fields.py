@@ -8,12 +8,12 @@ the X_0-coefficient is L_jk.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .jets import Jet, JetError, PolyMap, check_compatible, mul_rows
+from .rates import worst_abs
 
 
 class FrameError(ValueError):
@@ -194,13 +194,14 @@ class HFrame:
     def check_invertible(self, x, B=None):
         """Determinant guard at each point of x (..., dim): |det(B / max|B|)|
         must exceed 1e-8, a test that does not depend on the scale of B and
-        cannot overflow; returns those determinants.  Pass B when B(x) is
-        already at hand.  The error names the first singular point."""
+        cannot overflow, and that a non-finite B fails; returns those
+        determinants.  Pass B when B(x) is already at hand.  The error names
+        the first singular point."""
         x = np.asarray(x, dtype=float)
         B = self.matrix_at(x) if B is None else B
         scale = np.maximum(np.max(np.abs(B), axis=(-2, -1), initial=0.0), 1e-300)
         det = np.linalg.det(B / scale[..., None, None])
-        bad = np.abs(det) <= 1e-8
+        bad = ~(np.abs(det) > 1e-8)  # a NaN determinant is singular too
         if bad.any():
             i = np.flatnonzero(bad)[0]
             at = x.reshape(-1, self.dim)[i]
@@ -222,65 +223,64 @@ def _stack(fields) -> PolyMap:
     return PolyMap._of(first.space, np.concatenate([f.components.coeffs for f in fields]), first.base)
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """Frame-relative Levi matrix L with L_jk the X_0-part of [X_j, X_k]."""
-
-    L: np.ndarray
-
-    def __post_init__(self):
-        L = np.asarray(self.L, dtype=float)
-        if L.ndim != 2 or L.shape[0] != L.shape[1]:
-            raise ValueError("structure constants must form a square matrix")
-        skew = np.max(np.abs(L + L.T), initial=0.0)
-        if skew > 1e-10:
-            raise ValueError(f"Levi matrix not antisymmetric: |L + L^t| = {skew:.3e}")
-        L.setflags(write=False)
-        object.__setattr__(self, "L", L)
-
-    @property
-    def d(self) -> int:
-        return self.L.shape[0]
-
-
 class LeviForm:
     """Bracket fields of a frame, built once; their coefficient tables are
     concatenated after the frame's in one map, so one monomial vector at m
-    gives B(m) and every [X_j, X_k](m)."""
+    gives B(m) and every [X_j, X_k](m).
+
+    `matrix` and `raw_matrix` take one point m (dim,) or a batch (..., dim)
+    and return L (d, d) or one per point (..., d, d).  Each point takes its
+    own matrix-vector product and each point and pair its own
+    `np.linalg.solve`, so a batch equals one call per point bit for bit.
+    """
 
     def __init__(self, frame: HFrame):
         self.frame = frame
-        self._pairs = list(itertools.combinations(range(1, frame.d + 1), 2))
-        brackets = [bracket(frame.fields[j], frame.fields[k]) for j, k in self._pairs]
+        self._pairs = np.triu_indices(frame.d, 1)  # (j, k) of each bracket, 0-based, j < k
+        brackets = [bracket(frame.fields[j + 1], frame.fields[k + 1]) for j, k in zip(*self._pairs)]
         self._stacked = _stack(frame.fields + tuple(brackets))
 
     def _at(self, m):
-        """B(m) and the bracket vectors at m, one per row."""
-        vals = (self._stacked.coeffs @ self._stacked.monomials(m)).reshape(-1, self.frame.dim)
-        return vals[: self.frame.dim], vals[self.frame.dim :]
+        """B(m) and the bracket vectors at m, one per row: (..., dim, dim) and
+        (..., pairs, dim)."""
+        dim = self.frame.dim
+        mono = self._stacked.monomials(m)[..., None]
+        vals = (self._stacked.coeffs @ mono).reshape(mono.shape[:-2] + (-1, dim))
+        return vals[..., :dim, :], vals[..., dim:, :]
 
-    def matrix(self, m) -> StructureConstants:
+    def _x0(self, B, vectors) -> np.ndarray:
+        """The X_0-coefficient of each vector (..., n, dim) over the frame B
+        at its point, one solve per point and vector: (..., n)."""
+        return np.linalg.solve(B.mT[..., None, :, :], vectors[..., None])[..., 0, 0]
+
+    def _assemble(self, upper, lower) -> np.ndarray:
+        """L from its entries L_jk (upper) and L_kj (lower), j < k."""
+        j, k = self._pairs
+        L = np.zeros(upper.shape[:-1] + (self.frame.d, self.frame.d))
+        L[..., j, k] = upper
+        L[..., k, j] = lower
+        return L
+
+    def matrix(self, m) -> np.ndarray:
+        """L at each point of m, after the domain and determinant guards; the
+        lower triangle is the negated upper one."""
         frame = self.frame
-        if not frame.domain.contains(m):
-            raise FrameError(f"point {np.asarray(m)} outside the frame domain")
+        m = np.asarray(m, dtype=float)
+        inside = frame.domain.contains(m)
+        if not np.all(inside):
+            raise FrameError(f"point {m[~inside][0]} outside the frame domain")
         B, brackets = self._at(m)
         frame.check_invertible(m, B=B)
-        L = np.zeros((frame.d, frame.d))
-        for (j, k), v in zip(self._pairs, brackets):
-            omega = np.linalg.solve(B.T, v)
-            L[j - 1, k - 1] = omega[0]
-            L[k - 1, j - 1] = -omega[0]
-        return StructureConstants(L)
+        upper = self._x0(B, brackets)
+        return self._assemble(upper, -upper)
 
     def raw_matrix(self, m) -> np.ndarray:
-        """L without the antisymmetry validation (both triangles solved
-        independently; used by the antisymmetry check itself)."""
-        B, brackets = self._at(m)
-        L = np.zeros((self.frame.d, self.frame.d))
-        for (j, k), v in zip(self._pairs, brackets):
-            L[j - 1, k - 1] = np.linalg.solve(B.T, v)[0]
-            L[k - 1, j - 1] = np.linalg.solve(B.T, -v)[0]
-        return L
+        """L without the guards, both triangles solved independently (used by
+        the antisymmetry check itself)."""
+        B, brackets = self._at(np.asarray(m, dtype=float))
+        both = self._x0(B, np.concatenate([brackets, -brackets], axis=-2))
+        n = brackets.shape[-2]
+        return self._assemble(both[..., :n], both[..., n:])
 
 
 def pushforward_field(fwd: PolyMap, inv: PolyMap, X: VectorField, order: int | None = None) -> VectorField:
@@ -338,11 +338,10 @@ def pushforward_preserves_H(
         D = phi.jacobian(x)
         basis_dst = frame_dst.basis_at(y)
         frame_dst.check_invertible(y, B=basis_dst.T)
-        worst = 0.0
+        ratios = []
         for j in range(1, frame_src.dim):
             omega = np.linalg.solve(basis_dst, D @ frame_src.fields[j](x))
             denom = np.linalg.norm(omega)
-            if denom > 0:
-                worst = max(worst, abs(omega[0]) / denom)
-        res[idx] = worst
+            ratios.append(omega[0] / denom if denom != 0 else 0.0)  # NaN stays NaN
+        res[idx] = worst_abs(*ratios)
     return PreservationReport(float(res.max(initial=0.0)), res, tol)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import StructureConstants
 from .jets import PolyMap
 
 
@@ -71,21 +70,26 @@ def pseudo_norm(x) -> np.ndarray | float:
 
 @dataclass(frozen=True, eq=False)
 class TangentGroup:
-    """Tangent group with frame-relative structure constants L."""
+    """The tangent group of one fibre: the frame-relative Levi matrix L, with
+    L_jk the X_0-part of [X_j, X_k], a (d, d) array.  L must be square,
+    finite and antisymmetric to within 1e-10; a NaN or an infinity in L
+    fails that test rather than passing it."""
 
-    constants: StructureConstants
+    L: np.ndarray
 
-    @classmethod
-    def from_matrix(cls, L) -> "TangentGroup":
-        return cls(StructureConstants(np.asarray(L, dtype=float)))
-
-    @property
-    def L(self) -> np.ndarray:
-        return self.constants.L
+    def __post_init__(self):
+        L = np.asarray(self.L, dtype=float)
+        if L.ndim != 2 or L.shape[0] != L.shape[1]:
+            raise ValueError("structure constants must form a square matrix")
+        skew = np.max(np.abs(L + L.T), initial=0.0)  # NaN for a NaN or a +-inf in L
+        if not skew <= 1e-10:
+            raise ValueError(f"Levi matrix not finite and antisymmetric: |L + L^t| = {skew:.3e}")
+        L.setflags(write=False)
+        object.__setattr__(self, "L", L)
 
     @property
     def d(self) -> int:
-        return self.constants.d
+        return self.L.shape[0]
 
     @property
     def dim(self) -> int:

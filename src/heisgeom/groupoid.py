@@ -239,7 +239,7 @@ def composition_limit_check(chart: GroupoidChart, x, X, Y, ts) -> list:
     x, X, Y, ts = _arrays(x, X, Y, ts)
     domain = chart.frame.domain
     hm_x = chart.eps(x)
-    target = TangentGroup.from_matrix(hm_x.levi).mul(X, Y)
+    target = TangentGroup(hm_x.levi).mul(X, Y)
     disp_z = hm_x.inverse_displacement(dilate(ts[:, None], X))
     z = x + disp_z
     n = domain.leading_inside(z)

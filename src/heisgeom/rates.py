@@ -1,5 +1,5 @@
 """Log-log convergence-rate fitting shared by the coordinate, approximation
-and groupoid checks."""
+and groupoid checks, and the one reduction every residual goes through."""
 
 from __future__ import annotations
 
@@ -13,15 +13,26 @@ class RateError(ValueError):
     """Not enough usable residuals to fit a rate."""
 
 
+def worst_abs(*parts, least: bool = False) -> float:
+    """The largest |entry| over every part (arrays or numbers), or with
+    `least` the smallest; 0.0 (least: inf) when there is no entry.  A NaN
+    anywhere makes the result NaN, which fails every `worst < tol` test;
+    Python's own max and min drop a NaN that is not their first argument,
+    and would read a broken input as a pass."""
+    reduce, start = (np.min, np.inf) if least else (np.max, 0.0)
+    return float(reduce([reduce(np.abs(p), initial=start) for p in parts], initial=start))
+
+
 def rate_fit(ts, residuals, zero_floor: float, slope_min: float) -> float:
     """Least-squares slope of log residual against log t at the small-t end.
 
-    Residuals at or below `zero_floor` are treated as exactly zero; when all
-    of them vanish the decay is reported as exact (slope = +inf).  When fewer
-    than four exceed it, every positive residual is fitted: noise under the
-    floor is flat or rises as t falls, so it still fails.  Fewer than four
-    positive residuals raise.  On the decreasing t grid, the fit takes the
-    longest small-t suffix of the fitted residuals in which every local slope
+    A residual that is not finite raises.  Residuals at or below `zero_floor`
+    are treated as exactly zero; when all of them vanish the decay is
+    reported as exact (slope = +inf).  When fewer than four exceed it, every
+    positive residual is fitted: noise under the floor is flat or rises as t
+    falls, so it still fails.  Fewer than four positive residuals raise.  On
+    the decreasing t grid, the fit takes the longest small-t suffix of the
+    fitted residuals in which every local slope
     log(r_k / r_{k+1}) / log(t_k / t_{k+1}) is at least `slope_min`, and
     never fewer than the last four.  A least-squares slope is an average of
     the local slopes with positive weights, so when four or more points
@@ -34,6 +45,8 @@ def rate_fit(ts, residuals, zero_floor: float, slope_min: float) -> float:
         raise RateError("need matching 1-d arrays of t values and residuals")
     if np.any(ts <= 0) or np.any(residuals < 0):
         raise RateError("t values must be positive and residuals nonnegative")
+    if not np.all(np.isfinite(residuals)):
+        raise RateError("residual trace is not finite")
     keep = residuals > zero_floor
     if not np.any(keep):
         return math.inf

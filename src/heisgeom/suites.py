@@ -2,7 +2,12 @@
 stable id, a registry anchor, an inputs digest and a pass/fail/flagged/error
 verdict.  Checks run one after another in the calling thread; a check whose
 body raises becomes an `error` record and the run goes on.  The record list
-is sorted by id."""
+is sorted by id.
+
+A check body evaluates the Levi matrices and Heisenberg maps of all its base
+points in one batched call, which equals one call per point bit for bit.
+Every residual goes through `rates.worst_abs`, which keeps a NaN, and a
+record whose residuals are not all finite never reads pass or flagged."""
 
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ import numpy as np
 from . import approx, coords, group, groupoid
 from .fields import FrameError, LeviForm, pushforward_preserves_H
 from .manifests import Manifest, ValidationError
-from .rates import RateReport, default_t_grid, fit_report
+from .rates import RateReport, default_t_grid, fit_report, worst_abs
 
 ANCHORS = {
     "levi-form.antisymmetry": "Levi matrix is antisymmetric at every sampled point",
@@ -206,15 +211,19 @@ class SuiteRunner:
 
     def record(self, check_id: str, anchor: str, body) -> CheckRecord:
         """Run one check body; any exception but a `ValidationError` becomes
-        an `error` record."""
+        an `error` record, and a pass or flag with a residual that is not
+        finite becomes a `fail`."""
         try:
             out = body()
         except ValidationError:
             raise
         except Exception as exc:
             out = Outcome({"check": check_id}, "error", value={"error": type(exc).__name__, "message": str(exc)})
+        verdict = out.verdict
+        if verdict != "error" and not np.all(np.isfinite(out.residuals)):
+            verdict = "fail"
         digest = _digest({"manifest": self.manifest.name, **out.inputs})
-        return CheckRecord(check_id, anchor, digest, out.verdict, out.residuals, out.slope, out.value)
+        return CheckRecord(check_id, anchor, digest, verdict, out.residuals, out.slope, out.value)
 
     def run(self, suites) -> list:
         checks = [c for suite in suites for c in self.collect(suite)]
@@ -229,20 +238,18 @@ class SuiteRunner:
         @check(f"levi/{name}/antisymmetry", "levi-form.antisymmetry")
         def antisymmetry():
             pts = self.base_points(name)
-            worst = 0.0
-            for m in pts:
-                raw = lf.raw_matrix(m)
-                worst = max(worst, float(np.max(np.abs(raw + raw.T), initial=0.0)))
+            raw = lf.raw_matrix(pts)
+            worst = worst_abs(raw + raw.mT)
             return Outcome({"chart": name, "points": len(pts)}, _verdict(worst < tol["levi_antisym"]), (worst,))
 
         @check(f"levi/{name}/bracket-fd", "levi-form.bracket-definition")
         def bracket_fd():
             frame = chart.frame
             h = 1e-5
-            worst = 0.0
-            for m in self.base_points(name, limit=4):
+            pts = self.base_points(name, limit=4)
+            diffs = []
+            for m, L in zip(pts, lf.matrix(pts)):
                 basis = frame.basis_at(m)
-                L = lf.matrix(m).L
                 for j in range(1, frame.dim):
                     for k in range(j + 1, frame.dim):
                         Xj, Xk = frame.fields[j], frame.fields[k]
@@ -255,7 +262,8 @@ class SuiteRunner:
                             J_j[:, a] = (Xj(m + e) - Xj(m - e)) / (2 * h)
                         br = J_k @ Xj(m) - J_j @ Xk(m)
                         omega = np.linalg.solve(basis, br)
-                        worst = max(worst, abs(omega[0] - L[j - 1, k - 1]))
+                        diffs.append(omega[0] - L[j - 1, k - 1])
+            worst = worst_abs(diffs)
             return Outcome({"chart": name, "h": h}, _verdict(worst < tol["levi_fd"]), (worst,))
 
         if chart.expected_levi is None:
@@ -264,18 +272,13 @@ class SuiteRunner:
         @check(f"levi/{name}/golden", "levi-form.golden")
         def golden():
             pts = self.base_points(name)
-            worst = 0.0
-            sample_L = None
-            for m in pts:
-                L = lf.matrix(m).L
-                if sample_L is None:
-                    sample_L = L
-                worst = max(worst, float(np.max(np.abs(L - chart.expected_levi))))
+            L = lf.matrix(pts)
+            worst = worst_abs(L - chart.expected_levi)
             return Outcome(
                 {"chart": name, "points": len(pts)},
                 _verdict(worst < tol["levi_golden"]),
                 (worst,),
-                value={"levi": [[round(v, 12) for v in row] for row in sample_L.tolist()]},
+                value={"levi": [[round(v, 12) for v in row] for row in L[0].tolist()]},
             )
 
     # -- coords -----------------------------------------------------------------
@@ -288,35 +291,32 @@ class SuiteRunner:
         @check(f"coords/{name}/b-levi", "privileged.b-vs-levi")
         def b_levi():
             pts = self.base_points(name)
-            worst = 0.0
-            for m in pts:
-                b = coords.heisenberg_map(frame, m).b
-                worst = max(worst, float(np.max(np.abs(b.T - b - lf.matrix(m).L))))
+            b = coords.heisenberg_map(frame, pts).b
+            worst = worst_abs(b.mT - b - lf.matrix(pts))
             return Outcome({"chart": name, "points": len(pts)}, _verdict(worst < tol["b_levi"]), (worst,))
 
         @check(f"coords/{name}/normalization", "privileged.normalization")
         def normalization():
-            worst = 0.0
-            for m in self.base_points(name, limit=8):
-                pm = coords.privileged_map(frame, m)
-                worst = max(worst, float(np.max(np.abs(pm.A @ frame.matrix_at(m).T - np.eye(frame.dim)))))
-                worst = max(worst, float(np.max(np.abs(pm.forward(m)))))
-                bj = pm.b_matrix()
-                worst = max(worst, float(np.max(np.abs(bj - coords.heisenberg_map(frame, m).b))))
+            pts = self.base_points(name, limit=8)
+            pms = [coords.privileged_map(frame, m) for m in pts]
+            worst = worst_abs(
+                *(pm.A @ B.T - np.eye(frame.dim) for pm, B in zip(pms, frame.matrix_at(pts))),
+                *(pm.forward(m) for pm, m in zip(pms, pts)),
+                np.array([pm.b_matrix() for pm in pms]) - coords.heisenberg_map(frame, pts).b,
+            )
             return Outcome({"chart": name}, _verdict(worst < tol["normalization"]), (worst,))
 
         @check(f"coords/{name}/model-fields", "heisenberg-coords.model-fields")
         def model_fields():
-            worst = 0.0
-            for m in self.base_points(name, limit=8):
-                worst = max(worst, coords.heisenberg_map(frame, m).pushed_model_residual())
+            hms = (coords.heisenberg_map(frame, m) for m in self.base_points(name, limit=8))
+            worst = worst_abs(*(hm.pushed_model_residual() for hm in hms))
             return Outcome({"chart": name}, _verdict(worst < tol["model_fields"]), (worst,))
 
         @check(f"coords/{name}/model-structure", "model-fields.structure-constants")
         def model_structure():
             from .fields import bracket
 
-            worst = 0.0
+            parts = []
             for m in self.base_points(name, limit=4):
                 hm = coords.heisenberg_map(frame, m)
                 fields = hm.dilation_model_frame(3)
@@ -325,15 +325,14 @@ class SuiteRunner:
                     for k in range(1, frame.dim):
                         got = bracket(fields[j], fields[k]).components.coeffs.copy()
                         got[0, 0] -= L[j - 1, k - 1]
-                        worst = max(worst, float(np.max(np.abs(got))))
+                        parts.append(got)
+            worst = worst_abs(*parts)
             return Outcome({"chart": name}, _verdict(worst < tol["model_structure"]), (worst,))
 
         @check(f"coords/{name}/shear-grading", "heisenberg-coords.shear-grading")
         def shear_grading():
-            worst = 0.0
-            for m in self.base_points(name, limit=8):
-                hm = coords.heisenberg_map(frame, m)
-                worst = max(worst, coords.graded_weight_violation(hm.shear.as_polymap(2)))
+            hms = (coords.heisenberg_map(frame, m) for m in self.base_points(name, limit=8))
+            worst = worst_abs(*(coords.graded_weight_violation(hm.shear.as_polymap(2)) for hm in hms))
             return Outcome({"chart": name}, _verdict(worst < tol["shear_grading"]), (worst,))
 
         @check(f"coords/{name}/dilation-exact", "nilpotent-approx.dilation-limit")
@@ -362,8 +361,7 @@ class SuiteRunner:
         n_tuples = int(self.manifest.samples["tuples"])
 
         def group_at_sample():
-            m = self.base_points(name, limit=1)[0]
-            return group.TangentGroup.from_matrix(lf.matrix(m).L)
+            return group.TangentGroup(lf.matrix(self.base_points(name, limit=1)[0]))
 
         @check(f"group/{name}/axioms", "tangent-group.axioms")
         def axioms():
@@ -371,9 +369,9 @@ class SuiteRunner:
             rng = rng_for(seed, f"group/{name}/axioms")
             G = group_at_sample()
             x, y, z = rng.uniform(-2, 2, (3, n_tuples, d + 1))
-            worst = float(np.max(np.abs(G.mul(G.mul(x, y), z) - G.mul(x, G.mul(y, z)))))
-            worst = max(worst, float(np.max(np.abs(G.mul(x, np.zeros(d + 1)) - x))))
-            worst = max(worst, float(np.max(np.abs(G.mul(x, G.inverse(x))))))
+            worst = worst_abs(
+                G.mul(G.mul(x, y), z) - G.mul(x, G.mul(y, z)), G.mul(x, np.zeros(d + 1)) - x, G.mul(x, G.inverse(x))
+            )
             return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["group_axioms"]), (worst,))
 
         @check(f"group/{name}/dilation-automorphism", "tangent-group.dilations")
@@ -382,12 +380,8 @@ class SuiteRunner:
             rng = rng_for(seed, f"group/{name}/dilations")
             G = group_at_sample()
             x, y = rng.uniform(-2, 2, (2, n_tuples, d + 1))
-            worst = 0.0
-            for t in (-1.0, 0.5, 2.0, 10.0):
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(group.dilate(t, G.mul(x, y)) - G.mul(group.dilate(t, x), group.dilate(t, y))))),
-                )
+            dil = group.dilate
+            worst = worst_abs(*(dil(t, G.mul(x, y)) - G.mul(dil(t, x), dil(t, y)) for t in (-1.0, 0.5, 2.0, 10.0)))
             return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["group_axioms"]), (worst,))
 
         @check(f"group/{name}/commutator", "tangent-group.commutator")
@@ -398,8 +392,7 @@ class SuiteRunner:
             x, y = rng.uniform(-2, 2, (2, n_tuples, d + 1))
             comm = G.commutator(x, y)
             want = np.einsum("nj,jk,nk->n", x[:, 1:], G.L, y[:, 1:])
-            worst = float(np.max(np.abs(comm[:, 0] - want)))
-            worst = max(worst, float(np.max(np.abs(comm[:, 1:]))))
+            worst = worst_abs(comm[:, 0] - want, comm[:, 1:])
             return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["commutator"]), (worst,))
 
         @check(f"group/{name}/pseudo-norm", "pseudo-norm.homogeneity")
@@ -407,12 +400,9 @@ class SuiteRunner:
             seed = self._needs_seed()
             rng = rng_for(seed, f"group/{name}/pseudo")
             x = rng.uniform(-2, 2, (n_tuples, d + 1))
-            worst = 0.0
-            for t in (-3.0, 0.25, 7.0):
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(group.pseudo_norm(group.dilate(t, x)) - abs(t) * group.pseudo_norm(x)))),
-                )
+            worst = worst_abs(
+                *(group.pseudo_norm(group.dilate(t, x)) - abs(t) * group.pseudo_norm(x) for t in (-3.0, 0.25, 7.0))
+            )
             return Outcome({"chart": name, "seed": seed}, _verdict(worst < tol["pseudo_norm"]), (worst,))
 
         @check(f"group/{name}/shear-transport", "graded-shear.transport")
@@ -424,14 +414,14 @@ class SuiteRunner:
             csym = rng.uniform(-1, 1, (d, d))
             shear = group.GradedShear((csym + csym.T) / 2)
             pairs = rng.uniform(-2, 2, (100, 2, d + 1))
-            worst = group.shear_homomorphism_residual(shear, b, pairs)
             normal = group.GradedShear(-(b + b.T) / 2)
-            worst = max(worst, group.shear_homomorphism_residual(normal, b, pairs))
-            bnew = normal.transport(b)
-            worst_norm = float(np.max(np.abs(bnew - (b - b.T) / 2)))
+            worst = worst_abs(
+                group.shear_homomorphism_residual(shear, b, pairs), group.shear_homomorphism_residual(normal, b, pairs)
+            )
+            worst_norm = worst_abs(normal.transport(b) - (b - b.T) / 2)
             return Outcome(
                 {"chart": name, "seed": seed},
-                _verdict(max(worst, worst_norm) < tol["shear_homomorphism"]),
+                _verdict(worst_abs(worst, worst_norm) < tol["shear_homomorphism"]),
                 (worst, worst_norm),
             )
 
@@ -442,27 +432,27 @@ class SuiteRunner:
         lf = self._levi[name]
         metrics = {"identity": None, **self.manifest.metrics}
 
+        @functools.cache
+        def fibres():
+            """The tangent group at each of 4 base points, from one batched
+            Levi matrix and shared by every metric; an exception is not
+            cached, so each check that asks becomes an `error` record."""
+            return [group.TangentGroup(L) for L in lf.matrix(self.base_points(name, limit=4))]
+
         def one_metric(mname):
             @check(f"classify/{name}/{mname}", "fiber-classification.adapted-frame")
             def classify():
-                worst = 0.0
-                flagged = False
-                label = None
-                rank = None
-                for m in self.base_points(name, limit=4):
-                    G = group.TangentGroup.from_matrix(lf.matrix(m).L)
-                    g = metrics[mname]
-                    cls = group.classify_fiber(G, metric=g)
-                    rel = cls.relations(G.L)
-                    worst = max(worst, float(np.max(np.abs(rel - group.canonical_constants(G.d, cls.n)))))
-                    flagged = flagged or cls.flagged
-                    label, rank = cls.label, cls.rank
+                Gs = fibres()
+                found = [group.classify_fiber(G, metric=metrics[mname]) for G in Gs]
+                rels = [cls.relations(G.L) - group.canonical_constants(G.d, cls.n) for G, cls in zip(Gs, found)]
+                worst = worst_abs(*rels)
+                label, rank = found[-1].label, found[-1].rank
                 ok = worst < tol["classify_relations"]
                 if chart.expected_type is not None:
                     ok = ok and label == chart.expected_type
                 return Outcome(
                     {"chart": name, "metric": mname},
-                    _verdict(ok, flagged),
+                    _verdict(ok, any(cls.flagged for cls in found)),
                     (worst,),
                     value={"label": label, "rank": rank},
                 )
@@ -474,12 +464,8 @@ class SuiteRunner:
 
         @check(f"classify/{name}/metric-independence", "fiber-classification.metric-independence")
         def metric_independence():
-            results = set()
-            for mname, g in metrics.items():
-                for m in self.base_points(name, limit=4):
-                    G = group.TangentGroup.from_matrix(lf.matrix(m).L)
-                    cls = group.classify_fiber(G, metric=g)
-                    results.add((cls.rank, cls.label))
+            found = [group.classify_fiber(G, metric=g) for g in metrics.values() for G in fibres()]
+            results = {(cls.rank, cls.label) for cls in found}
             return Outcome(
                 {"chart": name, "metrics": sorted(metrics)},
                 _verdict(len(results) == 1),
@@ -506,10 +492,10 @@ class SuiteRunner:
 
         @check(f"diffeo/{spec.name}/{kind}", f"diffeo-approx.{kind}")
         def quadratic():
-            worst = 0.0
-            for m in base:
-                conj = approx.conjugated_jets(spec.fwd, src, dst, m, order=self.manifest.jet_order)
-                worst = max(worst, float(np.max(np.abs(approx.horizontal_quadratic(conj)), initial=0.0)))
+            order = self.manifest.jet_order
+            worst = worst_abs(
+                *(approx.horizontal_quadratic(approx.conjugated_jets(spec.fwd, src, dst, m, order=order)) for m in base)
+            )
             ok = worst < tol["quad_coeffs"] if preserving else worst > tol["negative_control"]
             return Outcome({"diffeo": spec.name}, _verdict(ok), (worst,))
 
@@ -518,12 +504,9 @@ class SuiteRunner:
 
         @check(f"diffeo/{spec.name}/tangent-blocks", "tangent-map.block-structure")
         def blocks():
-            worst = 0.0
-            a00 = None
-            for m in base:
-                T = approx.tangent_map_H(spec.fwd, src, dst, m)
-                worst = max(worst, T.upper_residual)
-                a00 = T.a00
+            maps = [approx.tangent_map_H(spec.fwd, src, dst, m) for m in base]
+            worst = worst_abs(*(T.upper_residual for T in maps))
+            a00 = maps[-1].a00
             return Outcome({"diffeo": spec.name}, _verdict(worst < tol["preserve"]), (worst,), value={"a00": a00})
 
         @check(f"diffeo/{spec.name}/rate", "diffeo-approx.scaled-limit")
@@ -566,12 +549,14 @@ class SuiteRunner:
                     rows2.append((p, Y, 0.0))
             g1, g2 = _elements(rows1), _elements(rows2)
             comp = gchart.compose(g1, g2)
-            worst = float(np.max(np.abs(gchart.range_of(comp)[0] - gchart.range_of(g1)[0])))
-            worst = max(worst, float(np.max(np.abs(gchart.source_of(comp)[0] - gchart.source_of(g2)[0]))))
             left = gchart.compose(g1, gchart.iota(*gchart.source_of(g1)))
-            worst = max(worst, float(np.max(np.abs(left[1] - g1[1]))))
             unit = gchart.compose(g1, gchart.inverse(g1))
-            worst = max(worst, float(np.max(np.abs(unit[1] - gchart.iota(*gchart.range_of(g1))[1]))))
+            worst = worst_abs(
+                gchart.range_of(comp)[0] - gchart.range_of(g1)[0],
+                gchart.source_of(comp)[0] - gchart.source_of(g2)[0],
+                left[1] - g1[1],
+                unit[1] - gchart.iota(*gchart.range_of(g1))[1],
+            )
             return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["group_axioms"]), (worst,))
 
         @check(f"groupoid/{name}/chart-roundtrip", "groupoid-chart.roundtrip")
@@ -584,7 +569,7 @@ class SuiteRunner:
             # each sample at its t and, as a boundary element, at t = 0
             x, X, t = np.concatenate([x, x]), np.concatenate([X, X]), np.concatenate([t, 0.0 * t])
             back = gchart.gamma_inv(gchart.gamma(x, X, t))
-            worst = max(float(np.max(np.abs(got - want))) for got, want in zip(back, (x, X, t)))
+            worst = worst_abs(*(got - want for got, want in zip(back, (x, X, t))))
             return Outcome({"chart": name, "seed": seed}, _verdict(worst < tol["roundtrip"]), (worst,))
 
         @check(f"groupoid/{name}/rs-jacobian", "groupoid.range-source-submersion")
@@ -592,14 +577,14 @@ class SuiteRunner:
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/rs")
             p0 = self.base_points(name, limit=1)[0]
-            worst = np.inf
+            dets = []
             for _ in range(8):
                 x = p0 + rng.uniform(-0.3, 0.3, dim)
                 X = rng.uniform(-1, 1, dim)
                 t = float(rng.uniform(0.1, 1.0))
-                Jr, Js = gchart.rs_jacobians(x, X, t)
-                worst = min(worst, abs(np.linalg.det(Jr)), abs(np.linalg.det(Js)))
-            return Outcome({"chart": name, "seed": seed}, _verdict(worst > 1e-8), (float(worst),))
+                dets.extend(np.linalg.det(gchart.rs_jacobians(x, X, t)))
+            worst = worst_abs(dets, least=True)
+            return Outcome({"chart": name, "seed": seed}, _verdict(worst > 1e-8), (worst,))
 
         @check(f"groupoid/{name}/continuity", "groupoid.continuity-condition")
         def continuity():
@@ -622,7 +607,7 @@ class SuiteRunner:
         def composition_limit():
             seed = self._needs_seed()
             rng = rng_for(seed, f"groupoid/{name}/composition")
-            flat = bool(np.max(np.abs(self._levi[name].matrix(self.sweep_points(name)[0]).L)) < 1e-14)
+            flat = worst_abs(self._levi[name].matrix(self.sweep_points(name)[0])) < 1e-14
             reps = []
             for x in self.sweep_points(name):
                 X, Y = rng.uniform(-1, 1, (2, dim))
@@ -630,7 +615,7 @@ class SuiteRunner:
             worst_rep = _worst_rate(reps)
             ok = worst_rep.passed
             if flat:
-                ok = ok and max(rep.max_residual for rep in reps) < tol["flat_exact"]
+                ok = ok and worst_abs(*(rep.residuals for rep in reps)) < tol["flat_exact"]
             return Outcome({"chart": name, "seed": seed}, _verdict(ok), worst_rep.residuals, worst_rep.slope)
 
         @check(f"groupoid/{name}/psi-claim", "groupoid.privileged-composition-claim")
@@ -703,13 +688,10 @@ class SuiteRunner:
             image1 = morph.apply(g1)
             lhs = morph.apply(src_chart.compose(g1, g2))
             rhs = dst_chart.compose(image1, morph.apply(g2))
-            worst = float(np.max(np.abs(lhs[1] - rhs[1])))
             ru = morph.apply_unit(src_chart.range_of(g1))[0]
-            worst = max(worst, float(np.max(np.abs(ru - dst_chart.range_of(image1)[0]))))
             x, Xv, t = _elements(charted)
             x2, X2, t2 = dst_chart.gamma_inv(morph.apply(morph.gamma_precomposed(x, Xv, t)))
-            for got, want in ((x2, x), (X2, Xv), (t2, t)):
-                worst = max(worst, float(np.max(np.abs(got - want))))
+            worst = worst_abs(lhs[1] - rhs[1], ru - dst_chart.range_of(image1)[0], x2 - x, X2 - Xv, t2 - t)
             return Outcome({"diffeo": spec.name, "seed": seed}, _verdict(worst < tol["functor"]), (worst,))
 
 

@@ -65,6 +65,15 @@ def test_rate_fit_too_few_points():
         rate_fit([0.5, 0.25, 0.125], [2e-10, 1e-11, 5e-12], 1e-10, 0.85)
 
 
+def test_rate_fit_rejects_a_nonfinite_trace():
+    # an all-NaN trace is no exact decay (slope +inf); it cannot be fitted
+    ts = 2.0 ** -np.arange(2, 13)
+    with pytest.raises(RateError, match="not finite"):
+        fit_report(ts, [np.nan] * 11, 0.85, 1e-10)
+    with pytest.raises(RateError, match="not finite"):
+        rate_fit(ts, np.where(ts == 0.125, np.inf, 3.7 * ts), 1e-10, 0.85)
+
+
 def test_rate_fit_decay_that_crosses_the_floor_is_fitted():
     # the shape of the seed-2 darboux-change transition trace: a clean O(t)
     # decay from 1.3e-10 down to 1.3e-13, one point above the 1e-10 floor
@@ -185,7 +194,7 @@ def test_tangent_map_is_group_homomorphism():
     T = tangent_map_H(fwd, heisenberg_frame(), pushed, m)
     L_src = heisenberg_map(heisenberg_frame(), m).levi
     L_dst = heisenberg_map(pushed, fwd.eval(m)).levi
-    G1, G2 = TangentGroup.from_matrix(L_src), TangentGroup.from_matrix(L_dst)
+    G1, G2 = TangentGroup(L_src), TangentGroup(L_dst)
     rng = np.random.default_rng(21)
     for _ in range(50):
         x, y = rng.uniform(-2, 2, (2, 3))
@@ -294,7 +303,7 @@ def test_privileged_coordinates_not_group_morphism():
     # the identity is a Lie-algebra but not a group identification
     b = np.array([[1.0]])
     L = b.T - b
-    G = TangentGroup.from_matrix(L)
+    G = TangentGroup(L)
     x, y = np.array([0.0, 1.0]), np.array([0.0, 1.0])
     diff = np.max(np.abs(bilinear_mul(b, x, y) - G.mul(x, y)))
     assert diff > 0.5

@@ -4,6 +4,7 @@
 import copy
 import functools
 import json
+import math
 import operator
 
 import numpy as np
@@ -157,6 +158,27 @@ def test_singular_frame_is_validation_error(tmp_path, capsys):
     assert code == EXIT_VALIDATION_ERROR
     assert report is None
     assert "nearly singular" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_frame_never_reads_as_a_pass(tmp_path):
+    # every frame coefficient of heisenberg3 times 1e200, diffeos kept: the
+    # bracket products overflow, so the Levi matrix is NaN, and no check on
+    # it may pass with a residual or slope that is not finite
+    doc = builtin_doc("heisenberg3")
+    for field in doc["charts"][0]["frame"]:
+        for comp in field:
+            for term in comp:
+                term[0] *= 1e200
+    code, report = run(tmp_path, write_json(tmp_path, doc), "--suite", "all", "--seed", "42")
+    assert code == EXIT_CHECK_FAILED
+    verdicts = {rec["id"]: rec["verdict"] for rec in report["checks"]}
+    assert verdicts["levi/hb3/golden"] != "pass" and verdicts["coords/hb3/b-levi"] != "pass"
+    assert verdicts["coords/hb3/dilation-exact"] == verdicts["coords/hb3/dilation-perturbed"] == "error"
+    for rec in report["checks"]:
+        if rec["verdict"] == "pass":
+            assert all(math.isfinite(r) for r in rec["residuals"]), rec["id"]
+            assert rec.get("slope") is None or math.isfinite(rec["slope"]), rec["id"]
 
 
 def test_nonfinite_coefficient_is_validation_error(tmp_path, capsys):

@@ -111,7 +111,7 @@ def test_levi_equals_bt_minus_b():
         assert len(pts) >= 25 or frame.dim == 2
         for u in pts:
             b = heisenberg_map(frame, u).b
-            np.testing.assert_allclose(b.T - b, lf.matrix(u).L, atol=1e-10, err_msg=name)
+            np.testing.assert_allclose(b.T - b, lf.matrix(u), atol=1e-10, err_msg=name)
 
 
 def test_heisenberg_map_h3_is_affine():

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +10,15 @@ from heisgeom.fields import (
     FrameError,
     HFrame,
     LeviForm,
-    StructureConstants,
     VectorField,
     bracket,
     pushforward_field,
     pushforward_preserves_H,
 )
+from heisgeom.group import TangentGroup
 from heisgeom.jets import Jet, JetError, PolyMap, jet_space
+from heisgeom.manifests import Manifest, builtin_names, load_doc
+from heisgeom.suites import SuiteRunner, run_suites
 
 from conftest import (
     degenerate_frame,
@@ -34,6 +39,9 @@ from test_jets import (
     reference_partial,
     reference_rebased,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "heisbench"))
+from workloads import H7_NAME, REFERENCE_SEED, scale_h7_doc  # noqa: E402
 
 
 def fd_bracket(X, Y, m, h=1e-5):
@@ -107,7 +115,7 @@ def test_jacobi_identity(seed):
         np.testing.assert_allclose(c.coeffs, 0.0, atol=1e-10)
 
 
-def levi_matrix(frame: HFrame, m) -> StructureConstants:
+def levi_matrix(frame: HFrame, m) -> np.ndarray:
     """The Levi matrix of the frame at m, through a fresh LeviForm."""
     return LeviForm(frame).matrix(m)
 
@@ -115,19 +123,19 @@ def levi_matrix(frame: HFrame, m) -> StructureConstants:
 def test_levi_heisenberg3():
     frame = heisenberg_frame()
     for m in [np.zeros(3), np.array([0.3, -0.4, 0.9]), np.array([-1.0, 1.0, 0.5])]:
-        L = levi_matrix(frame, m).L
+        L = levi_matrix(frame, m)
         np.testing.assert_allclose(L, [[0.0, -2.0], [2.0, 0.0]], atol=1e-12)
 
 
 def test_levi_flat_foliation_vanishes():
     frame = flat_frame()
-    L = levi_matrix(frame, np.array([0.1, 0.2, -0.3])).L
+    L = levi_matrix(frame, np.array([0.1, 0.2, -0.3]))
     np.testing.assert_allclose(L, 0.0, atol=1e-14)
 
 
 def test_levi_heisenberg5_pattern():
     frame = heisenberg_frame(n=2)
-    L = levi_matrix(frame, np.array([0.2, -0.1, 0.4, 0.05, -0.3])).L
+    L = levi_matrix(frame, np.array([0.2, -0.1, 0.4, 0.05, -0.3]))
     expected = np.zeros((4, 4))
     expected[0, 2] = expected[1, 3] = -2.0
     expected[2, 0] = expected[3, 1] = 2.0
@@ -150,15 +158,15 @@ def test_levi_bilinearity_under_row_scaling():
         frame.domain,
     )
     m = np.array([0.2, 0.1, -0.6])
-    L = levi_matrix(frame, m).L
-    Ls = levi_matrix(scaled, m).L
+    L = levi_matrix(frame, m)
+    Ls = levi_matrix(scaled, m)
     np.testing.assert_allclose(Ls, np.diag([c1, c2]) @ L @ np.diag([c1, c2]), atol=1e-12)
 
 
 def test_levi_matches_finite_difference_oracle():
     for frame in [heisenberg_frame(), degenerate_frame()]:
         m = 0.3 * np.ones(frame.dim)
-        L = levi_matrix(frame, m).L
+        L = levi_matrix(frame, m)
         basis = frame.basis_at(m)
         for j in range(1, frame.dim):
             for k in range(j + 1, frame.dim):
@@ -174,8 +182,35 @@ def test_levi_out_of_domain():
 
 
 def test_structure_constants_validation():
-    with pytest.raises(ValueError):
-        StructureConstants(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="antisymmetric"):
+        TangentGroup(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="square"):
+        TangentGroup(np.zeros((2, 3)))
+    # a NaN or an infinity fails the antisymmetry test instead of slipping past it
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="not finite and antisymmetric"), np.errstate(invalid="ignore"):
+            TangentGroup(np.array([[0.0, bad], [-bad, 0.0]]))
+
+
+LEVI_CHARTS = [
+    (name, chart.name)
+    for name, doc in [*((n, load_doc(n)) for n in builtin_names()), (H7_NAME, scale_h7_doc(REFERENCE_SEED))]
+    for chart in Manifest.from_dict(doc).charts
+]
+
+
+@pytest.mark.parametrize("name,cname", LEVI_CHARTS, ids=[f"{n}-{c}" for n, c in LEVI_CHARTS])
+def test_levi_batch_equals_single_points(name, cname):
+    doc = scale_h7_doc(REFERENCE_SEED) if name == H7_NAME else load_doc(name)
+    manifest = Manifest.from_dict(doc, seed=REFERENCE_SEED)
+    lf, pts = LeviForm(manifest.chart(cname).frame), SuiteRunner(manifest).base_points(cname)
+    d = lf.frame.d
+    L, raw = lf.matrix(pts), lf.raw_matrix(pts)
+    assert L.shape == raw.shape == (len(pts), d, d)
+    for i, m in enumerate(pts):
+        assert np.array_equal(L[i], lf.matrix(m)) and np.array_equal(raw[i], lf.raw_matrix(m))
+    # a (k, n, dim) batch gives (k, n, d, d)
+    np.testing.assert_array_equal(lf.matrix(pts[:6].reshape(2, 3, -1)), L[:6].reshape(2, 3, d, d))
 
 
 @pytest.mark.parametrize(
@@ -222,6 +257,17 @@ def test_frame_singular_guard():
     np.testing.assert_array_equal(frame.check_invertible(pts[:1]), [np.linalg.det(frame.matrix_at(pts[0]))])
 
 
+def test_frame_singular_guard_rejects_a_nonfinite_frame_matrix():
+    # X_i = 1e308 (1 + x_0) d_i: B(x) overflows to diag(inf) at x_0 = 0.9, so
+    # B / max|B| holds NaN and so does its determinant
+    zero, x0 = (0, 0, 0), unit_exp(3, 0)
+    frame = HFrame(tuple(poly_field(3, 3, {i: {zero: 1e308, x0: 1e308}}) for i in range(3)), sym_box(3))
+    frame.check_invertible(np.array([0.5, 0.0, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FrameError, match=r"singular at \[0\.9 0\.  0\. \]: det\(B/max\|B\|\)=nan"):
+            frame.check_invertible(np.array([[0.5, 0.0, 0.0], [0.9, 0.0, 0.0]]))
+
+
 def test_frame_singular_guard_is_scale_free():
     # every coefficient times 1e110: max|B|^dim would overflow to inf at dim 3
     frame = heisenberg_frame()
@@ -236,9 +282,6 @@ def test_frame_singular_guard_is_scale_free():
 
 
 def test_scaled_heisenberg3_levi_checks_are_records_not_errors():
-    from heisgeom.manifests import Manifest, load_doc
-    from heisgeom.suites import run_suites
-
     doc = load_doc("heisenberg3")
     for field in doc["charts"][0]["frame"]:
         for comp in field:

@@ -17,7 +17,7 @@ from heisgeom.group import (
 
 from conftest import h3_mul
 
-H3 = TangentGroup.from_matrix([[0.0, -2.0], [2.0, 0.0]])
+H3 = TangentGroup([[0.0, -2.0], [2.0, 0.0]])
 
 
 def random_L(rng, d):
@@ -45,7 +45,7 @@ def test_identity_element():
 
 
 def test_abelian_when_levi_vanishes():
-    G = TangentGroup.from_matrix(np.zeros((3, 3)))
+    G = TangentGroup(np.zeros((3, 3)))
     rng = np.random.default_rng(2)
     x, y = rng.uniform(-1, 1, (2, 4))
     np.testing.assert_allclose(G.mul(x, y), x + y, atol=0)
@@ -55,7 +55,7 @@ def test_inverse_golden_and_random():
     np.testing.assert_allclose(H3.inverse([0.0, 1.0, 1.0]), [0.0, -1.0, -1.0], atol=0)
     np.testing.assert_allclose(H3.mul([0.0, 1.0, 1.0], [0.0, -1.0, -1.0]), np.zeros(3), atol=1e-15)
     rng = np.random.default_rng(3)
-    G = TangentGroup.from_matrix(random_L(rng, 4))
+    G = TangentGroup(random_L(rng, 4))
     x = rng.uniform(-3, 3, 5)
     np.testing.assert_allclose(G.mul(x, G.inverse(x)), np.zeros(5), atol=1e-13)
     np.testing.assert_allclose(G.inverse(np.zeros(5)), np.zeros(5), atol=0)
@@ -65,7 +65,7 @@ def test_inverse_golden_and_random():
 @given(st.integers(0, 2**31 - 1), st.integers(1, 4))
 def test_associativity_random(seed, d):
     rng = np.random.default_rng(seed)
-    G = TangentGroup.from_matrix(random_L(rng, d))
+    G = TangentGroup(random_L(rng, d))
     x, y, z = rng.uniform(-2, 2, (3, d + 1))
     np.testing.assert_allclose(G.mul(G.mul(x, y), z), G.mul(x, G.mul(y, z)), atol=1e-12)
 
@@ -81,7 +81,7 @@ def test_dilation_examples():
 def test_dilation_automorphism(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 5))
-    G = TangentGroup.from_matrix(random_L(rng, d))
+    G = TangentGroup(random_L(rng, d))
     x, y = rng.uniform(-2, 2, (2, d + 1))
     for t in (-1.0, 0.5, 2.0, 10.0):
         np.testing.assert_allclose(
@@ -92,7 +92,7 @@ def test_dilation_automorphism(seed):
 def test_commutator_slot_formula():
     rng = np.random.default_rng(8)
     for d in (2, 3, 4):
-        G = TangentGroup.from_matrix(random_L(rng, d))
+        G = TangentGroup(random_L(rng, d))
         x, y = rng.uniform(-2, 2, (2, d + 1))
         c = G.commutator(x, y)
         np.testing.assert_allclose(c[1:], 0.0, atol=1e-13)
@@ -123,7 +123,7 @@ def test_classify_h3():
 
 
 def test_classify_abelian():
-    G = TangentGroup.from_matrix(np.zeros((3, 3)))
+    G = TangentGroup(np.zeros((3, 3)))
     cls = classify_fiber(G)
     assert cls.rank == 0 and cls.label == "R4"
 
@@ -131,14 +131,14 @@ def test_classify_abelian():
 def test_classify_degenerate_rank2():
     L = np.zeros((4, 4))
     L[0, 1], L[1, 0] = -2.0, 2.0
-    cls = classify_fiber(TangentGroup.from_matrix(L))
+    cls = classify_fiber(TangentGroup(L))
     assert cls.rank == 2 and cls.label == "H3xR2"
     np.testing.assert_allclose(cls.relations(L), canonical_constants(4, 1), atol=1e-12)
 
 
 def test_classify_h5():
     L = canonical_constants(4, 2)
-    cls = classify_fiber(TangentGroup.from_matrix(L))
+    cls = classify_fiber(TangentGroup(L))
     assert cls.rank == 4 and cls.label == "H5"
     np.testing.assert_allclose(cls.relations(L), L, atol=1e-12)
 
@@ -148,7 +148,7 @@ def test_classify_h5():
 def test_classify_metric_independence(seed):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 6))
-    G = TangentGroup.from_matrix(random_L(rng, d))
+    G = TangentGroup(random_L(rng, d))
     A = rng.uniform(-1, 1, (d, d))
     spd = A @ A.T + d * np.eye(d)
     c1 = classify_fiber(G)
@@ -170,7 +170,7 @@ def test_classify_adapted_frame_is_metric_orthonormal_on_kernel():
     rng = np.random.default_rng(4)
     A = rng.uniform(-1, 1, (4, 4))
     spd = A @ A.T + 4 * np.eye(4)
-    cls = classify_fiber(TangentGroup.from_matrix(L), metric=spd)
+    cls = classify_fiber(TangentGroup(L), metric=spd)
     ker = cls.adapted[:, cls.rank :]
     np.testing.assert_allclose(ker.T @ spd @ ker, np.eye(2), atol=1e-10)
 
@@ -178,7 +178,7 @@ def test_classify_adapted_frame_is_metric_orthonormal_on_kernel():
 def test_classify_degenerate_eigenvalues():
     # two planes with equal singular value
     L = canonical_constants(4, 2)
-    cls = classify_fiber(TangentGroup.from_matrix(L))
+    cls = classify_fiber(TangentGroup(L))
     assert cls.rank == 4
     np.testing.assert_allclose(cls.relations(L), canonical_constants(4, 2), atol=1e-10)
 
@@ -208,7 +208,7 @@ def test_shear_normal_form_recovers_levi_law():
     np.testing.assert_allclose(b_new, (b - b.T) / 2, atol=1e-14)
     # and that law is the tangent-group law of L = b^t - b
     L = b.T - b
-    G = TangentGroup.from_matrix(L)
+    G = TangentGroup(L)
     x, y = rng.uniform(-1, 1, (2, 4))
     np.testing.assert_allclose(bilinear_mul(b_new, x, y), G.mul(x, y), atol=1e-13)
 

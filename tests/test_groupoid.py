@@ -57,7 +57,7 @@ def elements_close(e1, e2, tol=1e-12):
 
 
 def group_at(chart, p) -> TangentGroup:
-    return TangentGroup.from_matrix(chart.eps(p).levi)
+    return TangentGroup(chart.eps(p).levi)
 
 
 def transition(src, dst, phi, x, X, t: float):

@@ -56,7 +56,7 @@ def transition_loop(src, dst, phi, x, X, ts):
 
 def composition_loop(chart, x, X, Y, ts):
     hm_x = chart.eps(x)
-    target = TangentGroup.from_matrix(hm_x.levi).mul(X, Y)
+    target = TangentGroup(hm_x.levi).mul(X, Y)
     residuals = []
     for t in ts:
         disp_z = hm_x.inverse_displacement(dilate(t, X))
