@@ -1,25 +1,25 @@
 """Tangent approximation of Heisenberg diffeomorphisms.
 
-In Heisenberg coordinates at m and phi(m) the differential of an
-H-preserving map is block triangular; dropping the transverse column gives
-the graded tangent map
+Over the frames at m and phi(m) the differential of phi is the one tangent
+block C = basis'(phi m)^-1 Dphi(m) basis(m) of `fields.tangent_blocks`; it
+is also the differential at 0 of phi conjugated into Heisenberg coordinates.
+For an H-preserving map it is block triangular, and dropping the transverse
+column gives the graded tangent map
 
     phi'_H(0) = diag(a00, A_par),
 
-a fiberwise group isomorphism.  The approximation statement checked here:
-the conjugated map has no purely horizontal quadratic terms in its
-transverse component, and the graded rescalings t^-1 . conj(t.x) converge
-to phi'_H(0) x at rate O(t), locally uniformly in the base point.
+a fiberwise group isomorphism (`graded_part`).  The approximation statement
+checked here: the conjugated map has no purely horizontal quadratic terms
+in its transverse component, and the graded rescalings t^-1 . conj(t.x)
+converge to phi'_H(0) x at rate O(t), locally uniformly in the base point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .coords import HeisenbergMap, heisenberg_map, sample_box
-from .fields import FrameError, HFrame
+from .coords import heisenberg_map, sample_box
+from .fields import FrameError, HFrame, tangent_blocks
 from .group import dilate, dilate_inv
 from .jets import PolyMap
 
@@ -28,60 +28,23 @@ class ApproxError(ValueError):
     """Map fails the structural requirements of the tangent approximation."""
 
 
-@dataclass(frozen=True, eq=False)
-class TangentMapH:
-    """Graded block-diagonal part of a differential, in Heisenberg coordinates."""
-
-    a00: float
-    A_par: np.ndarray
-    off_col: np.ndarray  # dropped transverse column of the full differential
-    upper_residual: float  # |top-right block|, ~0 for H-preserving maps
-
-    def __post_init__(self):
-        A_par = np.asarray(self.A_par, dtype=float)
-        object.__setattr__(self, "A_par", A_par)
-        object.__setattr__(self, "off_col", np.asarray(self.off_col, dtype=float))
-        if self.a00 == 0.0:
-            raise ApproxError("transverse scalar a00 vanishes")
-        if abs(np.linalg.det(A_par)) < 1e-12 * max(1.0, np.max(np.abs(A_par)) ** A_par.shape[0]):
-            raise ApproxError("horizontal block A_par is singular")
-
-    @property
-    def d(self) -> int:
-        return self.A_par.shape[0]
-
-    def matrix(self) -> np.ndarray:
-        out = np.zeros((self.d + 1, self.d + 1))
-        out[0, 0] = self.a00
-        out[1:, 1:] = self.A_par
-        return out
-
-    def apply(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.empty_like(X)
-        out[..., 0] = self.a00 * X[..., 0]
-        out[..., 1:] = X[..., 1:] @ self.A_par.T
-        return out
-
-
-def tangent_block_matrix(phi: PolyMap, hm_src: HeisenbergMap, hm_dst: HeisenbergMap, m) -> np.ndarray:
-    """Full differential of eps' . phi . eps^-1 at 0: A'(phi m) Dphi(m) A(m)^-1."""
-    return hm_dst.A @ phi.jacobian(np.asarray(m, dtype=float)) @ np.linalg.inv(hm_src.A)
-
-
-def tangent_map_H(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, m) -> TangentMapH:
-    """The graded tangent map of phi at m, frames normalized on both sides;
-    raises when the top row of the differential exceeds 1e-8 relative (phi
-    does not preserve H at m)."""
-    m = np.asarray(m, dtype=float)
-    hm_src = heisenberg_map(frame_src, m)
-    hm_dst = heisenberg_map(frame_dst, phi.eval(m))
-    C = tangent_block_matrix(phi, hm_src, hm_dst, m)
-    upper = float(np.max(np.abs(C[0, 1:]), initial=0.0))
-    scale = max(1.0, float(np.max(np.abs(C))))
-    if upper > 1e-8 * scale:
-        raise ApproxError(f"map does not preserve H at {m}: top-row residual {upper:.3e}")
-    return TangentMapH(float(C[0, 0]), C[1:, 1:].copy(), C[1:, 0].copy(), upper)
+def graded_part(C) -> np.ndarray:
+    """The graded tangent map phi'_H = diag(a00, A_par) of each tangent block
+    C (..., dim, dim) of `fields.tangent_blocks`: the top row and the
+    transverse column C[1:, 0] are dropped.  Raises when a00 vanishes or
+    A_par is singular at any point, so a degenerate map is never read as a
+    fibrewise group isomorphism."""
+    C = np.asarray(C, dtype=float)
+    A_par = C[..., 1:, 1:]
+    if np.any(C[..., 0, 0] == 0.0):
+        raise ApproxError("transverse scalar a00 vanishes")
+    scale = np.maximum(1.0, np.max(np.abs(A_par), axis=(-2, -1), initial=0.0)) ** A_par.shape[-1]
+    if np.any(np.abs(np.linalg.det(A_par)) < 1e-12 * scale):
+        raise ApproxError("horizontal block A_par is singular")
+    out = np.zeros_like(C)
+    out[..., 0, 0] = C[..., 0, 0]
+    out[..., 1:, 1:] = A_par
+    return out
 
 
 def conjugated_jets(
@@ -143,9 +106,7 @@ def diffeo_expansion_check(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, m
     ts = np.asarray(ts, dtype=float)
     hm_src = heisenberg_map(frame_src, m)
     hm_dst = heisenberg_map(frame_dst, phi.eval(m))
-
-    C = tangent_block_matrix(phi, hm_src, hm_dst, m)
-    tangent = TangentMapH(float(C[0, 0]), C[1:, 1:].copy(), C[1:, 0].copy(), float(np.max(np.abs(C[0, 1:]))))
+    tangent = graded_part(tangent_blocks(phi, frame_src, frame_dst, m))
 
     pts = sample_box(0.6, 3, frame_src.dim)
     pre_disp = hm_src.inverse_displacement(dilate(ts[:, None], pts))
@@ -154,4 +115,4 @@ def diffeo_expansion_check(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, m
         raise FrameError(f"sample leaves the source domain at t={ts[n]}; shrink the box")
     img_disp = displacement_map(phi, m).eval_many(pre_disp)
     expr = dilate_inv(ts[:, None], hm_dst.forward_from_displacement(img_disp))
-    return np.abs(expr - tangent.apply(pts)).max(axis=(1, 2)).tolist()
+    return np.abs(expr - pts @ tangent.T).max(axis=(1, 2)).tolist()

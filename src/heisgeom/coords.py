@@ -47,13 +47,6 @@ class PrivilegedMap:
         y = np.asarray(y, dtype=float)
         return self.u + y @ np.linalg.inv(self.A).T
 
-    def as_polymap(self, order: int) -> PolyMap:
-        return PolyMap.affine(self.A, -self.A @ self.u, order)
-
-    def inverse_polymap(self, order: int) -> PolyMap:
-        Ainv = np.linalg.inv(self.A)
-        return PolyMap.affine(Ainv, self.u, order)
-
     def b_matrix(self) -> np.ndarray:
         """b_jk = d_k a_j0(0), the linear transverse coefficients of the
         pushed horizontal fields."""
@@ -294,8 +287,9 @@ def sample_box(half: float, per_axis: int, dim: int) -> np.ndarray:
     return np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
 
 
-def dilation_limit_check(X: VectorField, frame: HFrame, m, ts) -> list:
-    """Residual trace of the rescaled dilation pullback against the model field.
+def dilation_limit_check(X: VectorField, frame: HFrame, m, ts) -> tuple:
+    """Residual trace of the rescaled dilation pullback against the model
+    field, and the model field's `flagged` bit.
 
     In Heisenberg coordinates at m, for each t in ts, the sup norm over the
     grid `sample_box(0.8, 3, dim)` of the residual field t^w delta_t^* X - X^m.
@@ -321,6 +315,7 @@ def dilation_limit_check(X: VectorField, frame: HFrame, m, ts) -> list:
     mono_w = space.exponents[cols] @ w
     mono = space.monomials(sample_box(0.8, 3, dim), cols)
 
-    return [
+    residuals = [
         worst_abs(*(mono @ (coeffs[i] * t ** (mf.weight + mono_w - w[i]) - want[i]) for i in range(dim))) for t in ts
     ]
+    return residuals, mf.flagged

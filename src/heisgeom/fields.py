@@ -4,6 +4,11 @@ A frame is a list X_0, ..., X_d of vector fields on a box, with X_1, ..., X_d
 spanning the distinguished hyperplane distribution H.  The Levi matrix at a
 point m is read off the brackets: expanding [X_j, X_k](m) over the frame at m,
 the X_0-coefficient is L_jk.
+
+A map phi between two frames has one tangent block at each point,
+C(x) = basis'(phi x)^-1 Dphi(x) basis(x), computed by `tangent_blocks` alone:
+its top row says whether phi preserves H, and its block-diagonal part is the
+graded tangent map that `approx` and `groupoid` read.
 """
 
 from __future__ import annotations
@@ -302,46 +307,31 @@ def pushforward_field(fwd: PolyMap, inv: PolyMap, X: VectorField, order: int | N
     return VectorField(PolyMap._of(s, _sum_over_j(terms.reshape(dim, dim, s.size)), inv.base))
 
 
-@dataclass(frozen=True)
-class PreservationReport:
-    """Residuals of the hyperplane-preservation test for a map between frames."""
+def tangent_blocks(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, x) -> np.ndarray:
+    """The differential of phi over the frames, C(x) = B_dst(phi x)^-t Dphi(x)
+    B_src(x)^t, at each point of x (..., dim): (..., dim, dim).  Column j
+    expands phi'(x) X_j(x) in the target frame at phi(x), so phi preserves H
+    at x exactly when the top row C[0, 1:] vanishes, and diag(C_00, C[1:, 1:])
+    is the graded tangent map phi'_H.  Raises when a point or its image
+    leaves its frame's domain, or the target frame is singular at an image."""
+    x = np.asarray(x, dtype=float)
+    inside = frame_src.domain.contains(x)
+    if not np.all(inside):
+        raise FrameError(f"sample {x[~inside][0]} outside the source domain")
+    y = phi.eval(x)
+    inside = frame_dst.domain.contains(y)
+    if not np.all(inside):
+        raise FrameError(f"image {y[~inside][0]} of sample {x[~inside][0]} outside the target domain")
+    B_dst = frame_dst.matrix_at(y)
+    frame_dst.check_invertible(y, B=B_dst)
+    return np.linalg.solve(B_dst.mT, phi.jacobian(x) @ frame_src.matrix_at(x).mT)
 
-    max_residual: float
-    residuals: np.ndarray
-    tol: float
 
-    @property
-    def preserved(self) -> bool:
-        return self.max_residual < self.tol
-
-
-def pushforward_preserves_H(
-    phi: PolyMap,
-    frame_src: HFrame,
-    frame_dst: HFrame,
-    samples,
-    tol: float = 1e-10,
-) -> PreservationReport:
-    """Check phi' maps H to H' over the samples.
-
-    At each sample x the pushforwards phi'(x) X_j(x), j >= 1, are expanded in
-    the target frame at phi(x); the relative X_0-component is the residual.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    res = np.zeros(len(samples))
-    for idx, x in enumerate(samples):
-        if not frame_src.domain.contains(x):
-            raise FrameError(f"sample {x} outside the source domain")
-        y = phi.eval(x)
-        if not frame_dst.domain.contains(y):
-            raise FrameError(f"image {y} of sample {x} outside the target domain")
-        D = phi.jacobian(x)
-        basis_dst = frame_dst.basis_at(y)
-        frame_dst.check_invertible(y, B=basis_dst.T)
-        ratios = []
-        for j in range(1, frame_src.dim):
-            omega = np.linalg.solve(basis_dst, D @ frame_src.fields[j](x))
-            denom = np.linalg.norm(omega)
-            ratios.append(omega[0] / denom if denom != 0 else 0.0)  # NaN stays NaN
-        res[idx] = worst_abs(*ratios)
-    return PreservationReport(float(res.max(initial=0.0)), res, tol)
+def pushforward_preserves_H(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, samples) -> float:
+    """The largest relative top-row entry C[0, j] / |C[:, j]|, j >= 1, of the
+    `tangent_blocks` at the samples: the X_0-component of phi'(x) X_j(x) in
+    the target frame, relative to that vector.  Zero when phi maps H to H';
+    a NaN stays NaN."""
+    cols = tangent_blocks(phi, frame_src, frame_dst, np.atleast_2d(samples))[..., 1:]
+    norm = np.linalg.norm(cols, axis=-2)
+    return worst_abs(np.divide(cols[..., 0, :], norm, out=np.zeros_like(norm), where=norm != 0))

@@ -133,7 +133,7 @@ class GradedShear:
         c = np.asarray(self.c, dtype=float)
         if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
             raise ValueError("shear matrix must be square")
-        if np.max(np.abs(c - c.mT), initial=0.0) > 1e-12:
+        if not np.max(np.abs(c - c.mT), initial=0.0) <= 1e-12:  # a NaN fails too
             raise ValueError("shear matrix must be symmetric")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)
@@ -194,8 +194,6 @@ class FiberClassification:
     d: int
     label: str
     adapted: np.ndarray  # columns: X_1..X_n, X_{n+1}..X_{2n}, kernel basis
-    singular_values: np.ndarray
-    relation_residual: float
     flagged: bool
 
     @property
@@ -226,7 +224,7 @@ def classify_fiber(G: TangentGroup, metric: np.ndarray | None = None) -> FiberCl
     if metric is None:
         metric = np.eye(d)
     metric = np.asarray(metric, dtype=float)
-    if metric.shape != (d, d) or np.max(np.abs(metric - metric.T), initial=0.0) > 1e-10:
+    if metric.shape != (d, d) or not np.max(np.abs(metric - metric.T), initial=0.0) <= 1e-10:
         raise ValueError("metric must be a symmetric d x d matrix")
     try:
         chol = np.linalg.cholesky(metric)
@@ -287,4 +285,4 @@ def classify_fiber(G: TangentGroup, metric: np.ndarray | None = None) -> FiberCl
     resid = float(np.max(np.abs(rel - canonical_constants(d, n)), initial=0.0))
     if resid > 1e-6:
         raise ArithmeticError(f"adapted frame relations off by {resid:.3e}")
-    return FiberClassification(rank, d, label, adapted, sigma, resid, flagged)
+    return FiberClassification(rank, d, label, adapted, flagged)

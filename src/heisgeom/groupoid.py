@@ -10,9 +10,11 @@ identity on (x, X) at t = 0, and for t > 0
     gamma(x, X, t) = (x, eps_x^-1(t.X), t);
 
 composition, transition maps and the t -> 0 limits are all evaluated
-through the exact closed forms of eps.  The graded rescaling sweeps work in
-displacement coordinates to keep float cancellation at O(eps/t) instead of
-O(eps/t^2).
+through the exact closed forms of eps.  At t = 0 a diffeomorphism acts on
+the fibres through its graded tangent map, the block-diagonal part of the
+one tangent block basis'(phi x)^-1 Dphi(x) basis(x) of
+`fields.tangent_blocks`.  The graded rescaling sweeps work in displacement
+coordinates to keep float cancellation at O(eps/t) instead of O(eps/t^2).
 """
 
 from __future__ import annotations
@@ -21,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .approx import displacement_map, tangent_block_matrix
+from .approx import displacement_map, graded_part
 from .coords import HeisenbergMap, heisenberg_map
-from .fields import FrameError, HFrame
-from .group import TangentGroup, bilinear_mul, dilate, dilate_inv, levi_mul, per_map
+from .fields import FrameError, HFrame, tangent_blocks
+from .group import TangentGroup, bilinear_mul, dilate, dilate_inv, levi_mul, per_map, weight_vector
 from .jets import PolyMap
 
 
@@ -130,8 +132,7 @@ class GroupoidChart:
         inv_pm = self.eps(x).inverse_polymap(2)  # eps_x^-1 is quadratic, so order 2 is exact
         w = dilate(t, X)
         Dinv = inv_pm.jacobian(w)
-        wvec = np.ones(dim)
-        wvec[0] = 2.0
+        wvec = weight_vector(dim)
         dwdX = np.diag(t**wvec)
         dwdt = wvec * t ** (wvec - 1.0) * X
         Js = np.zeros((dim + 1, dim + 1))
@@ -142,20 +143,6 @@ class GroupoidChart:
 
 
 # -- transitions -------------------------------------------------------------
-
-
-def _graded_part(C: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(C)
-    out[..., 0, 0] = C[..., 0, 0]
-    out[..., 1:, 1:] = C[..., 1:, 1:]
-    return out
-
-
-def tangent_matrix(src: GroupoidChart, dst: GroupoidChart, phi: PolyMap, x) -> np.ndarray:
-    """Frame-relative graded tangent matrix of phi at x (..., dim): the
-    block-diagonal part of basis'(phi x)^-1 Dphi(x) basis(x)."""
-    x = np.asarray(x, dtype=float)
-    return _graded_part(tangent_block_matrix(phi, src.eps(x), dst.eps(phi.eval(x)), x))
 
 
 def transition_rate_check(src: GroupoidChart, dst: GroupoidChart, phi: PolyMap, x, X, ts) -> list:
@@ -171,7 +158,7 @@ def transition_rate_check(src: GroupoidChart, dst: GroupoidChart, phi: PolyMap, 
     x, X, ts = _arrays(x, X, ts)
     hm_src = src.eps(x)
     hm_dst = dst.eps(phi.eval(x))
-    target = _graded_part(tangent_block_matrix(phi, hm_src, hm_dst, x)) @ X
+    target = graded_part(tangent_blocks(phi, src.frame, dst.frame, x)) @ X
     pre = hm_src.inverse_displacement(dilate(ts[:, None], X))
     n = src.frame.domain.leading_inside(x + pre)
     if n < len(ts):
@@ -219,7 +206,8 @@ def continuity_chart_independence(src, dst, phi: PolyMap, p, qs, ts, target_X, t
     mapped sequence must converge to the graded-tangent image of X."""
     p, qs, target_X = _arrays(p, qs, target_X)
     mapped = phi.eval(per_map(qs, (len(ts),)))
-    return continuity_check(dst.eps(phi.eval(p)), mapped, ts, tangent_matrix(src, dst, phi, p) @ target_X, tol)
+    target = graded_part(tangent_blocks(phi, src.frame, dst.frame, p)) @ target_X
+    return continuity_check(dst.eps(phi.eval(p)), mapped, ts, target, tol)
 
 
 # -- composition limit --------------------------------------------------------
@@ -281,15 +269,13 @@ class GroupoidMorphism:
         self.src = src
         self.dst = dst
 
-    def tangent(self, p) -> np.ndarray:
-        return tangent_matrix(self.src, self.dst, self.phi, p)
-
     def apply(self, e):
         """Pairs go to (phi p, phi q, t), fibre points to (phi p, T(p) X, 0)."""
         p, v, t = _arrays(*e)
         at0 = t == 0
         w = self.phi.eval(v)  # right on the pair rows; the fibre rows are replaced
-        w[at0] = _matvec(self.tangent(p[at0]), v[at0])
+        T = graded_part(tangent_blocks(self.phi, self.src.frame, self.dst.frame, p[at0]))
+        w[at0] = _matvec(T, v[at0])
         return self.phi.eval(p), w, t
 
     def apply_unit(self, u):
@@ -304,5 +290,6 @@ class GroupoidMorphism:
         x, X, t = _arrays(x, X, t)
         at0 = t == 0
         v = self.phi_inv.eval(self.dst.eps(x).inverse(dilate(t, X)))  # the fibre rows are replaced
-        v[at0] = _matvec(tangent_matrix(self.dst, self.src, self.phi_inv, x[at0]), X[at0])
+        T = graded_part(tangent_blocks(self.phi_inv, self.dst.frame, self.src.frame, x[at0]))
+        v[at0] = _matvec(T, X[at0])
         return self.phi_inv.eval(x), v, t

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import Box, HFrame, VectorField
+from .group import canonical_constants
 from .jets import PolyMap, jet_space
 
 
@@ -329,10 +330,6 @@ class Manifest:
 # -- builtin example manifests -------------------------------------------------
 
 
-def _mono(coeff, *exps):
-    return [coeff, list(exps)]
-
-
 def _heisenberg_frame_doc(n: int):
     dim = 2 * n + 1
     zero = [0] * dim
@@ -360,14 +357,6 @@ def _box(dim, half):
     return [[-half, half]] * dim
 
 
-def _levi_pattern(d, n):
-    L = np.zeros((d, d))
-    for j in range(n):
-        L[j, n + j] = -2.0
-        L[n + j, j] = 2.0
-    return L.tolist()
-
-
 def _builtin_heisenberg3():
     zero3 = [0, 0, 0]
     return {
@@ -378,7 +367,7 @@ def _builtin_heisenberg3():
                 "name": "hb3",
                 "domain": _box(3, 10.0),
                 "frame": _heisenberg_frame_doc(1),
-                "expected_levi": _levi_pattern(2, 1),
+                "expected_levi": canonical_constants(2, 1).tolist(),
                 "expected_type": "H3",
             }
         ],
@@ -461,7 +450,7 @@ def _builtin_heisenberg5():
                 "name": "hb5",
                 "domain": _box(5, 10.0),
                 "frame": _heisenberg_frame_doc(2),
-                "expected_levi": _levi_pattern(4, 2),
+                "expected_levi": canonical_constants(4, 2).tolist(),
                 "expected_type": "H5",
             }
         ],
@@ -505,7 +494,7 @@ def _builtin_contact_darboux():
                 "name": "darboux0",
                 "domain": _box(3, 10.0),
                 "frame": _heisenberg_frame_doc(1),
-                "expected_levi": _levi_pattern(2, 1),
+                "expected_levi": canonical_constants(2, 1).tolist(),
                 "expected_type": "H3",
             },
             {
@@ -518,7 +507,7 @@ def _builtin_contact_darboux():
                     [[[2.0, [0, 0, 1]], [1.2, [0, 2, 0]]], [[1.0, zero3]], []],
                     [[], [], [[1.0, zero3]]],
                 ],
-                "expected_levi": _levi_pattern(2, 1),
+                "expected_levi": canonical_constants(2, 1).tolist(),
                 "expected_type": "H3",
             },
         ],

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import approx, coords, group, groupoid
-from .fields import FrameError, LeviForm, pushforward_preserves_H
+from .fields import FrameError, LeviForm, pushforward_preserves_H, tangent_blocks
 from .manifests import Manifest, ValidationError
 from .rates import RateReport, default_t_grid, fit_report, worst_abs
 
@@ -166,7 +166,7 @@ class SuiteRunner:
             dst = self.manifest.chart(spec.target).frame
             pts = self.base_points(spec.source, limit=12)
             try:
-                hit = pushforward_preserves_H(spec.fwd, src, dst, pts, self.tol["preserve"]).max_residual
+                hit = pushforward_preserves_H(spec.fwd, src, dst, pts)
             except FrameError as exc:
                 raise ValidationError(f"diffeo {spec.name!r}: {exc}") from exc
             self._preserving[spec.name] = hit
@@ -335,22 +335,25 @@ class SuiteRunner:
             worst = worst_abs(*(coords.graded_weight_violation(hm.shear.as_polymap(2)) for hm in hms))
             return Outcome({"chart": name}, _verdict(worst < tol["shear_grading"]), (worst,))
 
+        def dilation(X, field_name):
+            """The dilation-limit record of X, flagged when its model field's
+            weight decision sits near the threshold."""
+            m = self.base_points(name, limit=1)[0]
+            residuals, flagged = coords.dilation_limit_check(X, frame, m, self.t_grid)
+            rep = self.fit(residuals)
+            return Outcome({"chart": name, "field": field_name}, _verdict(rep.passed, flagged), rep.residuals, rep.slope)
+
         @check(f"coords/{name}/dilation-exact", "nilpotent-approx.dilation-limit")
         def dilation_exact():
-            m = self.base_points(name, limit=1)[0]
-            rep = self.fit(coords.dilation_limit_check(frame.fields[1], frame, m, self.t_grid))
-            return Outcome({"chart": name, "field": 1}, _verdict(rep.passed), rep.residuals, rep.slope)
+            return dilation(frame.fields[1], 1)
 
         @check(f"coords/{name}/dilation-perturbed", "nilpotent-approx.dilation-limit")
         def dilation_perturbed():
             from .jets import Jet
 
-            m = self.base_points(name, limit=1)[0]
             s = frame.fields[0].components.space
             e = tuple(2 if i == 1 else 0 for i in range(frame.dim))
-            X = frame.fields[1] + frame.fields[0].scaled_by_jet(Jet.from_terms(s, {e: 1.0}))
-            rep = self.fit(coords.dilation_limit_check(X, frame, m, self.t_grid))
-            return Outcome({"chart": name, "field": "perturbed"}, _verdict(rep.passed), rep.residuals, rep.slope)
+            return dilation(frame.fields[1] + frame.fields[0].scaled_by_jet(Jet.from_terms(s, {e: 1.0})), "perturbed")
 
     # -- group -------------------------------------------------------------------
     def _group_checks(self, chart, check):
@@ -504,9 +507,10 @@ class SuiteRunner:
 
         @check(f"diffeo/{spec.name}/tangent-blocks", "tangent-map.block-structure")
         def blocks():
-            maps = [approx.tangent_map_H(spec.fwd, src, dst, m) for m in base]
-            worst = worst_abs(*(T.upper_residual for T in maps))
-            a00 = maps[-1].a00
+            C = tangent_blocks(spec.fwd, src, dst, base)
+            approx.graded_part(C)  # a vanishing a00 or a singular A_par raises
+            worst = worst_abs(C[:, 0, 1:])
+            a00 = float(C[-1, 0, 0])
             return Outcome({"diffeo": spec.name}, _verdict(worst < tol["preserve"]), (worst,), value={"a00": a00})
 
         @check(f"diffeo/{spec.name}/rate", "diffeo-approx.scaled-limit")

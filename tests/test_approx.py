@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from heisgeom.approx import (
-    ApproxError,
-    TangentMapH,
-    conjugated_jets,
-    diffeo_expansion_check,
-    horizontal_quadratic,
-    tangent_map_H,
-)
-from heisgeom.fields import pushforward_field, pushforward_preserves_H
+from heisgeom.approx import ApproxError, conjugated_jets, diffeo_expansion_check, graded_part, horizontal_quadratic
+from heisgeom.fields import pushforward_field, pushforward_preserves_H, tangent_blocks
 from heisgeom.group import TangentGroup, bilinear_mul
 from heisgeom.jets import Jet, PolyMap, jet_space
 from heisgeom.rates import RateError, RateReport, fit_report, rate_fit
@@ -144,66 +137,83 @@ def test_rate_report_requires_decreasing_grid():
         RateReport((0.25, 0.5), (1.0, 1.0), 1.0, 0.85)
 
 
-# ---- tangent maps ----------------------------------------------------------
+# ---- tangent blocks and graded tangent maps ----------------------------------
+
+
+def graded_tangent(phi, src, dst, m):
+    return graded_part(tangent_blocks(phi, src, dst, m))
 
 
 def test_tangent_map_identity():
-    T = tangent_map_H(PolyMap.identity(3, 3), H3, H3, np.array([0.2, -0.1, 0.4]))
-    assert T.a00 == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(T.A_par, np.eye(2), atol=1e-12)
-    assert T.upper_residual < 1e-12
+    C = tangent_blocks(PolyMap.identity(3, 3), H3, H3, np.array([0.2, -0.1, 0.4]))
+    np.testing.assert_allclose(C, np.eye(3), atol=1e-12)
 
 
 def test_tangent_map_dilation():
     s = 0.5
     delta = PolyMap.affine(np.diag([s**2, s, s]), np.zeros(3), 3)
-    T = tangent_map_H(delta, H3, H3, np.zeros(3))
-    assert T.a00 == pytest.approx(s**2, abs=1e-12)
-    np.testing.assert_allclose(T.A_par, s * np.eye(2), atol=1e-12)
+    T = graded_tangent(delta, H3, H3, np.zeros(3))
+    np.testing.assert_allclose(T, np.diag([s**2, s, s]), atol=1e-12)
 
 
 def test_tangent_map_left_translation_trivial():
+    # a00 = 1, A_par = I, and the transverse column C[1:, 0] vanishes too
     fwd, _ = left_translation([0.0, 1.0, 0.0])
-    T = tangent_map_H(fwd, H3, H3, np.array([0.3, 0.2, -0.5]))
-    assert T.a00 == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(T.A_par, np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(T.off_col, 0.0, atol=1e-12)
-
-
-def test_tangent_map_rejects_non_preserving():
-    swap = PolyMap.affine(np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3), 3)
-    with pytest.raises(ApproxError):
-        tangent_map_H(swap, H3, H3, np.array([0.1, 0.2, 0.3]))
+    C = tangent_blocks(fwd, H3, H3, np.array([0.3, 0.2, -0.5]))
+    np.testing.assert_allclose(C, np.eye(3), atol=1e-12)
 
 
 def test_tangent_map_functoriality():
+    # T(psi . phi)(m) = T(psi)(phi m) T(phi)(m), for the whole block and its graded part
     fwd, _ = left_translation([0.2, -0.4, 0.7])
     s = 0.5
     delta = PolyMap.affine(np.diag([s**2, s, s]), np.zeros(3), 3)
     composite = fwd.compose(delta, exact=True)
     m = np.array([0.4, 0.6, -0.2])
-    T_delta = tangent_map_H(delta, H3, H3, m)
-    T_fwd = tangent_map_H(fwd, H3, H3, delta.eval(m))
-    T_comp = tangent_map_H(composite, H3, H3, m)
-    np.testing.assert_allclose(T_comp.matrix(), T_fwd.matrix() @ T_delta.matrix(), atol=1e-11)
+    C_delta = tangent_blocks(delta, H3, H3, m)
+    C_fwd = tangent_blocks(fwd, H3, H3, delta.eval(m))
+    C_comp = tangent_blocks(composite, H3, H3, m)
+    np.testing.assert_allclose(C_comp, C_fwd @ C_delta, atol=1e-11)
+    np.testing.assert_allclose(graded_part(C_comp), graded_part(C_fwd) @ graded_part(C_delta), atol=1e-11)
 
 
 def test_tangent_map_is_group_homomorphism():
     fwd, inv, pushed = vertical_shear_diffeo(DARBOUX_Q)
     m = np.array([0.1, -0.3, 0.4])
-    T = tangent_map_H(fwd, heisenberg_frame(), pushed, m)
-    L_src = heisenberg_map(heisenberg_frame(), m).levi
-    L_dst = heisenberg_map(pushed, fwd.eval(m)).levi
-    G1, G2 = TangentGroup(L_src), TangentGroup(L_dst)
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        x, y = rng.uniform(-2, 2, (2, 3))
-        np.testing.assert_allclose(T.apply(G1.mul(x, y)), G2.mul(T.apply(x), T.apply(y)), atol=1e-10)
+    T = graded_tangent(fwd, heisenberg_frame(), pushed, m)
+    G1 = TangentGroup(heisenberg_map(heisenberg_frame(), m).levi)
+    G2 = TangentGroup(heisenberg_map(pushed, fwd.eval(m)).levi)
+    x, y = np.random.default_rng(21).uniform(-2, 2, (2, 50, 3))
+    np.testing.assert_allclose(G1.mul(x, y) @ T.T, G2.mul(x @ T.T, y @ T.T), atol=1e-10)
+
+
+def test_tangent_blocks_are_the_conjugated_differential():
+    # C is the linear part at 0 of eps'_{phi m} . phi . eps_m^-1
+    fwd, _, pushed = vertical_shear_diffeo(DARBOUX_Q)
+    src = heisenberg_frame()
+    for m in [np.zeros(3), np.array([0.3, 0.25, -0.2])]:
+        conj = conjugated_jets(fwd, src, pushed, m)
+        np.testing.assert_allclose(tangent_blocks(fwd, src, pushed, m), conj.linear(), atol=1e-12)
+
+
+def test_tangent_blocks_batch_equals_single_points():
+    fwd, _, pushed = vertical_shear_diffeo(DARBOUX_Q)
+    src = heisenberg_frame()
+    pts = src.domain.shrunk(0.2).grid(3)
+    C = tangent_blocks(fwd, src, pushed, pts)
+    assert C.shape == (len(pts), 3, 3)
+    for Ci, x in zip(C, pts):
+        np.testing.assert_array_equal(Ci, tangent_blocks(fwd, src, pushed, x))
 
 
 def test_tangent_map_a00_zero_rejected():
-    with pytest.raises(ApproxError):
-        TangentMapH(0.0, np.eye(2), np.zeros(2), 0.0)
+    with pytest.raises(ApproxError, match="a00"):
+        graded_part(np.diag([0.0, 1.0, 1.0]))
+    with pytest.raises(ApproxError, match="singular"):
+        graded_part(np.diag([1.0, 1.0, 0.0]))
+    # one degenerate block in a batch is enough
+    with pytest.raises(ApproxError, match="a00"):
+        graded_part(np.stack([np.eye(3), np.diag([0.0, 1.0, 1.0])]))
 
 
 # ---- expansion checks ------------------------------------------------------
@@ -232,7 +242,7 @@ def test_expansion_rotation_exact():
     m = np.array([0.1, 0.4, 0.2])
     assert quad_max(rot, H3, H3, m) < 1e-12
     assert expansion_fit(rot, H3, H3, m).exact
-    np.testing.assert_allclose(tangent_map_H(rot, H3, H3, m).A_par, R[1:, 1:], atol=1e-12)
+    np.testing.assert_allclose(graded_tangent(rot, H3, H3, m), R, atol=1e-12)
 
 
 def test_darboux_shear_pushforward_closed_form():
@@ -250,8 +260,7 @@ def test_darboux_shear_pushforward_closed_form():
 def test_darboux_shear_is_heisenberg_map():
     fwd, inv, pushed = vertical_shear_diffeo(DARBOUX_Q)
     src = heisenberg_frame()
-    rep = pushforward_preserves_H(fwd, src, pushed, src.domain.shrunk(0.2).grid(3))
-    assert rep.max_residual < 1e-10
+    assert pushforward_preserves_H(fwd, src, pushed, src.domain.shrunk(0.2).grid(3)) < 1e-10
 
 
 def test_expansion_darboux_quadratic_vanishes_and_slope_one():
@@ -278,8 +287,7 @@ def test_expansion_negative_control_fails_quadratic():
     s = jet_space(3, 3)
     comp0 = Jet.coordinate(s, 0) + Jet.from_terms(s, {(0, 1, 1): 1.0})
     bad = PolyMap((comp0, Jet.coordinate(s, 1), Jet.coordinate(s, 2)))
-    rep_pres = pushforward_preserves_H(bad, H3, H3, H3.domain.shrunk(0.1).grid(3))
-    assert rep_pres.max_residual > 1e-3  # genuinely not H-preserving
+    assert pushforward_preserves_H(bad, H3, H3, H3.domain.shrunk(0.1).grid(3)) > 1e-3  # genuinely not H-preserving
     assert quad_max(bad, H3, H3, np.zeros(3)) > 0.5
 
 

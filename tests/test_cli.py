@@ -73,6 +73,28 @@ def test_check_that_raises_is_an_error_record(tmp_path, capsys):
     assert [rec["id"] for rec in report["checks"]] == [rec["id"] for rec in default_grid["checks"]]
 
 
+def test_constant_map_diffeo_gives_error_records_not_passes(tmp_path, capsys):
+    # Dphi = 0 has a vanishing top row, so the map reads as H-preserving, but
+    # its graded tangent map has a00 = 0: every check that reads phi'_H raises
+    doc = builtin_doc("heisenberg3")
+    const = [[[0.1, [0, 0, 0]]], [[0.2, [0, 0, 0]]], [[0.3, [0, 0, 0]]]]
+    doc["diffeos"].append({"name": "collapse", "source": "hb3", "target": "hb3", "components": const})
+    code, report = run(tmp_path, write_json(tmp_path, doc), "--suite", "all")
+    assert code == EXIT_CHECK_FAILED
+    assert "Traceback" not in capsys.readouterr().err
+    records = {rec["id"]: rec for rec in report["checks"]}
+    for check_id in [
+        "diffeo/collapse/tangent-blocks",
+        "diffeo/collapse/rate",
+        "diffeo/collapse/uniformity",
+        "groupoid/collapse/transition-limit",
+        "groupoid/collapse/continuity-chart-independence",
+    ]:
+        rec = records[check_id]
+        assert rec["verdict"] == "error", check_id
+        assert rec["value"] == {"error": "ApproxError", "message": "transverse scalar a00 vanishes"}
+
+
 @pytest.mark.parametrize(
     "section, key, value",
     [("tolerances", "slope_min", "abc"), ("samples", "tuples", "many"), ("samples", "per_axis", 2.5)],

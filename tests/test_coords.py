@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from heisgeom import coords
 from heisgeom.coords import (
     dilation_limit_check,
     graded_weight_violation,
@@ -11,6 +12,7 @@ from heisgeom.coords import (
 from heisgeom.fields import FrameError, LeviForm, bracket
 from heisgeom.jets import Jet
 from heisgeom.manifests import builtin_names, load_manifest
+from heisgeom.suites import SuiteRunner
 
 from conftest import TS, degenerate_frame, fit_rate, flat_frame, heisenberg_frame, shear1d_frame
 
@@ -221,15 +223,34 @@ def test_model_field_threshold_flagging():
     assert mf.flagged
 
 
+def test_dilation_limit_check_reports_the_model_field_flag():
+    frame = heisenberg_frame()
+    near = frame.fields[1] + 3e-10 * frame.fields[0]
+    assert dilation_limit_check(near, frame, np.zeros(3), TS)[1]
+    assert not dilation_limit_check(frame.fields[1], frame, np.zeros(3), TS)[1]
+
+
+def test_dilation_records_read_flagged_for_a_near_threshold_model_field(monkeypatch):
+    # each model field is computed as if for X + 3e-10 X_0: for X_1 that keeps
+    # weight 1 and its coefficients but sits in the flag band; the perturbed
+    # field X_1 + x_1^2 X_0 has weight 2 at the base point, far from the band
+    real = coords.model_field
+    monkeypatch.setattr(coords, "model_field", lambda X, frame, m: real(X + 3e-10 * frame.fields[0], frame, m))
+    records = SuiteRunner(load_manifest("heisenberg3")).run(["coords"])
+    verdicts = {rec.check_id.split("/")[-1]: rec.verdict for rec in records}
+    assert verdicts.pop("dilation-exact") == "flagged"
+    assert set(verdicts.values()) == {"pass"}
+
+
 def test_dilation_limit_exact_for_frame_field():
     frame = heisenberg_frame()
-    rep = fit_rate(dilation_limit_check(frame.fields[1], frame, np.zeros(3), TS))
+    rep = fit_rate(dilation_limit_check(frame.fields[1], frame, np.zeros(3), TS)[0])
     assert rep.exact and rep.passed
 
 
 def test_dilation_limit_exact_flat():
     frame = flat_frame()
-    rep = fit_rate(dilation_limit_check(frame.fields[1], frame, np.array([0.1, 0.0, -0.2]), TS))
+    rep = fit_rate(dilation_limit_check(frame.fields[1], frame, np.array([0.1, 0.0, -0.2]), TS)[0])
     assert rep.exact
 
 
@@ -238,7 +259,7 @@ def test_dilation_limit_perturbed_slope_one():
     s = frame.fields[0].components.space
     x1sq = Jet.from_terms(s, {(0, 2, 0): 1.0})
     X = frame.fields[1] + frame.fields[0].scaled_by_jet(x1sq)
-    rep = fit_rate(dilation_limit_check(X, frame, np.zeros(3), TS))
+    rep = fit_rate(dilation_limit_check(X, frame, np.zeros(3), TS)[0])
     assert not rep.exact
     assert rep.slope == pytest.approx(1.0, abs=0.1)
     assert rep.passed
@@ -252,7 +273,7 @@ def test_dilation_limit_weight2_branch():
     m = np.array([0.0, 0.5, 0.0])  # here a_0(m) = 0.25 != 0 -> weight 2
     mf = model_field(X, frame, m)
     assert mf.weight == 2
-    rep = fit_rate(dilation_limit_check(X, frame, m, TS))
+    rep = fit_rate(dilation_limit_check(X, frame, m, TS)[0])
     assert rep.passed
 
 

@@ -164,6 +164,11 @@ def test_classify_rejects_bad_metric():
         classify_fiber(H3, metric=np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+def test_classify_rejects_a_nan_metric():
+    with pytest.raises(ValueError, match="metric must be a symmetric d x d matrix"):
+        classify_fiber(H3, metric=np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
 def test_classify_adapted_frame_is_metric_orthonormal_on_kernel():
     L = np.zeros((4, 4))
     L[0, 1], L[1, 0] = -2.0, 2.0
@@ -189,6 +194,11 @@ def test_classify_degenerate_eigenvalues():
 def test_shear_requires_symmetry():
     with pytest.raises(ValueError):
         GradedShear(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_shear_rejects_a_nan_entry():
+    with pytest.raises(ValueError, match="symmetric"):
+        GradedShear(np.array([[0.0, np.nan], [1.0, 0.0]]))
 
 
 def test_shear_zero_is_identity_transport():

@@ -9,10 +9,10 @@ from heisgeom.groupoid import (
     continuity_chart_independence,
     continuity_check,
     psi_composition_check,
-    tangent_matrix,
     transition_rate_check,
 )
-from heisgeom.fields import FrameError
+from heisgeom.approx import graded_part
+from heisgeom.fields import FrameError, tangent_blocks
 from heisgeom.group import TangentGroup, dilate, dilate_inv
 from heisgeom.jets import PolyMap
 
@@ -60,6 +60,11 @@ def group_at(chart, p) -> TangentGroup:
     return TangentGroup(chart.eps(p).levi)
 
 
+def graded_tangent(src, dst, phi, x) -> np.ndarray:
+    """The graded tangent matrix of phi at x between two charts."""
+    return graded_part(tangent_blocks(phi, src.frame, dst.frame, x))
+
+
 def transition(src, dst, phi, x, X, t: float):
     """Reference chart change (x, X, t) -> (phi(x), X'(t), t), one point at a
     time; at t = 0 the fiber acts through the graded tangent matrix."""
@@ -67,7 +72,7 @@ def transition(src, dst, phi, x, X, t: float):
     X = np.asarray(X, dtype=float)
     xp = phi.eval(x)
     if t == 0:
-        return xp, tangent_matrix(src, dst, phi, x) @ X, 0.0
+        return xp, graded_tangent(src, dst, phi, x) @ X, 0.0
     q = src.eps(x).inverse(dilate(t, X))
     return xp, dilate_inv(t, dst.eps(xp).forward(phi.eval(q))), t
 
@@ -277,18 +282,18 @@ def test_transition_darboux_boundary_blocks():
     src = GroupoidChart(heisenberg_frame(half=6.0))
     dst = GroupoidChart(pushed)
     x = np.array([0.2, 0.3, -0.1])
-    T = tangent_matrix(src, dst, fwd, x)
+    T = graded_tangent(src, dst, fwd, x)
     # graded block structure: no horizontal-to-transverse mixing
     np.testing.assert_allclose(T[0, 1:], 0.0, atol=0)
     np.testing.assert_allclose(T[1:, 0], 0.0, atol=0)
     # inverse morphism gives the inverse matrix
-    Tinv = tangent_matrix(dst, src, inv, fwd.eval(x))
+    Tinv = graded_tangent(dst, src, inv, fwd.eval(x))
     np.testing.assert_allclose(T @ Tinv, np.eye(3), atol=1e-11)
     # a batch of points gives one matrix per point
     pts = np.stack([x, -x, 0.5 * x])
-    Ts = tangent_matrix(src, dst, fwd, pts)
+    Ts = graded_tangent(src, dst, fwd, pts)
     for i, p in enumerate(pts):
-        np.testing.assert_allclose(Ts[i], tangent_matrix(src, dst, fwd, p), rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(Ts[i], graded_tangent(src, dst, fwd, p), rtol=1e-15, atol=1e-15)
 
 
 def test_transition_rate_to_boundary():
@@ -303,14 +308,14 @@ def test_transition_rate_to_boundary():
         assert rep.slope >= 0.85
     # the measured limit agrees with the block-matrix action
     xp, Xp, _ = transition(src, dst, fwd, x, X, 2.0**-14)
-    np.testing.assert_allclose(Xp, tangent_matrix(src, dst, fwd, x) @ X, atol=1e-3)
+    np.testing.assert_allclose(Xp, graded_tangent(src, dst, fwd, x) @ X, atol=1e-3)
 
 
 def test_transition_left_translation_exact():
     fwd, _ = left_translation([0.0, 1.0, 0.0])
     x, X = np.array([0.1, -0.2, 0.3]), np.array([0.7, 0.4, -0.5])
     assert fit_rate(transition_rate_check(H3_CHART, H3_CHART, fwd, x, X, TS)).exact
-    np.testing.assert_allclose(tangent_matrix(H3_CHART, H3_CHART, fwd, x) @ X, X, atol=1e-12)
+    np.testing.assert_allclose(graded_tangent(H3_CHART, H3_CHART, fwd, x) @ X, X, atol=1e-12)
 
 
 # ---- continuity ----------------------------------------------------------------
@@ -421,7 +426,7 @@ def test_functor_left_translation_fiber_isomorphism():
     fwd, inv = left_translation([0.0, 1.0, 0.0])
     morph = GroupoidMorphism(fwd, inv, H3_CHART, H3_CHART)
     p = np.array([0.2, -0.3, 0.4])
-    T = morph.tangent(p)
+    T = graded_tangent(morph.src, morph.dst, morph.phi, p)
     G = group_at(H3_CHART, p)
     Gp = group_at(H3_CHART, fwd.eval(p))
     rng = np.random.default_rng(3)

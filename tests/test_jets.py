@@ -514,7 +514,8 @@ def test_c7_dilation_traces_match_a_dense_evaluation(perturbed):
         e = tuple(2 if i == 1 else 0 for i in range(frame.dim))
         X = X + frame.fields[0].scaled_by_jet(Jet.from_terms(frame.fields[0].components.space, {e: 1.0}))
     m = np.random.default_rng(7).uniform(-1.5, 1.5, frame.dim)
-    got = dilation_limit_check(X, frame, m, TS)
+    got, flagged = dilation_limit_check(X, frame, m, TS)
+    assert not flagged
     np.testing.assert_allclose(got, dense_dilation_trace(X, frame, m, TS), rtol=1e-15, atol=0)
 
 
