@@ -2,9 +2,9 @@
 
 The privileged map at u is the affine normalization psi_u(x) = A(u)(x - u),
 A(u) = (B(u)^t)^-1, which sends the frame at u to the coordinate frame at 0;
-in these coordinates X_j = d_j + sum_k a_jk(x) d_k with a_jk(0) = 0 and the
-matrix b_jk = d_k a_j0(0) carries all weight-graded information: the Levi
-matrix is L = b^t - b and the quadratic shear
+in these coordinates (`privileged_frame`) X_j = d_j + sum_k a_jk(x) d_k with
+a_jk(0) = 0 and the matrix b_jk = d_k a_j0(0) carries all weight-graded
+information: the Levi matrix is L = b^t - b and the quadratic shear
 
     phi_u(x) = (x_0 - 1/4 sum_jk (b_jk + b_kj) x_j x_k, x')
 
@@ -26,64 +26,19 @@ from .jets import PolyMap, jet_space
 from .rates import worst_abs
 
 
-@dataclass(frozen=True, eq=False)
-class PrivilegedMap:
-    """Affine normalization at u with the frame re-expressed in the new
-    coordinates (components vanish at 0 up to the coordinate part)."""
-
-    u: np.ndarray
-    A: np.ndarray
-    pushed: tuple  # VectorField per frame field, in privileged coordinates
-
-    @property
-    def dim(self) -> int:
-        return self.u.size
-
-    def forward(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return (x - self.u) @ self.A.T
-
-    def inverse(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return self.u + y @ np.linalg.inv(self.A).T
-
-    def b_matrix(self) -> np.ndarray:
-        """b_jk = d_k a_j0(0), the linear transverse coefficients of the
-        pushed horizontal fields."""
-        return np.array([f.components.linear()[0, 1:] for f in self.pushed[1:]])
-
-
-def privileged_map(frame: HFrame, u) -> PrivilegedMap:
-    """Privileged coordinates at u, to the frame's order; raises on a
-    singular frame matrix."""
+def privileged_frame(frame: HFrame, u) -> tuple:
+    """The frame in privileged coordinates at u: each field pushed forward by
+    psi_u, with exact inverse psi_u^-1(y) = u + B(u)^t y.  The pushed fields
+    equal e_j at 0, and b_jk = d_k a_j0(0) is the x_k-coefficient of pushed
+    field j's x_0-component.  Raises outside the domain or where B is singular."""
     u = np.asarray(u, dtype=float)
     if not frame.domain.contains(u):
         raise FrameError(f"base point {u} outside the frame domain")
     B = frame.matrix_at(u)
     frame.check_invertible(u, B=B)
-    order = frame.order
-    A = np.linalg.inv(B.T)
-    resid = np.max(np.abs(A @ B.T - np.eye(frame.dim)))
-    if resid > 1e-10:
-        raise FrameError(f"privileged normalization residual {resid:.3e}")
-
-    inner = PolyMap.affine(B.T, u, order)  # psi_u^-1
-    pushed = []
-    for f in frame.fields:
-        composed = f.components.with_order(order).compose(inner, exact=True)
-        # row i is sum_k A_ik composed_k over the nonzero A_ik, added in k order
-        table = np.zeros(composed.coeffs.shape)
-        for k, row in enumerate(composed.coeffs):
-            rows = np.flatnonzero(A[:, k])
-            table[rows] += A[rows, k, None] * row
-        pushed.append(VectorField(PolyMap._of(composed.space, table, composed.base)))
-
-    for j, f in enumerate(pushed):
-        delta = f(np.zeros(frame.dim))
-        delta[j] -= 1.0
-        if np.max(np.abs(delta)) > 1e-9:
-            raise FrameError(f"pushed frame not normalized at 0 (field {j})")
-    return PrivilegedMap(u, A, tuple(pushed))
+    psi = PolyMap.affine(np.linalg.inv(B.T), np.zeros(frame.dim), frame.order, base=u)
+    psi_inv = PolyMap.affine(B.T, u, frame.order)
+    return tuple(pushforward_field(psi, psi_inv, X) for X in frame.fields)
 
 
 def _times_transpose(w, M: np.ndarray) -> np.ndarray:
@@ -205,7 +160,7 @@ def heisenberg_map(frame: HFrame, u) -> HeisenbergMap:
     tables, gives B(u) and every DX_j(u); the determinant guard runs on that
     B.  The b matrix comes from the Jacobian identity
     b_jk = (A DX_j(u) B^t)_0k, which agrees with the degree-1 jet route of
-    `PrivilegedMap.b_matrix` (tested against it).  Every product is taken
+    `privileged_frame` (tested against it).  Every product is taken
     per point, so a batch equals one call per point bit for bit.
     """
     u = np.asarray(u, dtype=float)

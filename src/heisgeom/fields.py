@@ -25,6 +25,21 @@ class FrameError(ValueError):
     """Singular frame matrix or out-of-domain request."""
 
 
+def check_nonsingular(M: np.ndarray, x, what: str, sym: str) -> np.ndarray:
+    """The one determinant guard, on matrices M (..., n, n) at the points x
+    (..., n): |det(M / max|M|)| must exceed 1e-8, a scale-free test that
+    cannot overflow and that a non-finite M fails; returns the determinants.
+    The error names `what` (`sym` in the formula) and the first bad point."""
+    scale = np.maximum(np.max(np.abs(M), axis=(-2, -1), initial=0.0), 1e-300)
+    det = np.linalg.det(M / scale[..., None, None])
+    bad = ~(np.abs(det) > 1e-8)  # a NaN determinant is singular too
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        at = np.asarray(x, dtype=float).reshape(-1, M.shape[-1])[i]
+        raise FrameError(f"{what} nearly singular at {at}: det({sym}/max|{sym}|)={det.flat[i]:.3e}")
+    return det
+
+
 @dataclass(frozen=True, eq=False)
 class VectorField:
     """A vector field with polynomial components, X = sum_k comp_k(x) d/dx_k."""
@@ -197,21 +212,10 @@ class HFrame:
         return self.matrix_at(x).T
 
     def check_invertible(self, x, B=None):
-        """Determinant guard at each point of x (..., dim): |det(B / max|B|)|
-        must exceed 1e-8, a test that does not depend on the scale of B and
-        cannot overflow, and that a non-finite B fails; returns those
-        determinants.  Pass B when B(x) is already at hand.  The error names
-        the first singular point."""
+        """`check_nonsingular` on the frame matrix B at each point of x
+        (..., dim); pass B when B(x) is already at hand."""
         x = np.asarray(x, dtype=float)
-        B = self.matrix_at(x) if B is None else B
-        scale = np.maximum(np.max(np.abs(B), axis=(-2, -1), initial=0.0), 1e-300)
-        det = np.linalg.det(B / scale[..., None, None])
-        bad = ~(np.abs(det) > 1e-8)  # a NaN determinant is singular too
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
-            at = x.reshape(-1, self.dim)[i]
-            raise FrameError(f"frame matrix nearly singular at {at}: det(B/max|B|)={det.flat[i]:.3e}")
-        return det
+        return check_nonsingular(self.matrix_at(x) if B is None else B, x, "frame matrix", "B")
 
     def expand(self, x, v) -> np.ndarray:
         """Coefficients of the vector v in the frame at x."""
@@ -313,7 +317,8 @@ def tangent_blocks(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, x) -> np.
     expands phi'(x) X_j(x) in the target frame at phi(x), so phi preserves H
     at x exactly when the top row C[0, 1:] vanishes, and diag(C_00, C[1:, 1:])
     is the graded tangent map phi'_H.  Raises when a point or its image
-    leaves its frame's domain, or the target frame is singular at an image."""
+    leaves its frame's domain, Dphi is singular at a point, or the target
+    frame is singular at an image."""
     x = np.asarray(x, dtype=float)
     inside = frame_src.domain.contains(x)
     if not np.all(inside):
@@ -322,9 +327,11 @@ def tangent_blocks(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, x) -> np.
     inside = frame_dst.domain.contains(y)
     if not np.all(inside):
         raise FrameError(f"image {y[~inside][0]} of sample {x[~inside][0]} outside the target domain")
+    J = phi.jacobian(x)
+    check_nonsingular(J, x, "differential", "Dphi")
     B_dst = frame_dst.matrix_at(y)
     frame_dst.check_invertible(y, B=B_dst)
-    return np.linalg.solve(B_dst.mT, phi.jacobian(x) @ frame_src.matrix_at(x).mT)
+    return np.linalg.solve(B_dst.mT, J @ frame_src.matrix_at(x).mT)
 
 
 def pushforward_preserves_H(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, samples) -> float:

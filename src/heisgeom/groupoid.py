@@ -15,11 +15,11 @@ the fibres through its graded tangent map, the block-diagonal part of the
 one tangent block basis'(phi x)^-1 Dphi(x) basis(x) of
 `fields.tangent_blocks`.  The graded rescaling sweeps work in displacement
 coordinates to keep float cancellation at O(eps/t) instead of O(eps/t^2).
+Every sweep, the continuity sweeps included, returns its residual trace, one
+float per t; the suites fit it or judge it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,39 +175,21 @@ def _sup_per_t(diff: np.ndarray) -> list:
 # -- continuity --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Componentwise residual trace of the boundary-convergence condition."""
-
-    ts: tuple
-    residuals: tuple
-    tol: float
-
-    @property
-    def converged(self) -> bool:
-        return self.residuals[-1] < self.tol
-
-    @property
-    def diverged(self) -> bool:
-        return self.residuals[-1] > 10.0 * max(self.residuals[0], self.tol)
-
-
-def continuity_check(hm: HeisenbergMap, qs, ts, target_X, tol: float = 1e-6) -> ContinuityReport:
-    """Checks t_n^-1 . eps_p(q_n) -> X along a sequence (p, q_n, t_n) with a
-    fixed base point p; hm is eps_p.  qs holds the points of each t, (T, dim)
-    or (T, k, dim), each t's points one product."""
+def continuity_check(hm: HeisenbergMap, qs, ts, target_X) -> list:
+    """Residual trace of t_n^-1 . eps_p(q_n) -> X along a sequence
+    (p, q_n, t_n) with a fixed base point p; hm is eps_p.  qs holds the
+    points of each t, (T, dim) or (T, k, dim), each t's points one product."""
     qs, ts, target_X = _arrays(qs, ts, target_X)
-    residuals = _sup_per_t(dilate_inv(ts[:, None], hm.forward(per_map(qs, ts.shape))) - target_X)
-    return ContinuityReport(tuple(ts.tolist()), tuple(residuals), tol)
+    return _sup_per_t(dilate_inv(ts[:, None], hm.forward(per_map(qs, ts.shape))) - target_X)
 
 
-def continuity_chart_independence(src, dst, phi: PolyMap, p, qs, ts, target_X, tol: float = 1e-6) -> ContinuityReport:
-    """Re-checks the same convergent sequence through a second chart: the
+def continuity_chart_independence(src, dst, phi: PolyMap, p, qs, ts, target_X) -> list:
+    """The trace of the same sequence read through a second chart: the
     mapped sequence must converge to the graded-tangent image of X."""
     p, qs, target_X = _arrays(p, qs, target_X)
     mapped = phi.eval(per_map(qs, (len(ts),)))
     target = graded_part(tangent_blocks(phi, src.frame, dst.frame, p)) @ target_X
-    return continuity_check(dst.eps(phi.eval(p)), mapped, ts, target, tol)
+    return continuity_check(dst.eps(phi.eval(p)), mapped, ts, target)
 
 
 # -- composition limit --------------------------------------------------------

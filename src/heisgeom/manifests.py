@@ -218,7 +218,11 @@ class Manifest:
         raise KeyError(name)
 
     @classmethod
-    def from_dict(cls, doc: dict, jet_order: int | None = None, seed: int | None = None) -> "Manifest":
+    def from_dict(
+        cls, doc: dict, jet_order: int | None = None, seed: int | None = None, tol: dict | None = None
+    ) -> "Manifest":
+        """The validated manifest; `jet_order`, `seed` and `tol` (the --tol
+        overrides, name -> number or numeric string) take precedence over its config."""
         doc = _typed(doc, dict, "manifest")
         try:
             name = str(doc["name"])
@@ -296,11 +300,13 @@ class Manifest:
         for key, default in DEFAULT_SAMPLES.items():
             samples[key] = _config_number(samples[key], type(default), f"config.samples.{key}")
         _check_samples(samples, dim)
+        given = _typed(config.get("tolerances", {}), dict, "config.tolerances")
         tolerances = dict(DEFAULT_TOLERANCES)
-        for key, val in _typed(config.get("tolerances", {}), dict, "config.tolerances").items():
-            if key not in tolerances:
-                raise ValidationError(f"config.tolerances: unknown tolerance {key!r}")
-            tolerances[key] = _config_number(val, float, f"config.tolerances.{key}")
+        for where, entries in (("config.tolerances", given), ("--tol", tol or {})):
+            for key, val in entries.items():
+                if key not in tolerances:
+                    raise ValidationError(f"{where}: unknown tolerance {key!r}; known: {', '.join(sorted(tolerances))}")
+                tolerances[key] = _config_number(val, float, f"{where}.{key}")
         return cls(
             name,
             dim,

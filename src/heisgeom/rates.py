@@ -1,10 +1,12 @@
 """Log-log convergence-rate fitting shared by the coordinate, approximation
-and groupoid checks, and the one reduction every residual goes through."""
+and groupoid checks, and the one reduction every residual goes through.
+
+A sweep returns its residual trace over the t grid; `rate_fit` is the one
+fit of such a trace, and the suite runner turns its slope into a verdict."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,12 +28,13 @@ def worst_abs(*parts, least: bool = False) -> float:
 def rate_fit(ts, residuals, zero_floor: float, slope_min: float) -> float:
     """Least-squares slope of log residual against log t at the small-t end.
 
-    A residual that is not finite raises.  Residuals at or below `zero_floor`
+    The t grid must be strictly decreasing, and a residual that is not
+    finite raises.  Residuals at or below `zero_floor`
     are treated as exactly zero; when all of them vanish the decay is
     reported as exact (slope = +inf).  When fewer than four exceed it, every
     positive residual is fitted: noise under the floor is flat or rises as t
-    falls, so it still fails.  Fewer than four positive residuals raise.  On
-    the decreasing t grid, the fit takes the longest small-t suffix of the
+    falls, so it still fails.  Fewer than four positive residuals raise.  The
+    fit takes the longest small-t suffix of the
     fitted residuals in which every local slope
     log(r_k / r_{k+1}) / log(t_k / t_{k+1}) is at least `slope_min`, and
     never fewer than the last four.  A least-squares slope is an average of
@@ -43,6 +46,8 @@ def rate_fit(ts, residuals, zero_floor: float, slope_min: float) -> float:
     residuals = np.asarray(residuals, dtype=float)
     if ts.shape != residuals.shape or ts.ndim != 1:
         raise RateError("need matching 1-d arrays of t values and residuals")
+    if np.any(np.diff(ts) >= 0):
+        raise RateError("t grid must be strictly decreasing")
     if np.any(ts <= 0) or np.any(residuals < 0):
         raise RateError("t values must be positive and residuals nonnegative")
     if not np.all(np.isfinite(residuals)):
@@ -58,40 +63,6 @@ def rate_fit(ts, residuals, zero_floor: float, slope_min: float) -> float:
     start = min(low[-1] + 1 if low.size else 0, len(log_t) - 4)
     slope, _ = np.polyfit(log_t[start:], log_r[start:], 1)
     return float(slope)
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Residual trace with the fitted decay rate and a pass/fail verdict."""
-
-    ts: tuple
-    residuals: tuple
-    slope: float
-    slope_min: float
-
-    def __post_init__(self):
-        ts = np.asarray(self.ts, dtype=float)
-        if np.any(np.diff(ts) >= 0):
-            raise RateError("t grid must be strictly decreasing")
-        if np.any(np.asarray(self.residuals) < 0):
-            raise RateError("negative residual")
-
-    @property
-    def exact(self) -> bool:
-        return math.isinf(self.slope)
-
-    @property
-    def passed(self) -> bool:
-        return self.slope >= self.slope_min
-
-    @property
-    def max_residual(self) -> float:
-        return float(max(self.residuals))
-
-
-def fit_report(ts, residuals, slope_min: float, zero_floor: float) -> RateReport:
-    slope = rate_fit(ts, residuals, zero_floor, slope_min)
-    return RateReport(tuple(float(t) for t in ts), tuple(float(r) for r in residuals), slope, slope_min)
 
 
 def default_t_grid(kmin: int, kmax: int) -> np.ndarray:

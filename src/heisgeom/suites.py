@@ -7,13 +7,16 @@ is sorted by id.
 A check body evaluates the Levi matrices and Heisenberg maps of all its base
 points in one batched call, which equals one call per point bit for bit.
 Every residual goes through `rates.worst_abs`, which keeps a NaN, and a
-record whose residuals are not all finite never reads pass or flagged."""
+record whose residuals are not all finite never reads pass or flagged.
+Check bodies read the sweeps' residual traces directly; every rate record
+comes from `SuiteRunner.rate_outcome`."""
 
 from __future__ import annotations
 
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +24,7 @@ import numpy as np
 from . import approx, coords, group, groupoid
 from .fields import FrameError, LeviForm, pushforward_preserves_H, tangent_blocks
 from .manifests import Manifest, ValidationError
-from .rates import RateReport, default_t_grid, fit_report, worst_abs
+from .rates import default_t_grid, rate_fit, worst_abs
 
 ANCHORS = {
     "levi-form.antisymmetry": "Levi matrix is antisymmetric at every sampled point",
@@ -120,10 +123,14 @@ def _elements(rows):
     return np.array(p), np.array(v), np.array(t)
 
 
-def _worst_rate(reports):
-    """The first report that is not exact and has the least slope, or the
-    first report when every rate is exact (exact slopes are +inf)."""
-    return min(reports, key=lambda rep: (rep.exact, rep.slope))
+def _converged(r, tol: float) -> bool:
+    """A continuity trace has reached its limit: the last residual is under tol."""
+    return r[-1] < tol
+
+
+def _diverged(r, tol: float) -> bool:
+    """A continuity trace runs away: its last residual is over 10 max(first, tol)."""
+    return r[-1] > 10.0 * max(r[0], tol)
 
 
 SUITE_NAMES = ("levi", "coords", "group", "classify", "diffeo", "groupoid")
@@ -139,23 +146,35 @@ class SuiteRunner:
         self.charts = {c.name: groupoid.GroupoidChart(c.frame, self.tol["composability"]) for c in manifest.charts}
         self._levi = {c.name: LeviForm(c.frame) for c in manifest.charts}
         self._preserving: dict = {}
+        self._grids: dict = {}
 
     # -- shared samples ----------------------------------------------------
     def base_points(self, cname: str, limit=None, shrink=None):
-        spec = self.manifest.chart(cname)
-        s = self.manifest.samples
-        return spec.frame.domain.shrunk(shrink or s["shrink"]).grid(
-            s["per_axis"], limit=limit or s["base_limit"]
-        )
+        """A read-only sample grid of the chart, built once.  A frame that is
+        singular at a grid point is a `ValidationError` naming the chart."""
+        key = (cname, limit, shrink)
+        pts = self._grids.get(key)
+        if pts is None:
+            frame = self.manifest.chart(cname).frame
+            s = self.manifest.samples
+            pts = frame.domain.shrunk(shrink or s["shrink"]).grid(s["per_axis"], limit=limit or s["base_limit"])
+            try:
+                frame.check_invertible(pts)
+            except FrameError as exc:
+                raise ValidationError(f"chart {cname!r}: {exc}") from exc
+            pts.setflags(write=False)
+            self._grids[key] = pts
+        return pts
 
     def sweep_points(self, cname: str):
         # tighter box for graded sweeps: displacements scale with the frame
         return self.base_points(cname, limit=self.manifest.samples["sweep_tuples"], shrink=0.1)
 
-    def _needs_seed(self):
+    def _seeded(self, key: str):
+        """The seed and the generator of one randomized check, keyed by name."""
         if self.manifest.seed is None:
             raise ValidationError("randomized checks need a seed (manifest config.seed or --seed)")
-        return self.manifest.seed
+        return self.manifest.seed, rng_for(self.manifest.seed, key)
 
     def preserving_residual(self, spec) -> float:
         """Runs while the checks are collected, so a chart that cannot hold
@@ -172,10 +191,19 @@ class SuiteRunner:
             self._preserving[spec.name] = hit
         return hit
 
-    def fit(self, residuals) -> RateReport:
-        """The rate verdict of every sweep: the residual trace over the
-        manifest's t grid, fitted with its `slope_min` and `zero_floor`."""
-        return fit_report(self.t_grid, residuals, self.tol["slope_min"], self.tol["zero_floor"])
+    def slope(self, trace) -> float:
+        """The decay rate of a residual trace over the manifest's t grid,
+        fitted with its `zero_floor` and `slope_min`; +inf when exact."""
+        return rate_fit(self.t_grid, trace, self.tol["zero_floor"], self.tol["slope_min"])
+
+    def rate_outcome(self, inputs: dict, traces, ok: bool = True, flagged: bool = False) -> Outcome:
+        """The one rate record of every sweep.  It shows the first inexact
+        trace of least slope, or the first trace when all are exact, and
+        passes when that slope is at least `slope_min` and `ok` holds."""
+        slopes = [self.slope(r) for r in traces]
+        i = min(range(len(slopes)), key=lambda k: (math.isinf(slopes[k]), slopes[k]))
+        ok = ok and slopes[i] >= self.tol["slope_min"]
+        return Outcome(inputs, _verdict(ok, flagged), tuple(float(r) for r in traces[i]), slopes[i])
 
     # -- check builders -----------------------------------------------------
     def collect(self, suite: str) -> list:
@@ -298,12 +326,12 @@ class SuiteRunner:
         @check(f"coords/{name}/normalization", "privileged.normalization")
         def normalization():
             pts = self.base_points(name, limit=8)
-            pms = [coords.privileged_map(frame, m) for m in pts]
-            worst = worst_abs(
-                *(pm.A @ B.T - np.eye(frame.dim) for pm, B in zip(pms, frame.matrix_at(pts))),
-                *(pm.forward(m) for pm, m in zip(pms, pts)),
-                np.array([pm.b_matrix() for pm in pms]) - coords.heisenberg_map(frame, pts).b,
-            )
+            hm = coords.heisenberg_map(frame, pts)
+            pushed = [coords.privileged_frame(frame, m) for m in pts]
+            at0 = np.array([[X(np.zeros(frame.dim)) for X in fr] for fr in pushed])
+            b = np.array([[X.components.linear()[0, 1:] for X in fr[1:]] for fr in pushed])
+            eye = np.eye(frame.dim)
+            worst = worst_abs(hm.A @ frame.matrix_at(pts).mT - eye, at0 - eye, b - hm.b)
             return Outcome({"chart": name}, _verdict(worst < tol["normalization"]), (worst,))
 
         @check(f"coords/{name}/model-fields", "heisenberg-coords.model-fields")
@@ -340,8 +368,7 @@ class SuiteRunner:
             weight decision sits near the threshold."""
             m = self.base_points(name, limit=1)[0]
             residuals, flagged = coords.dilation_limit_check(X, frame, m, self.t_grid)
-            rep = self.fit(residuals)
-            return Outcome({"chart": name, "field": field_name}, _verdict(rep.passed, flagged), rep.residuals, rep.slope)
+            return self.rate_outcome({"chart": name, "field": field_name}, [residuals], flagged=flagged)
 
         @check(f"coords/{name}/dilation-exact", "nilpotent-approx.dilation-limit")
         def dilation_exact():
@@ -368,8 +395,7 @@ class SuiteRunner:
 
         @check(f"group/{name}/axioms", "tangent-group.axioms")
         def axioms():
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"group/{name}/axioms")
+            seed, rng = self._seeded(f"group/{name}/axioms")
             G = group_at_sample()
             x, y, z = rng.uniform(-2, 2, (3, n_tuples, d + 1))
             worst = worst_abs(
@@ -379,8 +405,7 @@ class SuiteRunner:
 
         @check(f"group/{name}/dilation-automorphism", "tangent-group.dilations")
         def dilations():
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"group/{name}/dilations")
+            seed, rng = self._seeded(f"group/{name}/dilations")
             G = group_at_sample()
             x, y = rng.uniform(-2, 2, (2, n_tuples, d + 1))
             dil = group.dilate
@@ -389,8 +414,7 @@ class SuiteRunner:
 
         @check(f"group/{name}/commutator", "tangent-group.commutator")
         def commutator():
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"group/{name}/commutator")
+            seed, rng = self._seeded(f"group/{name}/commutator")
             G = group_at_sample()
             x, y = rng.uniform(-2, 2, (2, n_tuples, d + 1))
             comm = G.commutator(x, y)
@@ -400,8 +424,7 @@ class SuiteRunner:
 
         @check(f"group/{name}/pseudo-norm", "pseudo-norm.homogeneity")
         def pseudo():
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"group/{name}/pseudo")
+            seed, rng = self._seeded(f"group/{name}/pseudo")
             x = rng.uniform(-2, 2, (n_tuples, d + 1))
             worst = worst_abs(
                 *(group.pseudo_norm(group.dilate(t, x)) - abs(t) * group.pseudo_norm(x) for t in (-3.0, 0.25, 7.0))
@@ -410,8 +433,7 @@ class SuiteRunner:
 
         @check(f"group/{name}/shear-transport", "graded-shear.transport")
         def shear_transport():
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"group/{name}/shear")
+            seed, rng = self._seeded(f"group/{name}/shear")
             m = self.base_points(name, limit=1)[0]
             b = coords.heisenberg_map(chart.frame, m).b
             csym = rng.uniform(-1, 1, (d, d))
@@ -486,9 +508,10 @@ class SuiteRunner:
 
         @functools.cache
         def expansions():
-            """One expansion per base point, shared by the rate and uniformity
-            checks; an exception is not cached, so both become `error` records."""
-            return [self.fit(approx.diffeo_expansion_check(spec.fwd, src, dst, m, self.t_grid)) for m in base]
+            """One expansion trace per base point, shared by the rate and
+            uniformity checks; an exception is not cached, so both become
+            `error` records."""
+            return [approx.diffeo_expansion_check(spec.fwd, src, dst, m, self.t_grid) for m in base]
 
         # a map that does not preserve H is the negative control: the detector must fire
         kind = "quadratic-vanishing" if preserving else "negative-control"
@@ -515,14 +538,11 @@ class SuiteRunner:
 
         @check(f"diffeo/{spec.name}/rate", "diffeo-approx.scaled-limit")
         def rate():
-            worst_rep = _worst_rate(expansions())
-            return Outcome(
-                {"diffeo": spec.name, "points": len(base)}, _verdict(worst_rep.passed), worst_rep.residuals, worst_rep.slope
-            )
+            return self.rate_outcome({"diffeo": spec.name, "points": len(base)}, expansions())
 
         @check(f"diffeo/{spec.name}/uniformity", "diffeo-approx.uniformity")
         def uniformity():
-            slopes = [rep.slope for rep in expansions() if not rep.exact]
+            slopes = [k for k in map(self.slope, expansions()) if not math.isinf(k)]
             spread = max(slopes) - min(slopes) if len(slopes) >= 2 else 0.0
             return Outcome({"diffeo": spec.name, "points": len(base)}, _verdict(spread < tol["uniformity"]), (spread,))
 
@@ -536,8 +556,7 @@ class SuiteRunner:
 
         @check(f"groupoid/{name}/axioms", "groupoid.axioms")
         def axioms():
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"groupoid/{name}/axioms")
+            seed, rng = self._seeded(f"groupoid/{name}/axioms")
             p0 = self.base_points(name, limit=1)[0]
             rows1, rows2 = [], []
             for _ in range(n_tuples):
@@ -565,8 +584,7 @@ class SuiteRunner:
 
         @check(f"groupoid/{name}/chart-roundtrip", "groupoid-chart.roundtrip")
         def roundtrip():
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"groupoid/{name}/roundtrip")
+            seed, rng = self._seeded(f"groupoid/{name}/roundtrip")
             p0 = self.base_points(name, limit=1)[0]
             draws = [(p0 + rng.uniform(-0.3, 0.3, dim), rng.uniform(-1, 1, dim), rng.uniform(0.05, 0.5)) for _ in range(25)]
             x, X, t = _elements(draws)
@@ -578,8 +596,7 @@ class SuiteRunner:
 
         @check(f"groupoid/{name}/rs-jacobian", "groupoid.range-source-submersion")
         def rs_jacobian():
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"groupoid/{name}/rs")
+            seed, rng = self._seeded(f"groupoid/{name}/rs")
             p0 = self.base_points(name, limit=1)[0]
             dets = []
             for _ in range(8):
@@ -595,8 +612,9 @@ class SuiteRunner:
             hm = gchart.eps(self.sweep_points(name)[0])
             X = 0.5 * np.ones(dim)
             ts = 2.0 ** -np.arange(*self.manifest.t_grid_range)
-            rep = groupoid.continuity_check(hm, hm.inverse(group.dilate(ts[:, None], X)), ts, X, tol["continuity"])
-            return Outcome({"chart": name}, _verdict(rep.converged and not rep.diverged), rep.residuals)
+            r = groupoid.continuity_check(hm, hm.inverse(group.dilate(ts[:, None], X)), ts, X)
+            ok = _converged(r, tol["continuity"]) and not _diverged(r, tol["continuity"])
+            return Outcome({"chart": name}, _verdict(ok), tuple(r))
 
         @check(f"groupoid/{name}/continuity-negative", "groupoid.continuity-negative")
         def continuity_negative():
@@ -604,34 +622,27 @@ class SuiteRunner:
             v = 0.5 * np.ones(dim)
             ts = 2.0 ** -np.arange(*self.manifest.t_grid_range)
             qs = hm.inverse(ts[:, None, None] * v)  # linear, not graded
-            rep = groupoid.continuity_check(hm, qs, ts, v, tol["continuity"])
-            return Outcome({"chart": name}, _verdict(rep.diverged), rep.residuals)
+            r = groupoid.continuity_check(hm, qs, ts, v)
+            return Outcome({"chart": name}, _verdict(_diverged(r, tol["continuity"])), tuple(r))
 
         @check(f"groupoid/{name}/composition-limit", "groupoid.composition-limit")
         def composition_limit():
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"groupoid/{name}/composition")
+            seed, rng = self._seeded(f"groupoid/{name}/composition")
             flat = worst_abs(self._levi[name].matrix(self.sweep_points(name)[0])) < 1e-14
-            reps = []
-            for x in self.sweep_points(name):
-                X, Y = rng.uniform(-1, 1, (2, dim))
-                reps.append(self.fit(groupoid.composition_limit_check(gchart, x, X, Y, self.t_grid)))
-            worst_rep = _worst_rate(reps)
-            ok = worst_rep.passed
-            if flat:
-                ok = ok and worst_abs(*(rep.residuals for rep in reps)) < tol["flat_exact"]
-            return Outcome({"chart": name, "seed": seed}, _verdict(ok), worst_rep.residuals, worst_rep.slope)
+            pts = self.sweep_points(name)
+            XY = rng.uniform(-1, 1, (len(pts), 2, dim))  # the draws of one point after another
+            traces = [groupoid.composition_limit_check(gchart, x, X, Y, self.t_grid) for x, (X, Y) in zip(pts, XY)]
+            # a flat chart composes exactly
+            exact = not flat or worst_abs(*traces) < tol["flat_exact"]
+            return self.rate_outcome({"chart": name, "seed": seed}, traces, ok=exact)
 
         @check(f"groupoid/{name}/psi-claim", "groupoid.privileged-composition-claim")
         def psi_claim():
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"groupoid/{name}/psi")
-            reps = []
-            for u in self.sweep_points(name):
-                v, w = rng.uniform(-1, 1, (2, dim))
-                reps.append(self.fit(groupoid.psi_composition_check(gchart, u, v, w, self.t_grid)))
-            worst_rep = _worst_rate(reps)
-            return Outcome({"chart": name, "seed": seed}, _verdict(worst_rep.passed), worst_rep.residuals, worst_rep.slope)
+            seed, rng = self._seeded(f"groupoid/{name}/psi")
+            pts = self.sweep_points(name)
+            VW = rng.uniform(-1, 1, (len(pts), 2, dim))
+            traces = [groupoid.psi_composition_check(gchart, u, v, w, self.t_grid) for u, (v, w) in zip(pts, VW)]
+            return self.rate_outcome({"chart": name, "seed": seed}, traces)
 
     def _groupoid_diffeo_checks(self, spec, check):
         tol = self.tol
@@ -643,14 +654,11 @@ class SuiteRunner:
 
         @check(f"groupoid/{spec.name}/transition-limit", "groupoid-chart.transition-limit")
         def transition_limit():
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"groupoid/{spec.name}/transition")
-            reps = []
-            for x in base:
-                X = rng.uniform(-1, 1, self.manifest.dim)
-                reps.append(self.fit(groupoid.transition_rate_check(src_chart, dst_chart, spec.fwd, x, X, self.t_grid)))
-            worst_rep = _worst_rate(reps)
-            return Outcome({"diffeo": spec.name, "seed": seed}, _verdict(worst_rep.passed), worst_rep.residuals, worst_rep.slope)
+            seed, rng = self._seeded(f"groupoid/{spec.name}/transition")
+            Xs = rng.uniform(-1, 1, (len(base), self.manifest.dim))
+            sweep = functools.partial(groupoid.transition_rate_check, src_chart, dst_chart, spec.fwd)
+            traces = [sweep(x, X, self.t_grid) for x, X in zip(base, Xs)]
+            return self.rate_outcome({"diffeo": spec.name, "seed": seed}, traces)
 
         @check(f"groupoid/{spec.name}/continuity-chart-independence", "groupoid.continuity-chart-independence")
         def chart_independence():
@@ -659,9 +667,11 @@ class SuiteRunner:
             X = 0.4 * np.ones(self.manifest.dim)
             ts = 2.0 ** -np.arange(max(3, self.manifest.t_grid_range[0]), self.manifest.t_grid_range[1])
             qs = hm.inverse(group.dilate(ts[:, None], X))
-            rep1 = groupoid.continuity_check(hm, qs, ts, X, tol["continuity"])
-            rep2 = groupoid.continuity_chart_independence(src_chart, dst_chart, spec.fwd, x, qs, ts, X, tol=1e-2)
-            return Outcome({"diffeo": spec.name}, _verdict(rep1.converged and rep2.converged), rep2.residuals)
+            r1 = groupoid.continuity_check(hm, qs, ts, X)
+            r2 = groupoid.continuity_chart_independence(src_chart, dst_chart, spec.fwd, x, qs, ts, X)
+            # the mapped trace converges to the graded-tangent image, to 1e-2
+            ok = _converged(r1, tol["continuity"]) and _converged(r2, 1e-2)
+            return Outcome({"diffeo": spec.name}, _verdict(ok), tuple(r2))
 
         @check(f"groupoid/{spec.name}/functor", "groupoid.functoriality")
         def functor():
@@ -669,8 +679,7 @@ class SuiteRunner:
                 return Outcome(
                     {"diffeo": spec.name}, "flagged", value={"note": "no inverse declared; functor identities skipped"}
                 )
-            seed = self._needs_seed()
-            rng = rng_for(seed, f"groupoid/{spec.name}/functor")
+            seed, rng = self._seeded(f"groupoid/{spec.name}/functor")
             morph = groupoid.GroupoidMorphism(spec.fwd, spec.inv, src_chart, dst_chart)
             rows1, rows2, charted = [], [], []
             for _ in range(40):

@@ -2,14 +2,17 @@ import numpy as np
 
 from heisgeom.fields import Box, HFrame, VectorField
 from heisgeom.jets import Jet, PolyMap, jet_space
-from heisgeom.rates import default_t_grid, fit_report
+from heisgeom.manifests import DEFAULT_TOLERANCES
+from heisgeom.rates import default_t_grid, rate_fit
 
 TS = default_t_grid(2, 12)  # the builtins' t grid
+SLOPE_MIN = DEFAULT_TOLERANCES["slope_min"]
 
 
-def fit_rate(residuals):
-    """A residual trace over TS, fitted as the suites fit it at the default tolerances."""
-    return fit_report(TS, residuals, slope_min=0.85, zero_floor=1e-10)
+def fit_rate(residuals) -> float:
+    """The slope of a residual trace over TS, fitted as the suites fit it at
+    the default tolerances; +inf when the trace is exact."""
+    return rate_fit(TS, residuals, DEFAULT_TOLERANCES["zero_floor"], SLOPE_MIN)
 
 
 def unit_exp(dim, j):

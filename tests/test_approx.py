@@ -7,16 +7,16 @@ from heisgeom.approx import ApproxError, conjugated_jets, diffeo_expansion_check
 from heisgeom.fields import pushforward_field, pushforward_preserves_H, tangent_blocks
 from heisgeom.group import TangentGroup, bilinear_mul
 from heisgeom.jets import Jet, PolyMap, jet_space
-from heisgeom.rates import RateError, RateReport, fit_report, rate_fit
+from heisgeom.rates import RateError, rate_fit
 from heisgeom.coords import heisenberg_map
 
-from conftest import TS, fit_rate, heisenberg_frame, left_translation, vertical_shear_diffeo
+from conftest import SLOPE_MIN, TS, fit_rate, heisenberg_frame, left_translation, vertical_shear_diffeo
 
 H3 = heisenberg_frame(half=8.0)
 DARBOUX_Q = {(0, 1, 1): 1.0, (0, 3, 0): 0.4}
 
 
-def expansion_fit(phi, src, dst, m):
+def expansion_fit(phi, src, dst, m) -> float:
     return fit_rate(diffeo_expansion_check(phi, src, dst, m, TS))
 
 
@@ -40,9 +40,9 @@ def test_rate_fit_quadratic():
 
 def test_rate_fit_constant_fails_verdict():
     ts = 2.0 ** -np.arange(2, 9)
-    rep = fit_report(ts, np.full(len(ts), 0.3), slope_min=0.85, zero_floor=1e-13)
-    assert rep.slope == pytest.approx(0.0, abs=1e-9)
-    assert not rep.passed
+    slope = rate_fit(ts, np.full(len(ts), 0.3), 1e-13, 0.85)
+    assert slope == pytest.approx(0.0, abs=1e-9)
+    assert slope < 0.85
 
 
 def test_rate_fit_exact_short_circuit():
@@ -62,7 +62,7 @@ def test_rate_fit_rejects_a_nonfinite_trace():
     # an all-NaN trace is no exact decay (slope +inf); it cannot be fitted
     ts = 2.0 ** -np.arange(2, 13)
     with pytest.raises(RateError, match="not finite"):
-        fit_report(ts, [np.nan] * 11, 0.85, 1e-10)
+        rate_fit(ts, [np.nan] * 11, 1e-10, 0.85)
     with pytest.raises(RateError, match="not finite"):
         rate_fit(ts, np.where(ts == 0.125, np.inf, 3.7 * ts), 1e-10, 0.85)
 
@@ -72,18 +72,18 @@ def test_rate_fit_decay_that_crosses_the_floor_is_fitted():
     # decay from 1.3e-10 down to 1.3e-13, one point above the 1e-10 floor
     r = 1.3e-10 * TS / TS[0]
     assert np.sum(r > 1e-10) == 1
-    rep = fit_rate(r)
-    assert rep.slope == pytest.approx(1.0, abs=1e-9)
-    assert rep.passed
+    slope = fit_rate(r)
+    assert slope == pytest.approx(1.0, abs=1e-9)
+    assert slope >= SLOPE_MIN
 
 
 def test_rate_fit_flat_noise_under_the_floor_fails():
     # two points above the floor, then rounding noise that stays flat
     r = np.full(len(TS), 1e-15)
     r[:2] = [3e-10, 2e-10]
-    rep = fit_rate(r)
-    assert rep.slope == pytest.approx(0.0, abs=1e-9)
-    assert not rep.passed
+    slope = fit_rate(r)
+    assert slope == pytest.approx(0.0, abs=1e-9)
+    assert slope < SLOPE_MIN
 
 
 def test_rate_fit_rejects_nonpositive_t():
@@ -92,16 +92,16 @@ def test_rate_fit_rejects_nonpositive_t():
 
 
 def test_rate_fit_sqrt_trace_fails():
-    rep = fit_rate(0.3 * TS**0.5)
-    assert rep.slope == pytest.approx(0.5, abs=1e-9)
-    assert not rep.passed
+    slope = fit_rate(0.3 * TS**0.5)
+    assert slope == pytest.approx(0.5, abs=1e-9)
+    assert slope < SLOPE_MIN
 
 
 def test_rate_fit_rising_noise_trace_fails():
     # rounding noise of O(eps / t) rises as t falls: every local slope is -1
-    rep = fit_rate(1e-9 / TS)
-    assert rep.slope == pytest.approx(-1.0, abs=1e-9)
-    assert not rep.passed
+    slope = fit_rate(1e-9 / TS)
+    assert slope == pytest.approx(-1.0, abs=1e-9)
+    assert slope < SLOPE_MIN
 
 
 def test_rate_fit_takes_small_t_end_past_a_bump():
@@ -110,9 +110,9 @@ def test_rate_fit_takes_small_t_end_past_a_bump():
     r = 0.3 * TS
     r[:3] = r[3] * np.array([0.5, 0.8, 1.2])
     assert np.polyfit(np.log(TS), np.log(r), 1)[0] < 0.85
-    rep = fit_rate(r)
-    assert rep.slope == pytest.approx(1.0, abs=1e-9)
-    assert rep.passed
+    slope = fit_rate(r)
+    assert slope == pytest.approx(1.0, abs=1e-9)
+    assert slope >= SLOPE_MIN
 
 
 def test_rate_fit_passes_a_dip_before_linear_decay():
@@ -121,9 +121,9 @@ def test_rate_fit_passes_a_dip_before_linear_decay():
     r = 0.3 * TS
     r[1] *= 1e-4
     assert TS[1] == 0.125
-    rep = fit_rate(r)
-    assert rep.slope == pytest.approx(1.0, abs=1e-9)
-    assert rep.passed
+    slope = fit_rate(r)
+    assert slope == pytest.approx(1.0, abs=1e-9)
+    assert slope >= SLOPE_MIN
 
 
 def test_rate_fit_clean_trace_fits_the_whole_grid():
@@ -132,9 +132,11 @@ def test_rate_fit_clean_trace_fits_the_whole_grid():
     assert rate_fit(TS, r, 1e-10, 0.85) == np.polyfit(np.log(TS), np.log(r), 1)[0]
 
 
-def test_rate_report_requires_decreasing_grid():
-    with pytest.raises(RateError):
-        RateReport((0.25, 0.5), (1.0, 1.0), 1.0, 0.85)
+def test_rate_fit_requires_decreasing_grid():
+    with pytest.raises(RateError, match="strictly decreasing"):
+        rate_fit([0.25, 0.5, 0.125, 0.0625], [1.0, 1.0, 0.5, 0.25], 1e-13, 0.85)
+    with pytest.raises(RateError, match="strictly decreasing"):
+        rate_fit([0.5, 0.25, 0.25, 0.125], [1.0, 0.5, 0.5, 0.25], 1e-13, 0.85)
 
 
 # ---- tangent blocks and graded tangent maps ----------------------------------
@@ -221,16 +223,16 @@ def test_tangent_map_a00_zero_rejected():
 
 def test_expansion_identity_exact():
     assert quad_max(PolyMap.identity(3, 3), H3, H3, np.zeros(3)) == 0.0
-    rep = expansion_fit(PolyMap.identity(3, 3), H3, H3, np.zeros(3))
-    assert rep.exact and rep.passed
+    slope = expansion_fit(PolyMap.identity(3, 3), H3, H3, np.zeros(3))
+    assert math.isinf(slope)
 
 
 def test_expansion_left_translation_exact():
     fwd, _ = left_translation([0.0, 1.0, 0.0])
     m = np.array([0.2, 0.1, -0.3])
     assert quad_max(fwd, H3, H3, m) < 1e-12
-    rep = expansion_fit(fwd, H3, H3, m)
-    assert rep.exact and rep.passed
+    slope = expansion_fit(fwd, H3, H3, m)
+    assert math.isinf(slope)
 
 
 def test_expansion_rotation_exact():
@@ -241,7 +243,7 @@ def test_expansion_rotation_exact():
     rot = PolyMap.affine(R, np.zeros(3), 3)
     m = np.array([0.1, 0.4, 0.2])
     assert quad_max(rot, H3, H3, m) < 1e-12
-    assert expansion_fit(rot, H3, H3, m).exact
+    assert math.isinf(expansion_fit(rot, H3, H3, m))
     np.testing.assert_allclose(graded_tangent(rot, H3, H3, m), R, atol=1e-12)
 
 
@@ -268,10 +270,8 @@ def test_expansion_darboux_quadratic_vanishes_and_slope_one():
     src = heisenberg_frame()
     for m in [np.zeros(3), np.array([0.3, 0.25, -0.2]), np.array([-0.2, -0.4, 0.35])]:
         assert quad_max(fwd, src, pushed, m) < 1e-10
-        rep = expansion_fit(fwd, src, pushed, m)
-        assert not rep.exact
-        assert 0.85 <= rep.slope <= 1.35
-        assert rep.passed
+        slope = expansion_fit(fwd, src, pushed, m)
+        assert SLOPE_MIN <= slope <= 1.35
 
 
 def test_expansion_uniformity_across_base_points():
@@ -279,7 +279,7 @@ def test_expansion_uniformity_across_base_points():
     src = heisenberg_frame()
     slopes = []
     for m in [np.array([0.0, 0.2, 0.1]), np.array([0.1, -0.3, 0.2]), np.array([-0.2, 0.4, -0.1]), np.array([0.25, 0.1, 0.3])]:
-        slopes.append(expansion_fit(fwd, src, pushed, m).slope)
+        slopes.append(expansion_fit(fwd, src, pushed, m))
     assert max(slopes) - min(slopes) < 0.1
 
 

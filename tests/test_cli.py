@@ -73,26 +73,18 @@ def test_check_that_raises_is_an_error_record(tmp_path, capsys):
     assert [rec["id"] for rec in report["checks"]] == [rec["id"] for rec in default_grid["checks"]]
 
 
-def test_constant_map_diffeo_gives_error_records_not_passes(tmp_path, capsys):
-    # Dphi = 0 has a vanishing top row, so the map reads as H-preserving, but
-    # its graded tangent map has a00 = 0: every check that reads phi'_H raises
+def test_constant_map_diffeo_is_validation_error(tmp_path, capsys):
+    # Dphi = 0 has a vanishing top row, so without the guard on Dphi the map
+    # read as H-preserving and its quadratic-vanishing record as a pass
     doc = builtin_doc("heisenberg3")
     const = [[[0.1, [0, 0, 0]]], [[0.2, [0, 0, 0]]], [[0.3, [0, 0, 0]]]]
     doc["diffeos"].append({"name": "collapse", "source": "hb3", "target": "hb3", "components": const})
     code, report = run(tmp_path, write_json(tmp_path, doc), "--suite", "all")
-    assert code == EXIT_CHECK_FAILED
-    assert "Traceback" not in capsys.readouterr().err
-    records = {rec["id"]: rec for rec in report["checks"]}
-    for check_id in [
-        "diffeo/collapse/tangent-blocks",
-        "diffeo/collapse/rate",
-        "diffeo/collapse/uniformity",
-        "groupoid/collapse/transition-limit",
-        "groupoid/collapse/continuity-chart-independence",
-    ]:
-        rec = records[check_id]
-        assert rec["verdict"] == "error", check_id
-        assert rec["value"] == {"error": "ApproxError", "message": "transverse scalar a00 vanishes"}
+    assert code == EXIT_VALIDATION_ERROR
+    assert report is None
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "diffeo 'collapse'" in err and "differential nearly singular" in err
 
 
 @pytest.mark.parametrize(
@@ -182,6 +174,18 @@ def test_singular_frame_is_validation_error(tmp_path, capsys):
     assert "nearly singular" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("manifest, chart", [("heisenberg5", "hb5"), ("foliation-flat", "flat")])
+def test_frame_with_a_vanishing_field_is_validation_error(tmp_path, capsys, manifest, chart):
+    # X_0 = 0 makes the frame singular at every point, so the first sample
+    # grid is refused, before any check can record an error
+    doc = builtin_doc(manifest)
+    doc["charts"][0]["frame"][0] = [[] for _ in range(doc["dimension"])]
+    code, report = run(tmp_path, write_json(tmp_path, doc), "--suite", "all")
+    assert code == EXIT_VALIDATION_ERROR
+    assert report is None
+    assert f"chart {chart!r}: frame matrix nearly singular" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_frame_never_reads_as_a_pass(tmp_path):
     # every frame coefficient of heisenberg3 times 1e200, diffeos kept: the
@@ -226,6 +230,30 @@ def test_malformed_tol_override_is_validation_error(tmp_path, capsys):
     code, _ = run(tmp_path, "foliation-flat", "--tol", "pseudo_norm=tight")
     assert code == EXIT_VALIDATION_ERROR
     assert "pseudo_norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "malform, where",
+    [
+        (lambda doc: {**doc, "config": {**doc["config"], "tolerances": [1, 2]}}, "config.tolerances"),
+        (lambda doc: {**doc, "config": [1]}, "config"),
+        (lambda doc: [doc], "manifest"),
+    ],
+)
+def test_tol_override_on_a_malformed_manifest_is_validation_error(tmp_path, capsys, malform, where):
+    path = write_json(tmp_path, malform(builtin_doc("foliation-flat")))
+    code, report = run(tmp_path, path, "--tol", "pseudo_norm=1e-3")
+    assert code == EXIT_VALIDATION_ERROR
+    assert report is None
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"validation error: {where}: expected an object" in err
+
+
+def test_unknown_tol_override_is_validation_error(tmp_path, capsys):
+    code, _ = run(tmp_path, "foliation-flat", "--tol", "pseudo=1e-3")
+    assert code == EXIT_VALIDATION_ERROR
+    assert "unknown tolerance 'pseudo'" in capsys.readouterr().err
 
 
 def test_unreadable_manifest_is_parse_error(tmp_path, capsys):

@@ -189,9 +189,9 @@ def _traces(chart, phi, seed):
         hm = chart.eps(x)
         ts = TS[1:]
         qs = hm.inverse(dilate(ts[:, None], X))
-        out.append((list(continuity_check(hm, qs, ts, X).residuals), continuity_loop(hm, X, ts)))
-        batched = continuity_chart_independence(chart, chart, phi, x, qs, ts, X).residuals
-        out.append((list(batched), chart_independence_loop(chart, chart, phi, x, X, ts)))
+        out.append((continuity_check(hm, qs, ts, X), continuity_loop(hm, X, ts)))
+        batched = continuity_chart_independence(chart, chart, phi, x, qs, ts, X)
+        out.append((batched, chart_independence_loop(chart, chart, phi, x, X, ts)))
     t = rng.uniform(0.05, 0.5, len(xs))
     out.append(([roundtrip_batch(chart, xs, Xs, t)], [roundtrip_loop(chart, xs, Xs, t)]))
     return out
