@@ -151,7 +151,8 @@ def mul_rows(s: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         w = x[r : r + step].take(pair_a, axis=1) * y[r : r + step].take(pair_b, axis=1)
         n = len(w)
         bins = pair_out if n == 1 else (np.arange(n)[:, None] * s.size + pair_out).ravel()
-        blocks.append(np.bincount(bins, w.ravel(), n * s.size).reshape(n, s.size))
+        # a bincount with no pairs (a zero operand) returns int64 zeros
+        blocks.append(np.bincount(bins, w.ravel(), n * s.size).astype(float, copy=False).reshape(n, s.size))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import approx, coords, group, groupoid
-from .fields import FrameError, LeviForm, pushforward_preserves_H, tangent_blocks
+from .fields import FrameError, LeviForm, bracket, pushforward_preserves_H, tangent_blocks
+from .jets import Jet
 from .manifests import Manifest, ValidationError
 from .rates import default_t_grid, rate_fit, worst_abs
 
@@ -121,6 +122,39 @@ def _elements(rows):
     """Stack (p, v, t) rows into the arrays (p, v, t) of groupoid elements."""
     p, v, t = zip(*rows)
     return np.array(p), np.array(v), np.array(t)
+
+
+def bracket_fd_residuals(frame, levi: LeviForm, pts, h: float) -> np.ndarray:
+    """omega_0 - L_jk (P, pairs) at pts (P, n) for 1 <= j < k, j-major: omega
+    expands over the frame [X_j, X_k] from central differences of step h, with
+    each field evaluated once, on the stencil m, m +- h e_a of every point."""
+    n, m = frame.dim, pts[:, None, :]
+    stencil = np.concatenate([m, m + h * np.eye(n), m - h * np.eye(n)], axis=1)
+    vals = np.stack([f.eval_many(stencil) for f in frame.fields], axis=1)  # vals[p, j, s] = X_j(stencil[p, s])
+    J = ((vals[:, :, 1 : n + 1] - vals[:, :, n + 1 :]) / (2 * h)).swapaxes(-1, -2)  # J[p, j, i, a] = d_a X_j^i
+    X = vals[:, :, 0, :, None]
+    j, k = np.array(np.triu_indices(n - 1, 1)) + 1
+    omega = np.linalg.solve(frame.matrix_at(pts).mT[:, None], J[:, k] @ X[:, j] - J[:, j] @ X[:, k])
+    return omega[..., 0, 0] - levi.matrix(pts)[:, j - 1, k - 1]
+
+
+def composable_tuples(rng, p0, n: int):
+    """n composable groupoid elements g1, g2: with probability 1/2 the pairs
+    (p, m, t), (m, q, t), else the fibre points (p, X, 0), (p, Y, 0) over
+    p0 + [-0.5, 0.5)^dim.  The numbers u of one draw are read in order, 3 dim + 2
+    per pair and 3 dim + 1 per fibre, each as lo + (hi - lo) u, as `Generator.uniform` does."""
+    dim = len(p0)
+    u = rng.random(n * (3 * dim + 2))
+    below, starts = (u < 0.5).tobytes(), [0]  # below[i]: a tuple that starts at i is a pair
+    while len(starts) < n:
+        starts.append(starts[-1] + 3 * dim + 1 + below[starts[-1]])
+    s = np.array(starts)
+    pair = (u[s] < 0.5)[:, None]
+    w = u[s[:, None, None] + 1 + np.arange(3 * dim).reshape(3, dim)]  # (n, 3, dim)
+    a, b, c = np.moveaxis(-1.0 + 2.0 * w, 1, 0)
+    fibre_p = p0 + (-0.5 + 1.0 * w[:, 0])
+    t = np.where(pair[:, 0], 0.1 + (2.0 - 0.1) * u[s + 1 + 3 * dim], 0.0)
+    return (np.where(pair, a, fibre_p), b, t), (np.where(pair, b, fibre_p), c, t)
 
 
 def _converged(r, tol: float) -> bool:
@@ -272,26 +306,8 @@ class SuiteRunner:
 
         @check(f"levi/{name}/bracket-fd", "levi-form.bracket-definition")
         def bracket_fd():
-            frame = chart.frame
             h = 1e-5
-            pts = self.base_points(name, limit=4)
-            diffs = []
-            for m, L in zip(pts, lf.matrix(pts)):
-                basis = frame.basis_at(m)
-                for j in range(1, frame.dim):
-                    for k in range(j + 1, frame.dim):
-                        Xj, Xk = frame.fields[j], frame.fields[k]
-                        J_k = np.zeros((frame.dim, frame.dim))
-                        J_j = np.zeros((frame.dim, frame.dim))
-                        for a in range(frame.dim):
-                            e = np.zeros(frame.dim)
-                            e[a] = h
-                            J_k[:, a] = (Xk(m + e) - Xk(m - e)) / (2 * h)
-                            J_j[:, a] = (Xj(m + e) - Xj(m - e)) / (2 * h)
-                        br = J_k @ Xj(m) - J_j @ Xk(m)
-                        omega = np.linalg.solve(basis, br)
-                        diffs.append(omega[0] - L[j - 1, k - 1])
-            worst = worst_abs(diffs)
+            worst = worst_abs(bracket_fd_residuals(chart.frame, lf, self.base_points(name, limit=4), h))
             return Outcome({"chart": name, "h": h}, _verdict(worst < tol["levi_fd"]), (worst,))
 
         if chart.expected_levi is None:
@@ -342,8 +358,6 @@ class SuiteRunner:
 
         @check(f"coords/{name}/model-structure", "model-fields.structure-constants")
         def model_structure():
-            from .fields import bracket
-
             parts = []
             for m in self.base_points(name, limit=4):
                 hm = coords.heisenberg_map(frame, m)
@@ -376,8 +390,6 @@ class SuiteRunner:
 
         @check(f"coords/{name}/dilation-perturbed", "nilpotent-approx.dilation-limit")
         def dilation_perturbed():
-            from .jets import Jet
-
             s = frame.fields[0].components.space
             e = tuple(2 if i == 1 else 0 for i in range(frame.dim))
             return dilation(frame.fields[1] + frame.fields[0].scaled_by_jet(Jet.from_terms(s, {e: 1.0})), "perturbed")
@@ -557,20 +569,7 @@ class SuiteRunner:
         @check(f"groupoid/{name}/axioms", "groupoid.axioms")
         def axioms():
             seed, rng = self._seeded(f"groupoid/{name}/axioms")
-            p0 = self.base_points(name, limit=1)[0]
-            rows1, rows2 = [], []
-            for _ in range(n_tuples):
-                if rng.uniform() < 0.5:
-                    p, mm, q = rng.uniform(-1, 1, (3, dim))
-                    t = float(rng.uniform(0.1, 2.0))
-                    rows1.append((p, mm, t))
-                    rows2.append((mm, q, t))
-                else:
-                    p = p0 + rng.uniform(-0.5, 0.5, dim)
-                    X, Y = rng.uniform(-1, 1, (2, dim))
-                    rows1.append((p, X, 0.0))
-                    rows2.append((p, Y, 0.0))
-            g1, g2 = _elements(rows1), _elements(rows2)
+            g1, g2 = composable_tuples(rng, self.base_points(name, limit=1)[0], n_tuples)
             comp = gchart.compose(g1, g2)
             left = gchart.compose(g1, gchart.iota(*gchart.source_of(g1)))
             unit = gchart.compose(g1, gchart.inverse(g1))

@@ -95,6 +95,15 @@ def test_bracket_flat_frame_vanishes():
         assert c.terms() == {}
 
 
+def test_bracket_of_constant_fields_is_float64():
+    # coords/*/model-structure subtracts L in place from such a table
+    frame = flat_frame()
+    got = bracket(frame.fields[1], frame.fields[2]).components.coeffs.copy()
+    assert got.dtype == np.float64
+    got[0, 0] -= 0.7
+    assert got[0, 0] == -0.7
+
+
 def test_bracket_dimension_mismatch():
     with pytest.raises(Exception):
         bracket(flat_frame(3).fields[0], flat_frame(4, order=3).fields[0])

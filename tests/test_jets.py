@@ -458,6 +458,19 @@ def test_mul_rows_on_sparse_tables_bitwise_matches_the_whole_table(monkeypatch, 
         assert mul_rows(s, a, b).tobytes() == want.tobytes()
 
 
+def test_mul_rows_with_a_zero_operand_is_float64():
+    # a bincount over no pairs gives int64 zeros, whose bytes equal float64
+    # zeros, so the tobytes comparison above cannot see the dtype
+    s = jet_space(3, 4)
+    z = Jet.zero(s)
+    for prod in (z * z, z * Jet.constant(s, 2.0), Jet.coordinate(s, 1) * z, z * PolyMap.identity(3, 4)):
+        assert prod.coeffs.dtype == np.float64
+    assert mul_rows(s, np.zeros((3, s.size)), np.ones((3, s.size))).dtype == np.float64
+    got = (z * z).coeffs.copy()
+    got[0] -= 0.7  # an int64 table would store 0
+    assert got[0] == -0.7
+
+
 def test_mul_rows_in_jet_space_11_8_matches_the_termwise_product():
     # 75,582 monomials: the pair table of a dense product would hold 5,852,925
     # entries; small-integer coefficients make every sum exact in any order
