@@ -66,18 +66,8 @@ def conjugated_jets(
 def horizontal_quadratic(conj: PolyMap) -> np.ndarray:
     """Symmetric matrix c_jk of the x_j x_k terms (j, k >= 1) in the
     transverse component, normalized as second partial derivatives."""
-    dim = conj.dim_in
-    c = np.zeros((dim - 1, dim - 1))
-    for j in range(1, dim):
-        for k in range(j, dim):
-            e = tuple((1 if i == j else 0) + (1 if i == k else 0) for i in range(dim))
-            coeff = float(conj.coeffs[0, conj.space.index[e]])
-            if j == k:
-                c[j - 1, j - 1] = 2.0 * coeff
-            else:
-                c[j - 1, k - 1] = coeff
-                c[k - 1, j - 1] = coeff
-    return c
+    q = conj.coeffs[0, conj.space.quadratic_columns()[1:, 1:]]
+    return q * (1.0 + np.eye(len(q)))
 
 
 def displacement_map(phi: PolyMap, m) -> PolyMap:

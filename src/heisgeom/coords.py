@@ -30,14 +30,16 @@ def privileged_frame(frame: HFrame, u) -> tuple:
     """The frame in privileged coordinates at u: each field pushed forward by
     psi_u, with exact inverse psi_u^-1(y) = u + B(u)^t y.  The pushed fields
     equal e_j at 0, and b_jk = d_k a_j0(0) is the x_k-coefficient of pushed
-    field j's x_0-component.  Raises outside the domain or where B is singular."""
+    field j's x_0-component; a batch of points u gives one table per point.
+    Raises outside the domain or where B is singular."""
     u = np.asarray(u, dtype=float)
-    if not frame.domain.contains(u):
-        raise FrameError(f"base point {u} outside the frame domain")
+    inside = frame.domain.contains(u)
+    if not np.all(inside):
+        raise FrameError(f"base point {u[~inside][0]} outside the frame domain")
     B = frame.matrix_at(u)
     frame.check_invertible(u, B=B)
-    psi = PolyMap.affine(np.linalg.inv(B.T), np.zeros(frame.dim), frame.order, base=u)
-    psi_inv = PolyMap.affine(B.T, u, frame.order)
+    psi = PolyMap.affine(np.linalg.inv(B.mT), np.zeros(frame.dim), frame.order, base=u)
+    psi_inv = PolyMap.affine(B.mT, u, frame.order)
     return tuple(pushforward_field(psi, psi_inv, X) for X in frame.fields)
 
 
@@ -58,7 +60,7 @@ class HeisenbergMap:
     carry the leading shape S, and the point maps take one point per map,
     S + (dim,).  A single map takes any number of points, (..., dim), and
     multiplies them in the blocks of `group.per_map`.  The polynomial forms
-    and model frames need a single map.
+    and model frames of a batch hold one table per point.
     """
 
     u: np.ndarray
@@ -110,7 +112,7 @@ class HeisenbergMap:
         return self.shear.apply(_times_transpose(disp, self.A))
 
     def as_polymap(self, order: int) -> PolyMap:
-        psi = PolyMap.affine(self.A, -self.A @ self.u, order)
+        psi = PolyMap.affine(self.A, (-self.A @ self.u[..., None])[..., 0], order)
         return self.shear.as_polymap(order).compose(psi, exact=True)
 
     def inverse_polymap(self, order: int) -> PolyMap:
@@ -126,8 +128,9 @@ class HeisenbergMap:
         return _linear_transverse_frame(-0.5 * self.levi, order)
 
     def pushed_model_residual(self) -> float:
-        """Coefficient distance, at order 4, between phi_u-pushed dilation-limit
-        fields and the model fields; zero by the graded-shear transport identity."""
+        """Coefficient distance, at order 4 and over a batch's every point, between
+        phi_u-pushed dilation-limit fields and the model fields; zero by the
+        graded-shear transport identity."""
         order = 4
         shear_pm = self.shear.as_polymap(order)
         shear_inv_pm = self.shear_inv.as_polymap(order)
@@ -136,21 +139,15 @@ class HeisenbergMap:
         return worst_abs(*(Xh.components.coeffs - Xm.components.coeffs for Xh, Xm in zip(pushed, want)))
 
 
-def _linear_transverse_tables(coef: np.ndarray, order: int):
-    """The jet space and the (field, component, monomial) coefficient tables
-    of the fields d_0 and d_j + sum_k coef_jk x_k d_0."""
-    dim = coef.shape[0] + 1
-    s = jet_space(dim, order)
-    tables = np.zeros((dim, dim, s.size))
-    tables[np.arange(dim), np.arange(dim), 0] = 1.0
-    tables[1:, 0, dim - 1 : 0 : -1] = coef  # graded lex: x_{dim-1} comes first
-    return s, tables
-
-
 def _linear_transverse_frame(coef: np.ndarray, order: int) -> tuple:
-    """Fields d_0 and d_j + sum_k coef_jk x_k d_0 as polynomial fields."""
-    s, tables = _linear_transverse_tables(coef, order)
-    return tuple(VectorField(PolyMap._of(s, t, np.zeros(s.dim))) for t in tables)
+    """Fields d_0 and d_j + sum_k coef_jk x_k d_0 as polynomial fields, one
+    table per matrix of coef (..., d, d)."""
+    dim = coef.shape[-1] + 1
+    s = jet_space(dim, order)
+    tables = np.zeros(coef.shape[:-2] + (dim, dim, s.size))  # (..., field, component, monomial)
+    tables[..., range(dim), range(dim), 0] = 1.0
+    tables[..., 1:, 0, dim - 1 : 0 : -1] = coef  # graded lex: x_{dim-1} comes first
+    return tuple(VectorField(PolyMap._of(s, t, np.zeros(t.shape[:-2] + (dim,)))) for t in np.moveaxis(tables, -3, 0))
 
 
 def heisenberg_map(frame: HFrame, u) -> HeisenbergMap:
@@ -185,7 +182,7 @@ def graded_weight_violation(pm: PolyMap) -> float:
     w_out = np.ones(pm.dim_out)
     w_out[: len(w)] = w[: pm.dim_out]
     bad = (pm.space.exponents @ w)[None, :] != w_out[:, None]
-    return float(np.max(np.abs(pm.coeffs[bad]), initial=0.0))
+    return float(np.max(np.abs(pm.coeffs[..., bad]), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,17 +201,12 @@ class ModelField:
         return self.coeffs.size
 
     def as_field(self, order: int) -> VectorField:
-        s, tables = _linear_transverse_tables(-0.5 * self.levi, order)
-        use = np.zeros(self.dim)
-        if self.weight == 2:
-            use[0] = self.coeffs[0]
-        else:
-            use[1:] = self.coeffs[1:]
-        acc = np.zeros(tables.shape[1:])
-        for cj, table in zip(use, tables):
+        model = [X.components for X in _linear_transverse_frame(-0.5 * self.levi, order)]
+        acc = np.zeros(model[0].coeffs.shape)
+        for cj, pm in zip(self.coeffs, model):  # coeffs is zero off the weight's slots
             if cj != 0.0:
-                acc = acc + cj * table
-        return VectorField(PolyMap._of(s, acc, np.zeros(s.dim)))
+                acc = acc + cj * pm.coeffs
+        return VectorField(PolyMap._of(model[0].space, acc, np.zeros(self.dim)))
 
 
 def model_field(X: VectorField, frame: HFrame, m) -> ModelField:

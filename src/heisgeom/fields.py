@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, JetError, PolyMap, check_compatible, mul_rows
+from .jets import Jet, JetError, PolyMap, broadcast, check_compatible, mul_rows, partial_rows
 from .rates import worst_abs
 
 
@@ -81,29 +81,32 @@ class VectorField:
         return VectorField(f * self.components)
 
 
-def _sum_over_j(terms: np.ndarray) -> np.ndarray:
-    """sum_j terms[:, j], added left to right."""
-    acc = terms[:, 0]
-    for j in range(1, terms.shape[1]):
-        acc = acc + terms[:, j]
-    return acc
+def _field_of_terms(s, terms: np.ndarray, base: np.ndarray) -> VectorField:
+    """The field with components sum_j terms[..., i, j, :], added in ascending
+    j.  A `mul_rows` sum starts from +0.0, so it is never -0.0: starting from
+    +0.0, and leaving out the j whose terms are all zero, change no bit."""
+    acc = np.zeros(terms.shape[:-2] + terms.shape[-1:])
+    for j in range(terms.shape[-2]):
+        acc += terms[..., j, :]
+    return VectorField(PolyMap._of(s, acc, broadcast(base, acc.shape[:-2] + (s.dim,))))
 
 
 def bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Lie bracket [X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i).
 
     Exact on polynomial inputs through total degree `order`; higher products
-    are truncated.  All dim^2 products of each kind are one `mul_rows` call.
+    are truncated.  Each kind of product is one `mul_rows` call for a batch.
     """
     if X.dim != Y.dim:
         raise JetError(f"bracket dimension mismatch: {X.dim} vs {Y.dim}")
     x, y = X.components, Y.components
     check_compatible(x, y)
-    s, dim = x.space, X.dim
-    # row i * dim + j: X^j d_j Y^i and Y^j d_j X^i
-    xj, yj = np.tile(x.coeffs, (dim, 1)), np.tile(y.coeffs, (dim, 1))
-    terms = mul_rows(s, xj, y.partials.reshape(-1, s.size)) - mul_rows(s, yj, x.partials.reshape(-1, s.size))
-    return VectorField(PolyMap._of(s, _sum_over_j(terms.reshape(dim, dim, s.size)), x.base))
+    s = x.space
+    js = np.flatnonzero((x.coeffs.any(axis=-1) | y.coeffs.any(axis=-1)).reshape(-1, X.dim).any(axis=0))
+    # row (i, j): X^j d_j Y^i and Y^j d_j X^i, for the j where X^j or Y^j is not zero
+    xy = mul_rows(s, x.coeffs[..., None, js, :], y.partials[..., js, :])
+    yx = mul_rows(s, y.coeffs[..., None, js, :], x.partials[..., js, :])
+    return _field_of_terms(s, xy - yx, x.base)
 
 
 @dataclass(frozen=True)
@@ -297,18 +300,22 @@ def pushforward_field(fwd: PolyMap, inv: PolyMap, X: VectorField, order: int | N
     polynomial inverse inv: (fwd_* X)(y) = fwd'(inv(y)) X(inv(y)).
 
     Exact when `order` is at least deg(inv) * (deg X + deg fwd - 1); callers
-    lift the order accordingly.
+    lift the order accordingly.  Maps and field may carry one per point of a
+    batch; their batch shapes broadcast.
     """
     if order is not None:
         fwd = fwd.with_order(order)
         inv = inv.with_order(order)
         X = X.with_order(order)
-    dim, s = X.dim, inv.space
-    x_inv = X.components.compose(inv, exact=True).coeffs
-    # row i * dim + j: (d_j fwd^i)(inv(y)), all dim^2 partials composed in one call
-    df = PolyMap._of(fwd.space, fwd.partials.reshape(-1, fwd.space.size), fwd.base)
-    terms = mul_rows(s, df.compose(inv, exact=True).coeffs, np.tile(x_inv, (dim, 1)))
-    return VectorField(PolyMap._of(s, _sum_over_j(terms.reshape(dim, dim, s.size)), inv.base))
+    s = inv.space
+    x_inv = X.components.compose(inv, exact=True)
+    js = np.flatnonzero(x_inv.coeffs.any(axis=-1).reshape(-1, X.dim).any(axis=0))
+    # (d_j fwd^i)(inv(y)) for every i and the j with X^j(inv) not zero everywhere, composed in one call
+    dfj = partial_rows(fwd.space, fwd.coeffs, js)
+    df = PolyMap._of(fwd.space, dfj.reshape(dfj.shape[:-3] + (-1, fwd.space.size)), fwd.base)
+    df_inv = df.compose(inv, exact=True).coeffs
+    terms = mul_rows(s, df_inv.reshape(*df_inv.shape[:-2], X.dim, len(js), s.size), x_inv.coeffs[..., None, js, :])
+    return _field_of_terms(s, terms, inv.base)
 
 
 def tangent_blocks(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, x) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import PolyMap
+from .jets import PolyMap, broadcast
 
 
 def weight_vector(dim: int) -> np.ndarray:
@@ -157,14 +157,14 @@ class GradedShear:
         return np.asarray(b, dtype=float) + self.c
 
     def as_polymap(self, order: int) -> PolyMap:
-        dim = self.d + 1
-        ident = PolyMap.identity(dim, order)
-        table = ident.coeffs.copy()
-        for j in range(1, dim):
-            for k in range(1, dim):
-                e = tuple((1 if i == j else 0) + (1 if i == k else 0) for i in range(dim))
-                table[0, ident.space.index[e]] += 0.5 * self.c[j - 1, k - 1]
-        return PolyMap._of(ident.space, table, ident.base)
+        """The shear as a polynomial map, order >= 2, one per shear of a stack;
+        the column of x_j x_k = x_k x_j takes c_jk / 2 + c_kj / 2, each added
+        onto the identity's +0.0, so a zero of c / 2 is stored as +0.0."""
+        lead, ident = self.c.shape[:-2], PolyMap.identity(self.d + 1, order)
+        table = np.array(broadcast(ident.coeffs, lead + ident.coeffs.shape))
+        half, cols = 0.5 * self.c + 0.0, ident.space.quadratic_columns()[1:, 1:]
+        table[..., 0, cols] = np.where(np.eye(self.d, dtype=bool), half, half + half.mT)
+        return PolyMap._of(ident.space, table, np.zeros(lead + (self.d + 1,)))
 
 
 def shear_homomorphism_residual(shear: GradedShear, b: np.ndarray, pairs) -> float:

@@ -14,16 +14,20 @@ follows a table's support: a product pairs only the nonzero columns of its
 operands, and monomials, gathered from per-axis power tables, can be built
 for chosen columns only.
 
-A `PolyMap` is one read-only (m, size) coefficient table and a `Jet` is the
-one-row case: each operation has one implementation over row tables.  Data
-is checked where it comes in (`Jet(...)`, `PolyMap(jets)`, `PolyMap.affine`,
-the manifest parser); results computed here are not checked again.  All
-values are immutable; the only mutable state is the space cache and the
-read-only tables a `PolyMap` derives on first use.
+A `PolyMap` is one read-only (m, size) coefficient table, or a batch of
+maps S + (m, size) with one base point each, S + (dim,); a `Jet` is the
+one-row case.  Each operation has one implementation over row tables;
+`mul_rows`, `compose`, `rebased` and `affine` broadcast over the batch axes
+S, and each map of a batch equals its own batch of shape () bit for bit.
+Data is checked where it comes in (`Jet(...)`, `PolyMap(jets)`,
+`PolyMap.affine`, the manifest parser); results computed here are not
+checked again.  All values are immutable; the only mutable state is the
+space cache and the read-only tables a `PolyMap` derives on first use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
@@ -56,6 +60,11 @@ class JetSpace:
     def find(self, keys) -> np.ndarray:
         """The columns whose keys are `keys`; each must be a key of the space."""
         return self.key_order[np.searchsorted(self.sorted_keys, keys)]
+
+    def quadratic_columns(self) -> np.ndarray:
+        """(dim, dim): the column of the monomial x_j x_k; needs order >= 2."""
+        radix = (self.order + 1) ** np.arange(self.dim)
+        return self.find(radix[:, None] + radix)
 
     def monomials(self, dx, cols=slice(None)) -> np.ndarray:
         """dx^exponents[cols] for displacements dx (..., dim): (..., len(cols)),
@@ -103,13 +112,19 @@ def _checked(space: JetSpace, coeffs, base, shape: tuple):
     coeffs, base = np.array(coeffs, dtype=float), np.array(base, dtype=float)
     if coeffs.shape != shape:
         raise JetError(f"coefficient table has shape {coeffs.shape}, expected {shape}")
-    if base.shape != (space.dim,):
-        raise JetError(f"base point has shape {base.shape}, expected ({space.dim},)")
+    want = shape[:-2] + (space.dim,)  # one base point per map of a batch
+    if base.shape != want:
+        raise JetError(f"base point has shape {base.shape}, expected {want}")
     if not (np.isfinite(coeffs).all() and np.isfinite(base).all()):
         raise JetError("non-finite jet data")
     coeffs.setflags(write=False)
     base.setflags(write=False)
     return coeffs, base
+
+
+def broadcast(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """a itself when it has that shape, else a read-only view broadcast to it."""
+    return a if a.shape == shape else np.broadcast_to(a, shape)
 
 
 def _default_base(space: JetSpace, base) -> np.ndarray:
@@ -129,18 +144,22 @@ _MUL_BLOCK = 1 << 18  # products per bincount: bounds the temporaries of wide ta
 
 
 def mul_rows(s: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Row-wise truncated products of (m, size) tables; a one-row operand
-    multiplies every row of the other.
+    """Row-wise truncated products of tables (..., size); the leading axes
+    broadcast, so a one-row operand multiplies every row of the other.
 
     The nonzero columns a of x and b of y ascend in degree, so a[i] pairs
     with the prefix of b of degree <= order - deg a[i]; a pair's key sum finds
     its product column.  A bincount over the row-offset bins adds the pairs
     a-major, so each column sums in ascending a from +0.0, bit for bit as over
-    every pair of the space: the skipped pairs add exact zeros.
-    """
-    if len(x) != len(y):
+    every pair of the space: the skipped pairs add exact zeros, and a row's
+    product does not depend on the other rows."""
+    if x.shape != y.shape:
         x, y = np.broadcast_arrays(x, y)
-    a, b = np.flatnonzero(x.any(axis=0)), np.flatnonzero(y.any(axis=0))
+    lead = x.shape[:-1]
+    if not x.size:
+        return np.zeros(lead + (s.size,))
+    x, y = x.reshape(-1, s.size), y.reshape(-1, s.size)
+    a, b = x.any(axis=0).nonzero()[0], y.any(axis=0).nonzero()[0]
     counts = np.searchsorted(s.degrees[b], s.order - s.degrees[a], side="right")
     pair_a = np.repeat(a, counts)
     pair_b = b[np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)]
@@ -153,61 +172,69 @@ def mul_rows(s: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         bins = pair_out if n == 1 else (np.arange(n)[:, None] * s.size + pair_out).ravel()
         # a bincount with no pairs (a zero operand) returns int64 zeros
         blocks.append(np.bincount(bins, w.ravel(), n * s.size).astype(float, copy=False).reshape(n, s.size))
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return out.reshape(lead + (s.size,))
 
 
-def _partial(s: JetSpace, c: np.ndarray, v: int) -> np.ndarray:
-    """d/dx_v of every row of the table c (..., size)."""
-    src, dst, fac = s.diff_tables[v]
-    out = np.zeros(c.shape)
-    out[..., dst] = c[..., src] * fac
+def partial_rows(s: JetSpace, c: np.ndarray, vs) -> np.ndarray:
+    """d/dx_v of every row of the table c (..., size), for each v of vs: (..., len(vs), size)."""
+    out = np.zeros(c.shape[:-1] + (len(vs), s.size))
+    for n, v in enumerate(vs):
+        src, dst, fac = s.diff_tables[v]
+        out[..., n, dst] = c[..., src] * fac
     return out
 
 
 def _compose(outer: "_Poly", inner: "PolyMap", exact: bool) -> np.ndarray:
-    """The coefficients of outer(inner(x)), row by row.
+    """The coefficients of outer(inner(x)), row by row and point by point;
+    the batch shapes of outer and inner broadcast.
 
-    Each power (inner_v - base_v)^k and each monomial term is built once and
-    shared by all rows; a row takes coeff * term where its coefficient is
-    nonzero, in ascending monomial order.
+    Each power (inner_v - base_v)^k and each monomial term is built once for
+    the whole batch and shared by all rows; a row takes coeff * term where
+    its own coefficient is nonzero, in ascending monomial order, so each
+    point equals its batch of one.
     """
     if inner.dim_out != outer.space.dim:
         raise JetError(f"inner map produces {inner.dim_out} values, outer expects {outer.space.dim}")
     if inner.order != outer.order:
         raise JetError(f"order mismatch: outer {outer.order}, inner {inner.order}")
-    s = inner.space
-    deltas = inner.coeffs.copy()
-    deltas[:, 0] -= outer.base
+    s, lead = inner.space, np.broadcast_shapes(outer.base.shape[:-1], inner.base.shape[:-1])
+    deltas = np.array(broadcast(inner.coeffs, lead + inner.coeffs.shape[-2:]))
+    deltas[..., 0] -= outer.base
     if not exact:
-        scale = max(1.0, float(np.max(np.abs(outer.base))), float(np.max(np.abs(deltas))))
-        worst = np.max(np.abs(deltas[:, 0]))
-        if worst > 1e-9 * scale:
-            raise JetError(f"inner constant terms differ from outer base by {worst:.3e}")
+        scale = np.maximum(np.abs(outer.base).max(axis=-1, initial=1.0), np.abs(deltas).max(axis=(-2, -1)))
+        worst = np.abs(deltas[..., 0]).max(axis=-1)
+        if (worst > 1e-9 * scale).any():
+            raise JetError(f"inner constant terms differ from outer base by {worst.max():.3e}")
+    deltas = deltas.reshape(-1, *deltas.shape[-2:])  # (points, dim, size)
 
-    powers = {(v, 1): deltas[v : v + 1] for v in range(len(deltas))}
+    powers = {(v, 1): deltas[:, v] for v in range(deltas.shape[1])}
 
     def power(v: int, k: int) -> np.ndarray:
         if (v, k) not in powers:
-            powers[(v, k)] = mul_rows(s, power(v, k - 1), deltas[v : v + 1])
+            powers[(v, k)] = mul_rows(s, power(v, k - 1), deltas[:, v])
         return powers[(v, k)]
 
-    c = outer.coeffs.reshape(-1, outer.space.size)
-    out = np.zeros((len(c), s.size))
-    out[:, 0] = c[:, 0]
-    for idx in np.flatnonzero(c[:, 1:].any(axis=0)) + 1:
+    rows = outer.coeffs.shape[outer.base.ndim - 1 : -1]  # () for a jet
+    c = outer.coeffs.reshape(outer.base.shape[:-1] + (math.prod(rows), outer.space.size))
+    c = broadcast(c, lead + c.shape[-2:]).reshape(-1, *c.shape[-2:])  # (points, rows, size)
+    out = np.zeros((len(deltas),) + c.shape[1:-1] + (s.size,))
+    out[..., 0] = c[..., 0]
+    for idx in outer.coeffs.reshape(-1, outer.space.size)[:, 1:].any(axis=0).nonzero()[0] + 1:
         term = None
         for v, e in enumerate(outer.space.exponents[idx]):
             if e:
                 term = power(v, e) if term is None else mul_rows(s, term, power(v, e))
-        rows = np.flatnonzero(c[:, idx])
-        out[rows] += c[rows, idx, None] * term
-    return out.reshape(outer.coeffs.shape[:-1] + (s.size,))
+        p, r = c[:, :, idx].nonzero()  # each point adds only where its own coefficient is nonzero
+        out[p, r] += c[p, r, idx, None] * term[p]
+    return out.reshape(lead + rows + (s.size,))
 
 
 @dataclass(frozen=True, eq=False)
 class _Poly:
     """Coefficient rows over one jet space and base point: shape (size,) for
-    a `Jet`, (m, size) for a `PolyMap`.  Each operation below serves both."""
+    a `Jet`, S + (m, size) for a `PolyMap` with one base point per map of its
+    batch S + (dim,).  Each operation below serves both."""
 
     space: JetSpace
     coeffs: np.ndarray
@@ -257,15 +284,20 @@ class _Poly:
         """Re-expand at a new base point.
 
         Exact when the polynomial has degree <= order (higher coefficients
-        that were truncated away would feed back into low ones).
+        that were truncated away would feed back into low ones).  A map of a
+        batch whose base point does not move keeps its table, as it would alone.
         """
         new_base = np.array(new_base, dtype=float)
         v = new_base - self.base
-        if not np.any(v):
+        moved = v.any(axis=-1)
+        if not moved.any():
             return self
-        shift = PolyMap.affine(np.eye(len(v)), v, self.order)
-        at_zero = self._of(self.space, self.coeffs, np.zeros(len(v)))
-        return self._of(self.space, _compose(at_zero, shift, exact=True), new_base)
+        shift = PolyMap.affine(np.eye(v.shape[-1]), v, self.order)
+        at_zero = self._of(self.space, self.coeffs, np.zeros(self.base.shape))
+        out = _compose(at_zero, shift, exact=True)
+        if not moved.all():
+            out = np.where(moved.reshape(moved.shape + (1,) * (out.ndim - moved.ndim)), out, self.coeffs)
+        return self._of(self.space, out, broadcast(new_base, v.shape))
 
     def with_order(self, order: int):
         """Truncate or zero-pad to another order.  Graded lex lists the
@@ -336,7 +368,7 @@ class Jet(_Poly):
 
     def partial(self, v: int) -> "Jet":
         """Partial derivative with respect to x_v (same truncation order)."""
-        return Jet._of(self.space, _partial(self.space, self.coeffs, v), self.base)
+        return Jet._of(self.space, partial_rows(self.space, self.coeffs, [v])[0], self.base)
 
     def __call__(self, x) -> float:
         return float(self.eval_many(np.asarray(x, dtype=float)[None, :])[0])
@@ -353,10 +385,8 @@ def jet_mul(a: _Poly, b: _Poly) -> _Poly:
     """Product truncated at the common order; a jet times a map multiplies
     every row of the map."""
     check_compatible(a, b)
-    s = a.space
-    out = mul_rows(s, a.coeffs.reshape(-1, s.size), b.coeffs.reshape(-1, s.size))
     wide = b if b.coeffs.ndim > a.coeffs.ndim else a
-    return wide._of(s, out.reshape(wide.coeffs.shape), a.base)
+    return wide._of(a.space, mul_rows(a.space, a.coeffs, b.coeffs), a.base)
 
 
 def jet_compose(outer: Jet, inner: "PolyMap", *, exact: bool = False) -> Jet:
@@ -394,14 +424,16 @@ class PolyMap(_Poly):
 
     @classmethod
     def affine(cls, A: np.ndarray, c: np.ndarray, order: int, base=None) -> "PolyMap":
-        """The map x -> c + A (x - base)."""
+        """The map x -> c + A (x - base); stacks of A, c and base give one
+        map per point of their broadcast batch shape."""
         A = np.asarray(A, dtype=float)
-        dim_out, dim_in = A.shape
-        s = jet_space(dim_in, order)
-        table = np.zeros((dim_out, s.size))
-        table[:, 0] = c
-        table[:, 1 : dim_in + 1] = A[:, ::-1]  # graded lex: x_{dim-1} comes first
-        return cls._of(s, *_checked(s, table, _default_base(s, base), table.shape))
+        s = jet_space(A.shape[-1], order)
+        base = _default_base(s, base)
+        lead = np.broadcast_shapes(A.shape[:-2], np.shape(c)[:-1], base.shape[:-1])
+        table = np.zeros(lead + (A.shape[-2], s.size))
+        table[..., 0] = c
+        table[..., 1 : s.dim + 1] = A[..., ::-1]  # graded lex: x_{dim-1} comes first
+        return cls._of(s, *_checked(s, table, broadcast(base, lead + base.shape[-1:]), table.shape))
 
     # -- inspection -----------------------------------------------------
     @property
@@ -410,7 +442,7 @@ class PolyMap(_Poly):
 
     @property
     def dim_out(self) -> int:
-        return len(self.coeffs)
+        return self.coeffs.shape[-2]
 
     @cached_property
     def components(self) -> tuple:
@@ -419,22 +451,24 @@ class PolyMap(_Poly):
 
     @cached_property
     def partials(self) -> np.ndarray:
-        """(dim_out, dim_in, size) table of every d_j f_i; read-only."""
-        out = np.stack([_partial(self.space, self.coeffs, v) for v in range(self.dim_in)], axis=1)
+        """(..., dim_out, dim_in, size) table of every d_j f_i; read-only."""
+        out = partial_rows(self.space, self.coeffs, range(self.dim_in))
         out.setflags(write=False)
         return out
 
     def constant(self) -> np.ndarray:
-        return self.coeffs[:, 0].copy()
+        return self.coeffs[..., 0].copy()
 
     def linear(self) -> np.ndarray:
         """Jacobian at the base point."""
-        return self.coeffs[:, self.dim_in : 0 : -1].copy()  # graded lex: x_{dim-1} comes first
+        return self.coeffs[..., self.dim_in : 0 : -1].copy()  # graded lex: x_{dim-1} comes first
 
     # -- evaluation -----------------------------------------------------
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        # one product per row keeps the rounding of the single-jet route,
-        # which one BLAS call over the whole table does not
+        """Values of one map at the points pts (..., dim_in).  Each row is one
+        product with the monomials, as a `Jet` takes it, but a (P, K, dim)
+        stack of points may differ from one-point `eval` in the last bit:
+        BLAS takes a stack by gemv and a single point by a dot product."""
         mono = self.monomials(pts)
         return np.stack([mono @ row for row in self.coeffs], axis=-1)
 
@@ -448,7 +482,8 @@ class PolyMap(_Poly):
         """self after inner; exact=True rebases an exact-polynomial self onto
         inner's constant term instead of requiring aligned bases."""
         outer = self.rebased(inner.constant()) if exact else self
-        return PolyMap._of(inner.space, _compose(outer, inner, exact), inner.base)
+        out = _compose(outer, inner, exact)
+        return PolyMap._of(inner.space, out, broadcast(inner.base, out.shape[:-2] + inner.base.shape[-1:]))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PolyMap<{self.dim_in}->{self.dim_out}, order {self.order}>"

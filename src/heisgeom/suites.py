@@ -343,38 +343,35 @@ class SuiteRunner:
         def normalization():
             pts = self.base_points(name, limit=8)
             hm = coords.heisenberg_map(frame, pts)
-            pushed = [coords.privileged_frame(frame, m) for m in pts]
-            at0 = np.array([[X(np.zeros(frame.dim)) for X in fr] for fr in pushed])
-            b = np.array([[X.components.linear()[0, 1:] for X in fr[1:]] for fr in pushed])
+            pushed = [X.components for X in coords.privileged_frame(frame, pts)]
+            at0 = np.stack([pm.constant() for pm in pushed], axis=-2)  # X_j(0): the constant column
+            b = np.stack([pm.linear()[..., 0, 1:] for pm in pushed[1:]], axis=-2)
             eye = np.eye(frame.dim)
             worst = worst_abs(hm.A @ frame.matrix_at(pts).mT - eye, at0 - eye, b - hm.b)
             return Outcome({"chart": name}, _verdict(worst < tol["normalization"]), (worst,))
 
         @check(f"coords/{name}/model-fields", "heisenberg-coords.model-fields")
         def model_fields():
-            hms = (coords.heisenberg_map(frame, m) for m in self.base_points(name, limit=8))
-            worst = worst_abs(*(hm.pushed_model_residual() for hm in hms))
+            worst = coords.heisenberg_map(frame, self.base_points(name, limit=8)).pushed_model_residual()
             return Outcome({"chart": name}, _verdict(worst < tol["model_fields"]), (worst,))
 
         @check(f"coords/{name}/model-structure", "model-fields.structure-constants")
         def model_structure():
+            hm = coords.heisenberg_map(frame, self.base_points(name, limit=4))
+            fields = hm.dilation_model_frame(3)
             parts = []
-            for m in self.base_points(name, limit=4):
-                hm = coords.heisenberg_map(frame, m)
-                fields = hm.dilation_model_frame(3)
-                L = hm.levi
-                for j in range(1, frame.dim):
-                    for k in range(1, frame.dim):
-                        got = bracket(fields[j], fields[k]).components.coeffs.copy()
-                        got[0, 0] -= L[j - 1, k - 1]
-                        parts.append(got)
+            for j in range(1, frame.dim):
+                for k in range(1, frame.dim):
+                    got = bracket(fields[j], fields[k]).components.coeffs.copy()
+                    got[..., 0, 0] -= hm.levi[..., j - 1, k - 1]
+                    parts.append(got)
             worst = worst_abs(*parts)
             return Outcome({"chart": name}, _verdict(worst < tol["model_structure"]), (worst,))
 
         @check(f"coords/{name}/shear-grading", "heisenberg-coords.shear-grading")
         def shear_grading():
-            hms = (coords.heisenberg_map(frame, m) for m in self.base_points(name, limit=8))
-            worst = worst_abs(*(coords.graded_weight_violation(hm.shear.as_polymap(2)) for hm in hms))
+            hm = coords.heisenberg_map(frame, self.base_points(name, limit=8))
+            worst = coords.graded_weight_violation(hm.shear.as_polymap(2))
             return Outcome({"chart": name}, _verdict(worst < tol["shear_grading"]), (worst,))
 
         def dilation(X, field_name):

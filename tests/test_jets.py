@@ -664,3 +664,60 @@ def test_terms_roundtrip_sparse_view():
     s = jet_space(3, 2)
     terms = {(0, 0, 0): 2.0, (1, 0, 1): -1.5}
     assert Jet.from_terms(s, terms).terms() == terms
+
+
+def _sparse_rows(rng, space, n, base):
+    """n random maps at the points base (n, dim); the middle one has more
+    zeros, and its first row is -0.0 + 0 x + ..., where a neighbour's is not:
+    an update of that row by 0 * term would turn the -0.0 into +0.0."""
+    densities = [0.2 if i == n // 2 else 0.7 for i in range(n)]
+    coeffs = np.array([random_map(rng, space, b, density=p).coeffs for b, p in zip(base, densities)])
+    coeffs[n // 2, 0] = 0.0
+    coeffs[n // 2, 0, 0] = -0.0
+    return PolyMap._of(space, coeffs, base)
+
+
+@pytest.mark.parametrize("dim, order", [(2, 4), (3, 3), (5, 2)])
+def test_batched_compose_equals_one_map_per_point(dim, order):
+    # one outer or one inner map per point, or both; each point of the batch
+    # equals its own one-map compose bit for bit, signs of zeros included,
+    # whatever its neighbours' supports
+    rng = np.random.default_rng(400 + 10 * dim + order)
+    s = jet_space(dim, order)
+    n = 3
+    outers = _sparse_rows(rng, s, n, rng.uniform(-1, 1, (n, dim)))
+    inners = _sparse_rows(rng, s, n, rng.uniform(-1, 1, (n, dim)))
+    outer = random_map(rng, s, rng.uniform(-1, 1, dim))
+    inner = random_map(rng, s, rng.uniform(-1, 1, dim))
+
+    def point(pm, i):
+        return pm if pm.base.ndim == 1 else PolyMap._of(s, pm.coeffs[i], pm.base[i])
+
+    for f, g in ((outers, inner), (outer, inners), (outers, inners)):
+        got = f.compose(g, exact=True)
+        assert got.coeffs.shape == (n, dim, s.size) and got.base.shape == (n, dim)
+        for i in range(n):
+            want = point(f, i).compose(point(g, i), exact=True)
+            assert got.coeffs[i].tobytes() == want.coeffs.tobytes()
+            assert got.coeffs[i].tobytes() == reference_compose(point(f, i), point(g, i), exact=True).tobytes()
+            assert np.array_equal(got.base[i], want.base)
+    # rebased onto one base point per map, one of them the map's own
+    new = rng.uniform(-1, 1, (n, dim))
+    new[1] = outer.base
+    got = outer.rebased(new)
+    for i in range(n):
+        assert got.coeffs[i].tobytes() == outer.rebased(new[i]).coeffs.tobytes()
+
+
+def test_batched_affine_and_guards():
+    A = np.stack([np.eye(3), 2 * np.eye(3)])
+    pm = PolyMap.affine(A, np.ones((2, 3)), 2, base=np.zeros(3))
+    assert pm.coeffs.shape == (2, 3, 10) and pm.base.shape == (2, 3)
+    np.testing.assert_array_equal(pm.linear(), A)
+    np.testing.assert_array_equal(pm.constant(), np.ones((2, 3)))
+    with pytest.raises(JetError, match="base point has shape"):
+        PolyMap.affine(A, np.ones((2, 3)), 2, base=np.zeros(2))
+    # the guarded compose checks every point of the batch
+    inner = PolyMap.affine(np.eye(3), np.array([[0.0, 0, 0], [0.5, 0, 0]]), 2)
+    with pytest.raises(JetError, match="differ from outer base"):
+        PolyMap.identity(3, 2).compose(inner)
