@@ -12,13 +12,17 @@ a fiberwise group isomorphism (`graded_part`).  The approximation statement
 checked here: the conjugated map has no purely horizontal quadratic terms
 in its transverse component, and the graded rescalings t^-1 . conj(t.x)
 converge to phi'_H(0) x at rate O(t), locally uniformly in the base point.
+`diffeo_expansion_check` is the one rescaling sweep of phi: the diffeo
+checks run it over a box of samples, and the groupoid's transition limit at
+one sample X, since that limit is this statement read in the groupoid's
+charts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coords import heisenberg_map, sample_box
+from .coords import heisenberg_map
 from .fields import FrameError, HFrame, tangent_blocks
 from .group import dilate, dilate_inv
 from .jets import PolyMap
@@ -77,32 +81,32 @@ def displacement_map(phi: PolyMap, m) -> PolyMap:
     return PolyMap._of(phi.space, table, np.zeros(phi.dim_in))
 
 
-def diffeo_expansion_check(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, m, ts) -> list:
+def diffeo_expansion_check(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, m, pts, ts) -> list:
     """Residual trace of the graded rescalings of phi at m: for each t in ts,
-    the sup over the grid `sample_box(0.6, 3, dim)` of
+    the componentwise sup over the samples pts (k, dim) of
 
         t^-1.(eps' . phi . eps^-1)(t.x) - phi'_H(0) x,
 
-    which the tangent approximation claims is O(t); the caller fits it.
+    which the tangent approximation claims is O(t) componentwise (the
+    pseudo-norm gauge would turn a transverse t into sqrt(t)); the caller
+    fits it.
 
     The sweep works on exact closed-form maps in displacement coordinates
     around m and phi(m): this avoids large-minus-large cancellation, leaving
     float noise of order eps/t in the transverse slot, below the zero floor
-    for maps whose conjugation is exactly linear.  The grid points of all t
-    are one (T, k, dim) batch, each t's points one product, so the trace is
-    bit for bit a loop's; the first t whose samples leave the domain raises.
+    for maps whose conjugation is exactly linear.  The samples of all t are
+    one (T, k, dim) batch, each t's samples one product, so the trace is bit
+    for bit a loop's; the first t whose samples leave the domain raises.
     """
-    m = np.asarray(m, dtype=float)
-    ts = np.asarray(ts, dtype=float)
+    m, pts, ts = (np.asarray(a, dtype=float) for a in (m, pts, ts))
     hm_src = heisenberg_map(frame_src, m)
     hm_dst = heisenberg_map(frame_dst, phi.eval(m))
     tangent = graded_part(tangent_blocks(phi, frame_src, frame_dst, m))
 
-    pts = sample_box(0.6, 3, frame_src.dim)
     pre_disp = hm_src.inverse_displacement(dilate(ts[:, None], pts))
     n = frame_src.domain.leading_inside(m + pre_disp)
     if n < len(ts):
-        raise FrameError(f"sample leaves the source domain at t={ts[n]}; shrink the box")
+        raise FrameError(f"sample leaves the source domain at t={ts[n]}")
     img_disp = displacement_map(phi, m).eval_many(pre_disp)
     expr = dilate_inv(ts[:, None], hm_dst.forward_from_displacement(img_disp))
     return np.abs(expr - pts @ tangent.T).max(axis=(1, 2)).tolist()

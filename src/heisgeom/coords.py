@@ -93,8 +93,7 @@ class HeisenbergMap:
         return np.linalg.inv(self.A)
 
     def forward(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.shear.apply(_times_transpose(x - self.u, self.A))
+        return self.forward_from_displacement(np.asarray(x, dtype=float) - self.u)
 
     def inverse(self, w) -> np.ndarray:
         return self.u + self.inverse_displacement(w)
@@ -209,13 +208,12 @@ class ModelField:
         return VectorField(PolyMap._of(model[0].space, acc, np.zeros(self.dim)))
 
 
-def model_field(X: VectorField, frame: HFrame, m) -> ModelField:
-    """Case split on the frame expansion a of X(m): weight 2 with coefficient
-    a_0 when |a_0| > 1e-9 |a|, else weight 1 with the horizontal
-    coefficients; inputs within a factor 10 of that threshold are flagged."""
-    m = np.asarray(m, dtype=float)
-    a = frame.expand(m, X(m))
-    hm = heisenberg_map(frame, m)
+def model_field(X: VectorField, frame: HFrame, hm: HeisenbergMap) -> ModelField:
+    """Case split on the frame expansion a of X(m) at the base point m = hm.u
+    of the Heisenberg map hm: weight 2 with coefficient a_0 when
+    |a_0| > 1e-9 |a|, else weight 1 with the horizontal coefficients; inputs
+    within a factor 10 of that threshold are flagged."""
+    a = frame.expand(hm.u, X(hm.u))
     scale = float(np.linalg.norm(a))
     ratio = abs(a[0]) / scale if scale > 0 else 0.0
     weight = 2 if ratio > 1e-9 else 1
@@ -252,7 +250,7 @@ def dilation_limit_check(X: VectorField, frame: HFrame, m, ts) -> tuple:
     fwd = hm.as_polymap(order)
     inv = hm.inverse_polymap(order)
     Xh = pushforward_field(fwd, inv, X, order=order)
-    mf = model_field(X, frame, m)
+    mf = model_field(X, frame, hm)
     target = mf.as_field(order)
 
     space = Xh.components.space

@@ -13,17 +13,20 @@ composition, transition maps and the t -> 0 limits are all evaluated
 through the exact closed forms of eps.  At t = 0 a diffeomorphism acts on
 the fibres through its graded tangent map, the block-diagonal part of the
 one tangent block basis'(phi x)^-1 Dphi(x) basis(x) of
-`fields.tangent_blocks`.  The graded rescaling sweeps work in displacement
-coordinates to keep float cancellation at O(eps/t) instead of O(eps/t^2).
-Every sweep, the continuity sweeps included, returns its residual trace, one
-float per t; the suites fit it or judge it.
+`fields.tangent_blocks`.  The transition limit X'(t) -> phi'_H(x) X of
+these charts is the tangent approximation of phi, so it is
+`approx.diffeo_expansion_check` at the one sample X.  The graded rescaling
+sweeps work in displacement coordinates to keep float cancellation at
+O(eps/t) instead of O(eps/t^2).  Every sweep, the continuity sweeps
+included, returns its residual trace, one float per t; the suites fit it or
+judge it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .approx import displacement_map, graded_part
+from .approx import graded_part
 from .coords import HeisenbergMap, heisenberg_map
 from .fields import FrameError, HFrame, tangent_blocks
 from .group import TangentGroup, bilinear_mul, dilate, dilate_inv, levi_mul, per_map, weight_vector
@@ -122,13 +125,13 @@ class GroupoidChart:
         return p, X, t
 
     # -- range/source in chart coordinates ---------------------------------
-    def rs_jacobians(self, x, X, t: float):
-        """Jacobian blocks d(x,t) r and d(X,t) s of the chart-coordinate
-        range and source maps r = (x, t), s = (eps_x^-1(t.X), t)."""
+    def source_jacobian(self, x, X, t: float):
+        """Jacobian d(X,t) s of the chart-coordinate source map
+        s = (eps_x^-1(t.X), t).  The range map r = (x, t) is the identity in
+        these coordinates, so s alone carries the submersion claim."""
         x = np.asarray(x, dtype=float)
         X = np.asarray(X, dtype=float)
         dim = self.dim
-        Jr = np.eye(dim + 1)
         inv_pm = self.eps(x).inverse_polymap(2)  # eps_x^-1 is quadratic, so order 2 is exact
         w = dilate(t, X)
         Dinv = inv_pm.jacobian(w)
@@ -139,32 +142,7 @@ class GroupoidChart:
         Js[:dim, :dim] = Dinv @ dwdX
         Js[:dim, dim] = Dinv @ dwdt
         Js[dim, dim] = 1.0
-        return Jr, Js
-
-
-# -- transitions -------------------------------------------------------------
-
-
-def transition_rate_check(src: GroupoidChart, dst: GroupoidChart, phi: PolyMap, x, X, ts) -> list:
-    """Residual trace of the transition X'(t) -> phi'_H(x) X, measured in
-    displacement space: for each t in ts, the componentwise sup norm of
-    X'(t) - phi'_H(x) X.
-
-    The convergence statement is componentwise O(t); the pseudo-norm gauge
-    would turn a transverse t into sqrt(t).  The caller fits the trace.  Like
-    every sweep here, it runs over the whole grid as (T, k, dim) points with
-    one product per t, so its trace is bit for bit that of a loop over t,
-    and the first t in grid order whose sample leaves the domain raises."""
-    x, X, ts = _arrays(x, X, ts)
-    hm_src = src.eps(x)
-    hm_dst = dst.eps(phi.eval(x))
-    target = graded_part(tangent_blocks(phi, src.frame, dst.frame, x)) @ X
-    pre = hm_src.inverse_displacement(dilate(ts[:, None], X))
-    n = src.frame.domain.leading_inside(x + pre)
-    if n < len(ts):
-        raise FrameError(f"transition sample leaves the source domain at t={ts[n]}")
-    img = displacement_map(phi, x).eval_many(pre)
-    return _sup_per_t(dilate_inv(ts[:, None], hm_dst.forward_from_displacement(img)) - target)
+        return Js
 
 
 def _sup_per_t(diff: np.ndarray) -> list:

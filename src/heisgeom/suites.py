@@ -514,13 +514,14 @@ class SuiteRunner:
         dst = self.manifest.chart(spec.target).frame
         base = self.base_points(spec.source, limit=4, shrink=0.15)
         preserving = self.preserving_residual(spec) < tol["preserve"]
+        pts = coords.sample_box(0.6, 3, src.dim)
 
         @functools.cache
         def expansions():
             """One expansion trace per base point, shared by the rate and
             uniformity checks; an exception is not cached, so both become
             `error` records."""
-            return [approx.diffeo_expansion_check(spec.fwd, src, dst, m, self.t_grid) for m in base]
+            return [approx.diffeo_expansion_check(spec.fwd, src, dst, m, pts, self.t_grid) for m in base]
 
         # a map that does not preserve H is the negative control: the detector must fire
         kind = "quadratic-vanishing" if preserving else "negative-control"
@@ -599,7 +600,7 @@ class SuiteRunner:
                 x = p0 + rng.uniform(-0.3, 0.3, dim)
                 X = rng.uniform(-1, 1, dim)
                 t = float(rng.uniform(0.1, 1.0))
-                dets.extend(np.linalg.det(gchart.rs_jacobians(x, X, t)))
+                dets.append(np.linalg.det(gchart.source_jacobian(x, X, t)))
             worst = worst_abs(dets, least=True)
             return Outcome({"chart": name, "seed": seed}, _verdict(worst > 1e-8), (worst,))
 
@@ -652,8 +653,8 @@ class SuiteRunner:
         def transition_limit():
             seed, rng = self._seeded(f"groupoid/{spec.name}/transition")
             Xs = rng.uniform(-1, 1, (len(base), self.manifest.dim))
-            sweep = functools.partial(groupoid.transition_rate_check, src_chart, dst_chart, spec.fwd)
-            traces = [sweep(x, X, self.t_grid) for x, X in zip(base, Xs)]
+            sweep = functools.partial(approx.diffeo_expansion_check, spec.fwd, src_chart.frame, dst_chart.frame)
+            traces = [sweep(x, X[None], self.t_grid) for x, X in zip(base, Xs)]
             return self.rate_outcome({"diffeo": spec.name, "seed": seed}, traces)
 
         @check(f"groupoid/{spec.name}/continuity-chart-independence", "groupoid.continuity-chart-independence")

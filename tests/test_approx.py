@@ -8,7 +8,7 @@ from heisgeom.fields import pushforward_field, pushforward_preserves_H, tangent_
 from heisgeom.group import TangentGroup, bilinear_mul
 from heisgeom.jets import Jet, PolyMap, jet_space
 from heisgeom.rates import RateError, rate_fit
-from heisgeom.coords import heisenberg_map
+from heisgeom.coords import heisenberg_map, sample_box
 
 from conftest import SLOPE_MIN, TS, fit_rate, heisenberg_frame, left_translation, vertical_shear_diffeo
 
@@ -17,7 +17,7 @@ DARBOUX_Q = {(0, 1, 1): 1.0, (0, 3, 0): 0.4}
 
 
 def expansion_fit(phi, src, dst, m) -> float:
-    return fit_rate(diffeo_expansion_check(phi, src, dst, m, TS))
+    return fit_rate(diffeo_expansion_check(phi, src, dst, m, sample_box(0.6, 3, src.dim), TS))
 
 
 def quad_max(phi, src, dst, m):

@@ -225,13 +225,14 @@ def test_model_field_cases():
     m = np.zeros(3)
     s = frame.fields[0].components.space
 
-    mf0 = model_field(frame.fields[0], frame, m)
+    hm = heisenberg_map(frame, m)
+    mf0 = model_field(frame.fields[0], frame, hm)
     assert mf0.weight == 2 and not mf0.flagged
     f0 = mf0.as_field(3)
     assert f0.components.components[0].terms() == {(0, 0, 0): 1.0}
     assert f0.components.components[1].terms() == {}
 
-    mf1 = model_field(frame.fields[1], frame, m)
+    mf1 = model_field(frame.fields[1], frame, hm)
     assert mf1.weight == 1
     f1 = mf1.as_field(3)
     # d_1 + x_2 d_0 since -L_12/2 = 1
@@ -239,7 +240,7 @@ def test_model_field_cases():
     assert f1.components.components[1].terms() == {(0, 0, 0): 1.0}
 
     vanishing = frame.fields[1].scaled_by_jet(Jet.coordinate(s, 0))
-    mfv = model_field(vanishing, frame, m)
+    mfv = model_field(vanishing, frame, hm)
     assert mfv.weight == 1
     fv = mfv.as_field(3)
     for c in fv.components.components:
@@ -250,7 +251,7 @@ def test_model_field_threshold_flagging():
     frame = heisenberg_frame()
     # X = 3e-10 X_0 + X_1 sits inside the flag band around the 1e-9 cutoff
     X = frame.fields[1] + 3e-10 * frame.fields[0]
-    mf = model_field(X, frame, np.zeros(3))
+    mf = model_field(X, frame, heisenberg_map(frame, np.zeros(3)))
     assert mf.flagged
 
 
@@ -266,7 +267,7 @@ def test_dilation_records_read_flagged_for_a_near_threshold_model_field(monkeypa
     # weight 1 and its coefficients but sits in the flag band; the perturbed
     # field X_1 + x_1^2 X_0 has weight 2 at the base point, far from the band
     real = coords.model_field
-    monkeypatch.setattr(coords, "model_field", lambda X, frame, m: real(X + 3e-10 * frame.fields[0], frame, m))
+    monkeypatch.setattr(coords, "model_field", lambda X, frame, hm: real(X + 3e-10 * frame.fields[0], frame, hm))
     records = SuiteRunner(load_manifest("heisenberg3")).run(["coords"])
     verdicts = {rec.check_id.split("/")[-1]: rec.verdict for rec in records}
     assert verdicts.pop("dilation-exact") == "flagged"
@@ -302,7 +303,7 @@ def test_dilation_limit_weight2_branch():
     x1sq = Jet.from_terms(s, {(0, 2, 0): 1.0})
     X = frame.fields[1] + frame.fields[0].scaled_by_jet(x1sq)
     m = np.array([0.0, 0.5, 0.0])  # here a_0(m) = 0.25 != 0 -> weight 2
-    mf = model_field(X, frame, m)
+    mf = model_field(X, frame, heisenberg_map(frame, m))
     assert mf.weight == 2
     slope = fit_rate(dilation_limit_check(X, frame, m, TS)[0])
     assert slope >= SLOPE_MIN

@@ -226,8 +226,8 @@ def test_model_structure_brackets_batch_equal_the_loop(label, frame, kind, pts):
 def test_check_bodies_make_one_batched_call_per_check(monkeypatch):
     # heisenberg5's coords suite: b-levi, normalization, model-fields,
     # model-structure and shear-grading build one HeisenbergMap each, for
-    # all their base points, and each dilation check one for its point and
-    # one for its model field.  normalization pushes the 5 frame fields and
+    # all their base points, and each dilation check one, which its model
+    # field reads too.  normalization pushes the 5 frame fields and
     # model-fields the 5 dilation limits once each; each dilation check
     # pushes one field.  The per-point loops made 26 and 82 calls.
     calls = {"heisenberg_map": 0, "pushforward_field": 0}
@@ -246,7 +246,7 @@ def test_check_bodies_make_one_batched_call_per_check(monkeypatch):
     counted(coords, "pushforward_field")
     records = run_suites(load_manifest("heisenberg5", seed=42), "coords")
     assert {rec.verdict for rec in records} == {"pass"}
-    assert calls == {"heisenberg_map": 9, "pushforward_field": 12}
+    assert calls == {"heisenberg_map": 7, "pushforward_field": 12}
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 15: darboux1's fixed +-0.3 sample radius leaves its domain")

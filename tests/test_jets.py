@@ -511,7 +511,7 @@ def dense_dilation_trace(X, frame, m, ts):
     hm = heisenberg_map(frame, m)
     order = max(frame.order, 2 * (X.components.degree() + 1))
     Xh = pushforward_field(hm.as_polymap(order), hm.inverse_polymap(order), X, order=order).components
-    mf = model_field(X, frame, m)
+    mf = model_field(X, frame, hm)
     target = mf.as_field(order).components
     w = weight_vector(frame.dim)
     powers = mf.weight + (Xh.space.exponents @ w)[None, :] - w[:, None]

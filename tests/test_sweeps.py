@@ -24,7 +24,6 @@ from heisgeom.groupoid import (
     continuity_chart_independence,
     continuity_check,
     psi_composition_check,
-    transition_rate_check,
 )
 from heisgeom.jets import PolyMap
 from heisgeom.manifests import Manifest, load_doc
@@ -46,7 +45,7 @@ def transition_loop(src, dst, phi, x, X, ts):
     for t in ts:
         pre = hm_src.inverse_displacement(dilate(t, X)[None, :])
         if not src.frame.domain.contains(x + pre[0]):
-            raise FrameError(f"transition sample leaves the source domain at t={t}")
+            raise FrameError(f"sample leaves the source domain at t={t}")
         img = phi_disp.eval_many(pre)
         Xp = dilate_inv(t, hm_dst.forward_from_displacement(img)[0])
         residuals.append(float(np.max(np.abs(Xp - target))))
@@ -112,7 +111,7 @@ def expansion_loop(phi, frame_src, frame_dst, m, ts):
     for t in ts:
         pre_disp = hm_src.inverse_displacement(dilate(t, pts))
         if not np.all(frame_src.domain.contains(m + pre_disp)):
-            raise FrameError(f"sample leaves the source domain at t={t}; shrink the box")
+            raise FrameError(f"sample leaves the source domain at t={t}")
         img_disp = phi_disp.eval_many(pre_disp)
         expr = dilate_inv(t, hm_dst.forward_from_displacement(img_disp))
         residuals.append(float(np.max(np.abs(expr - target))))
@@ -183,9 +182,10 @@ def _traces(chart, phi, seed):
     for x, X, Y in zip(xs, Xs, Ys):
         out.append((composition_limit_check(chart, x, X, Y, TS), composition_loop(chart, x, X, Y, TS)))
         out.append((psi_composition_check(chart, x, X, Y, TS), psi_loop(chart, x, X, Y, TS)))
-        out.append((transition_rate_check(chart, chart, phi, x, X, TS), transition_loop(chart, chart, phi, x, X, TS)))
         frame = chart.frame
-        out.append((diffeo_expansion_check(phi, frame, frame, x, TS), expansion_loop(phi, frame, frame, x, TS)))
+        out.append((diffeo_expansion_check(phi, frame, frame, x, X[None], TS), transition_loop(chart, chart, phi, x, X, TS)))
+        box = sample_box(0.6, 3, chart.dim)
+        out.append((diffeo_expansion_check(phi, frame, frame, x, box, TS), expansion_loop(phi, frame, frame, x, TS)))
         hm = chart.eps(x)
         ts = TS[1:]
         qs = hm.inverse(dilate(ts[:, None], X))
@@ -213,10 +213,11 @@ def test_heisenberg3_diffeos_sweep_bit_for_bit():
         x = np.array([0.2, -0.3, 0.1])
         X = np.array([0.5, -1.0, 0.7])
         assert np.array_equal(
-            transition_rate_check(chart, chart, spec.fwd, x, X, TS), transition_loop(chart, chart, spec.fwd, x, X, TS)
+            diffeo_expansion_check(spec.fwd, chart.frame, chart.frame, x, X[None], TS),
+            transition_loop(chart, chart, spec.fwd, x, X, TS),
         )
         assert np.array_equal(
-            diffeo_expansion_check(spec.fwd, chart.frame, chart.frame, x, TS),
+            diffeo_expansion_check(spec.fwd, chart.frame, chart.frame, x, sample_box(0.6, 3, 3), TS),
             expansion_loop(spec.fwd, chart.frame, chart.frame, x, TS),
         )
 
@@ -244,9 +245,10 @@ def test_darboux1_sweeps_agree_with_loops_exactly_because_c22_vanishes():
     phi, src, dst = spec.fwd, darboux0.frame, chart.frame
     X = np.array([0.3, -0.8, 0.6])
     for x in src.domain.shrunk(0.1).grid(3, limit=3):
-        batched = transition_rate_check(darboux0, chart, phi, x, X, TS)
+        batched = diffeo_expansion_check(phi, src, dst, x, X[None], TS)
         assert np.array_equal(batched, transition_loop(darboux0, chart, phi, x, X, TS))
-        assert np.array_equal(diffeo_expansion_check(phi, src, dst, x, TS), expansion_loop(phi, src, dst, x, TS))
+        batched = diffeo_expansion_check(phi, src, dst, x, sample_box(0.6, 3, 3), TS)
+        assert np.array_equal(batched, expansion_loop(phi, src, dst, x, TS))
 
 
 def test_shear_residual_equals_its_loop_for_d_other_than_2():
@@ -281,7 +283,7 @@ def test_transition_leaves_the_domain_at_the_loops_first_t():
     phi = PolyMap.identity(3, 3)
     want = _message(transition_loop, SMALL, SMALL, phi, ZERO, 6 * E1, GROW)
     assert "t=0.125" in want
-    assert _message(transition_rate_check, SMALL, SMALL, phi, ZERO, 6 * E1, GROW) == want
+    assert _message(diffeo_expansion_check, phi, SMALL.frame, SMALL.frame, ZERO, (6 * E1)[None], GROW) == want
 
 
 def test_expansion_leaves_the_domain_at_the_loops_first_t():
@@ -289,7 +291,7 @@ def test_expansion_leaves_the_domain_at_the_loops_first_t():
     phi = PolyMap.identity(3, 3)
     want = _message(expansion_loop, phi, frame, frame, ZERO, GROW)
     assert "t=0.125" in want
-    assert _message(diffeo_expansion_check, phi, frame, frame, ZERO, GROW) == want
+    assert _message(diffeo_expansion_check, phi, frame, frame, ZERO, sample_box(0.6, 3, 3), GROW) == want
 
 
 @pytest.mark.parametrize(
