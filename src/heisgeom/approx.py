@@ -42,7 +42,7 @@ def graded_part(C) -> np.ndarray:
     A_par = C[..., 1:, 1:]
     if np.any(C[..., 0, 0] == 0.0):
         raise ApproxError("transverse scalar a00 vanishes")
-    scale = np.maximum(1.0, np.max(np.abs(A_par), axis=(-2, -1), initial=0.0)) ** A_par.shape[-1]
+    scale = np.maximum(1.0, np.max(np.abs(A_par), axis=(-2, -1))) ** A_par.shape[-1]
     if np.any(np.abs(np.linalg.det(A_par)) < 1e-12 * scale):
         raise ApproxError("horizontal block A_par is singular")
     out = np.zeros_like(C)
@@ -51,13 +51,7 @@ def graded_part(C) -> np.ndarray:
     return out
 
 
-def conjugated_jets(
-    phi: PolyMap,
-    frame_src: HFrame,
-    frame_dst: HFrame,
-    m,
-    order: int = 3,
-) -> PolyMap:
+def conjugated_jets(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, m, order: int) -> PolyMap:
     """Jets at 0 of eps'_{phi(m)} . phi . eps_m^-1, all factors exact polynomials."""
     m = np.asarray(m, dtype=float)
     hm_src = heisenberg_map(frame_src, m)

@@ -3,10 +3,10 @@
 A jet of order K in n variables at a base point p is the table of
 coefficients of a polynomial in (x - p) over all monomials of total degree
 <= K, stored in graded-lexicographic order (ascending total degree, then
-ascending exponent tuple).  Addition, multiplication, composition, formal
-inversion and partial derivatives all truncate deterministically at K, so
-for inputs that are exact polynomials of degree <= K every surviving
-coefficient is exact up to float rounding.
+ascending exponent tuple).  Addition, multiplication, composition and
+partial derivatives all truncate deterministically at K, so for inputs that
+are exact polynomials of degree <= K every surviving coefficient is exact up
+to float rounding.
 
 Each exponent tuple is a number in mixed radix K + 1, so a product's key is
 the sum of its factors' keys and `JetSpace.find` gives its column.  Work
@@ -389,17 +389,6 @@ def jet_mul(a: _Poly, b: _Poly) -> _Poly:
     return wide._of(a.space, mul_rows(a.space, a.coeffs, b.coeffs), a.base)
 
 
-def jet_compose(outer: Jet, inner: "PolyMap", *, exact: bool = False) -> Jet:
-    """Truncated composition outer(inner(x)).
-
-    The inner components must take the value outer.base at their own base
-    point (zero constant displacement); pass exact=True to skip that guard
-    for outer jets that are exact polynomials, where composition with an
-    arbitrary constant offset is still well defined.
-    """
-    return Jet._of(inner.space, _compose(outer, inner, exact), inner.base)
-
-
 @dataclass(frozen=True, eq=False, init=False)
 class PolyMap(_Poly):
     """A polynomial map x -> (f_1(x), ..., f_m(x)): row i of the (m, size)
@@ -487,26 +476,3 @@ class PolyMap(_Poly):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PolyMap<{self.dim_in}->{self.dim_out}, order {self.order}>"
-
-
-def jet_invert(f: PolyMap) -> PolyMap:
-    """Formal inverse of a square polynomial map with f(base) = base = 0
-    and invertible linear part; f o g = id up to the truncation order."""
-    if f.dim_in != f.dim_out:
-        raise JetError(f"cannot invert a {f.dim_in}->{f.dim_out} map")
-    A = f.linear()
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if np.max(np.abs(f.constant())) > 1e-9 * scale or np.max(np.abs(f.base)) > 1e-9:
-        raise JetError("formal inverse needs zero base point and zero constant term")
-    det = np.linalg.det(A)
-    if abs(det) < 1e-12 * max(1.0, np.max(np.abs(A)) ** f.dim_in):
-        raise JetError(f"linear part is singular (det={det:.3e})")
-    linear_inv = PolyMap.affine(np.linalg.inv(A), np.zeros(f.dim_in), f.order)
-
-    # nonlinear part N with f(x) = A x + N(x), deg N >= 2; g <- A^-1 (x - N(g))
-    N = PolyMap._of(f.space, np.where(f.space.degrees == 1, 0.0, f.coeffs), f.base)
-    ident = PolyMap.identity(f.dim_in, f.order)
-    g = linear_inv
-    for _ in range(f.order - 1):
-        g = linear_inv.compose(ident - N.compose(g))
-    return g

@@ -74,10 +74,12 @@ DEFAULT_SAMPLES = {
 
 
 # Bounds on config.samples, from what the checks build.  groupoid/*/axioms
-# keeps `tuples` element pairs as Python rows, about 0.5 kB per tuple and
-# dimension (the group checks' (3, tuples, dimension) arrays are smaller):
-# tuples * dimension <= 3e5 keeps them near 150 MB.  `base_limit` and
-# `sweep_tuples` count base points, each with its own Heisenberg maps and
+# composes `tuples` element pairs as arrays, and the (tuples, dim, dim)
+# matrices of their Heisenberg maps dominate: tracemalloc reads a peak of
+# about 55 B per tuple * dim^2 in dimensions 3, 5 and 7, so tuples *
+# dimension <= 3e5 keeps it near 17 MB per dimension (51, 78 and 116 MB
+# there; the group checks' (3, tuples, dim) arrays are smaller).  `base_limit`
+# and `sweep_tuples` count base points, each with its own Heisenberg maps and
 # rate sweeps: 1e3 of each run in about 5 s in dimension 3.  `Box.grid`
 # thins the per_axis ** dimension grid by float64 indices, exact to 2^53.
 _MAX_TUPLE_ENTRIES = 300_000

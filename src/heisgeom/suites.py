@@ -8,8 +8,9 @@ A check body evaluates the Levi matrices and Heisenberg maps of all its base
 points in one batched call, which equals one call per point bit for bit.
 Every residual goes through `rates.worst_abs`, which keeps a NaN, and a
 record whose residuals are not all finite never reads pass or flagged.
-Check bodies read the sweeps' residual traces directly; every rate record
-comes from `SuiteRunner.rate_outcome`."""
+Check bodies read the sweeps' residual traces directly.  Every rate record
+comes from `SuiteRunner.rate_outcome`, and every threshold record, the
+worst residual against one bound, from `SuiteRunner.threshold_outcome`."""
 
 from __future__ import annotations
 
@@ -157,6 +158,17 @@ def composable_tuples(rng, p0, n: int):
     return (np.where(pair, a, fibre_p), b, t), (np.where(pair, b, fibre_p), c, t)
 
 
+# Bounds that no manifest sets; every other bound is a tolerance key.
+# rs-jacobian: a source Jacobian whose |det| is at most this reads as singular.
+RS_DET_MIN = 1e-8
+# chart-independence: a trace mapped through a nonlinear diffeo decays only as
+# O(t), so at the grid's end it sits above `continuity` but far under O(1).
+MAPPED_CONTINUITY = 1e-2
+# composition-limit: a Levi matrix under this at the first sweep point holds
+# exact zeros or eps-level rounding, so the chart is flat and composes exactly.
+FLAT_LEVI = 1e-14
+
+
 def _converged(r, tol: float) -> bool:
     """A continuity trace has reached its limit: the last residual is under tol."""
     return r[-1] < tol
@@ -239,6 +251,20 @@ class SuiteRunner:
         ok = ok and slopes[i] >= self.tol["slope_min"]
         return Outcome(inputs, _verdict(ok, flagged), tuple(float(r) for r in traces[i]), slopes[i])
 
+    def threshold_outcome(
+        self, inputs: dict, bound: str | float, *parts, above=False, each=False, ok=True, flagged=False, value=None
+    ) -> Outcome:
+        """The one threshold record: the worst |entry| of the parts against
+        `bound`, a tolerance key or one of the fixed bounds above.  It passes
+        when the worst is under the bound, or over it with `above`, and `ok`
+        holds; a NaN fails either way.  The residual is the worst, or with
+        `each` the worst of each part."""
+        limit = self.tol[bound] if isinstance(bound, str) else bound
+        worst = worst_abs(*parts)
+        within = worst > limit if above else worst < limit
+        shown = tuple(worst_abs(p) for p in parts) if each else (worst,)
+        return Outcome(inputs, _verdict(within and ok, flagged), shown, value=value or {})
+
     # -- check builders -----------------------------------------------------
     def collect(self, suite: str) -> list:
         """The (id, anchor, body) triples of one suite, in declaration order.
@@ -295,20 +321,18 @@ class SuiteRunner:
     def _levi_checks(self, chart, check):
         name = chart.name
         lf = self._levi[name]
-        tol = self.tol
 
         @check(f"levi/{name}/antisymmetry", "levi-form.antisymmetry")
         def antisymmetry():
             pts = self.base_points(name)
             raw = lf.raw_matrix(pts)
-            worst = worst_abs(raw + raw.mT)
-            return Outcome({"chart": name, "points": len(pts)}, _verdict(worst < tol["levi_antisym"]), (worst,))
+            return self.threshold_outcome({"chart": name, "points": len(pts)}, "levi_antisym", raw + raw.mT)
 
         @check(f"levi/{name}/bracket-fd", "levi-form.bracket-definition")
         def bracket_fd():
             h = 1e-5
-            worst = worst_abs(bracket_fd_residuals(chart.frame, lf, self.base_points(name, limit=4), h))
-            return Outcome({"chart": name, "h": h}, _verdict(worst < tol["levi_fd"]), (worst,))
+            residuals = bracket_fd_residuals(chart.frame, lf, self.base_points(name, limit=4), h)
+            return self.threshold_outcome({"chart": name, "h": h}, "levi_fd", residuals)
 
         if chart.expected_levi is None:
             return
@@ -317,27 +341,21 @@ class SuiteRunner:
         def golden():
             pts = self.base_points(name)
             L = lf.matrix(pts)
-            worst = worst_abs(L - chart.expected_levi)
-            return Outcome(
-                {"chart": name, "points": len(pts)},
-                _verdict(worst < tol["levi_golden"]),
-                (worst,),
-                value={"levi": [[round(v, 12) for v in row] for row in L[0].tolist()]},
-            )
+            levi = [[round(v, 12) for v in row] for row in L[0].tolist()]
+            inputs = {"chart": name, "points": len(pts)}
+            return self.threshold_outcome(inputs, "levi_golden", L - chart.expected_levi, value={"levi": levi})
 
     # -- coords -----------------------------------------------------------------
     def _coords_checks(self, chart, check):
         name = chart.name
         frame = chart.frame
         lf = self._levi[name]
-        tol = self.tol
 
         @check(f"coords/{name}/b-levi", "privileged.b-vs-levi")
         def b_levi():
             pts = self.base_points(name)
             b = coords.heisenberg_map(frame, pts).b
-            worst = worst_abs(b.mT - b - lf.matrix(pts))
-            return Outcome({"chart": name, "points": len(pts)}, _verdict(worst < tol["b_levi"]), (worst,))
+            return self.threshold_outcome({"chart": name, "points": len(pts)}, "b_levi", b.mT - b - lf.matrix(pts))
 
         @check(f"coords/{name}/normalization", "privileged.normalization")
         def normalization():
@@ -347,13 +365,13 @@ class SuiteRunner:
             at0 = np.stack([pm.constant() for pm in pushed], axis=-2)  # X_j(0): the constant column
             b = np.stack([pm.linear()[..., 0, 1:] for pm in pushed[1:]], axis=-2)
             eye = np.eye(frame.dim)
-            worst = worst_abs(hm.A @ frame.matrix_at(pts).mT - eye, at0 - eye, b - hm.b)
-            return Outcome({"chart": name}, _verdict(worst < tol["normalization"]), (worst,))
+            parts = hm.A @ frame.matrix_at(pts).mT - eye, at0 - eye, b - hm.b
+            return self.threshold_outcome({"chart": name}, "normalization", *parts)
 
         @check(f"coords/{name}/model-fields", "heisenberg-coords.model-fields")
         def model_fields():
             worst = coords.heisenberg_map(frame, self.base_points(name, limit=8)).pushed_model_residual()
-            return Outcome({"chart": name}, _verdict(worst < tol["model_fields"]), (worst,))
+            return self.threshold_outcome({"chart": name}, "model_fields", worst)
 
         @check(f"coords/{name}/model-structure", "model-fields.structure-constants")
         def model_structure():
@@ -365,14 +383,13 @@ class SuiteRunner:
                     got = bracket(fields[j], fields[k]).components.coeffs.copy()
                     got[..., 0, 0] -= hm.levi[..., j - 1, k - 1]
                     parts.append(got)
-            worst = worst_abs(*parts)
-            return Outcome({"chart": name}, _verdict(worst < tol["model_structure"]), (worst,))
+            return self.threshold_outcome({"chart": name}, "model_structure", *parts)
 
         @check(f"coords/{name}/shear-grading", "heisenberg-coords.shear-grading")
         def shear_grading():
             hm = coords.heisenberg_map(frame, self.base_points(name, limit=8))
             worst = coords.graded_weight_violation(hm.shear.as_polymap(2))
-            return Outcome({"chart": name}, _verdict(worst < tol["shear_grading"]), (worst,))
+            return self.threshold_outcome({"chart": name}, "shear_grading", worst)
 
         def dilation(X, field_name):
             """The dilation-limit record of X, flagged when its model field's
@@ -394,7 +411,6 @@ class SuiteRunner:
     # -- group -------------------------------------------------------------------
     def _group_checks(self, chart, check):
         name = chart.name
-        tol = self.tol
         lf = self._levi[name]
         d = self.manifest.d
         n_tuples = int(self.manifest.samples["tuples"])
@@ -407,10 +423,8 @@ class SuiteRunner:
             seed, rng = self._seeded(f"group/{name}/axioms")
             G = group_at_sample()
             x, y, z = rng.uniform(-2, 2, (3, n_tuples, d + 1))
-            worst = worst_abs(
-                G.mul(G.mul(x, y), z) - G.mul(x, G.mul(y, z)), G.mul(x, np.zeros(d + 1)) - x, G.mul(x, G.inverse(x))
-            )
-            return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["group_axioms"]), (worst,))
+            parts = G.mul(G.mul(x, y), z) - G.mul(x, G.mul(y, z)), G.mul(x, np.zeros(d + 1)) - x, G.mul(x, G.inverse(x))
+            return self.threshold_outcome({"chart": name, "seed": seed, "n": n_tuples}, "group_axioms", *parts)
 
         @check(f"group/{name}/dilation-automorphism", "tangent-group.dilations")
         def dilations():
@@ -418,8 +432,8 @@ class SuiteRunner:
             G = group_at_sample()
             x, y = rng.uniform(-2, 2, (2, n_tuples, d + 1))
             dil = group.dilate
-            worst = worst_abs(*(dil(t, G.mul(x, y)) - G.mul(dil(t, x), dil(t, y)) for t in (-1.0, 0.5, 2.0, 10.0)))
-            return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["group_axioms"]), (worst,))
+            parts = (dil(t, G.mul(x, y)) - G.mul(dil(t, x), dil(t, y)) for t in (-1.0, 0.5, 2.0, 10.0))
+            return self.threshold_outcome({"chart": name, "seed": seed, "n": n_tuples}, "group_axioms", *parts)
 
         @check(f"group/{name}/commutator", "tangent-group.commutator")
         def commutator():
@@ -428,17 +442,15 @@ class SuiteRunner:
             x, y = rng.uniform(-2, 2, (2, n_tuples, d + 1))
             comm = G.commutator(x, y)
             want = np.einsum("nj,jk,nk->n", x[:, 1:], G.L, y[:, 1:])
-            worst = worst_abs(comm[:, 0] - want, comm[:, 1:])
-            return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["commutator"]), (worst,))
+            inputs = {"chart": name, "seed": seed, "n": n_tuples}
+            return self.threshold_outcome(inputs, "commutator", comm[:, 0] - want, comm[:, 1:])
 
         @check(f"group/{name}/pseudo-norm", "pseudo-norm.homogeneity")
         def pseudo():
             seed, rng = self._seeded(f"group/{name}/pseudo")
             x = rng.uniform(-2, 2, (n_tuples, d + 1))
-            worst = worst_abs(
-                *(group.pseudo_norm(group.dilate(t, x)) - abs(t) * group.pseudo_norm(x) for t in (-3.0, 0.25, 7.0))
-            )
-            return Outcome({"chart": name, "seed": seed}, _verdict(worst < tol["pseudo_norm"]), (worst,))
+            parts = (group.pseudo_norm(group.dilate(t, x)) - abs(t) * group.pseudo_norm(x) for t in (-3.0, 0.25, 7.0))
+            return self.threshold_outcome({"chart": name, "seed": seed}, "pseudo_norm", *parts)
 
         @check(f"group/{name}/shear-transport", "graded-shear.transport")
         def shear_transport():
@@ -449,20 +461,13 @@ class SuiteRunner:
             shear = group.GradedShear((csym + csym.T) / 2)
             pairs = rng.uniform(-2, 2, (100, 2, d + 1))
             normal = group.GradedShear(-(b + b.T) / 2)
-            worst = worst_abs(
-                group.shear_homomorphism_residual(shear, b, pairs), group.shear_homomorphism_residual(normal, b, pairs)
-            )
-            worst_norm = worst_abs(normal.transport(b) - (b - b.T) / 2)
-            return Outcome(
-                {"chart": name, "seed": seed},
-                _verdict(worst_abs(worst, worst_norm) < tol["shear_homomorphism"]),
-                (worst, worst_norm),
-            )
+            hom = worst_abs(*(group.shear_homomorphism_residual(s, b, pairs) for s in (shear, normal)))
+            parts = hom, normal.transport(b) - (b - b.T) / 2
+            return self.threshold_outcome({"chart": name, "seed": seed}, "shear_homomorphism", *parts, each=True)
 
     # -- classify ------------------------------------------------------------------
     def _classify_checks(self, chart, check):
         name = chart.name
-        tol = self.tol
         lf = self._levi[name]
         metrics = {"identity": None, **self.manifest.metrics}
 
@@ -479,15 +484,13 @@ class SuiteRunner:
                 Gs = fibres()
                 found = [group.classify_fiber(G, metric=metrics[mname]) for G in Gs]
                 rels = [cls.relations(G.L) - group.canonical_constants(G.d, cls.n) for G, cls in zip(Gs, found)]
-                worst = worst_abs(*rels)
                 label, rank = found[-1].label, found[-1].rank
-                ok = worst < tol["classify_relations"]
-                if chart.expected_type is not None:
-                    ok = ok and label == chart.expected_type
-                return Outcome(
+                return self.threshold_outcome(
                     {"chart": name, "metric": mname},
-                    _verdict(ok, any(cls.flagged for cls in found)),
-                    (worst,),
+                    "classify_relations",
+                    *rels,
+                    ok=chart.expected_type in (None, label),
+                    flagged=any(cls.flagged for cls in found),
                     value={"label": label, "rank": rank},
                 )
 
@@ -509,11 +512,10 @@ class SuiteRunner:
 
     # -- diffeo --------------------------------------------------------------------
     def _diffeo_checks(self, spec, check):
-        tol = self.tol
         src = self.manifest.chart(spec.source).frame
         dst = self.manifest.chart(spec.target).frame
         base = self.base_points(spec.source, limit=4, shrink=0.15)
-        preserving = self.preserving_residual(spec) < tol["preserve"]
+        preserving = self.preserving_residual(spec) < self.tol["preserve"]
         pts = coords.sample_box(0.6, 3, src.dim)
 
         @functools.cache
@@ -529,11 +531,9 @@ class SuiteRunner:
         @check(f"diffeo/{spec.name}/{kind}", f"diffeo-approx.{kind}")
         def quadratic():
             order = self.manifest.jet_order
-            worst = worst_abs(
-                *(approx.horizontal_quadratic(approx.conjugated_jets(spec.fwd, src, dst, m, order=order)) for m in base)
-            )
-            ok = worst < tol["quad_coeffs"] if preserving else worst > tol["negative_control"]
-            return Outcome({"diffeo": spec.name}, _verdict(ok), (worst,))
+            parts = (approx.horizontal_quadratic(approx.conjugated_jets(spec.fwd, src, dst, m, order)) for m in base)
+            bound = "quad_coeffs" if preserving else "negative_control"
+            return self.threshold_outcome({"diffeo": spec.name}, bound, *parts, above=not preserving)
 
         if not preserving:
             return
@@ -542,9 +542,8 @@ class SuiteRunner:
         def blocks():
             C = tangent_blocks(spec.fwd, src, dst, base)
             approx.graded_part(C)  # a vanishing a00 or a singular A_par raises
-            worst = worst_abs(C[:, 0, 1:])
             a00 = float(C[-1, 0, 0])
-            return Outcome({"diffeo": spec.name}, _verdict(worst < tol["preserve"]), (worst,), value={"a00": a00})
+            return self.threshold_outcome({"diffeo": spec.name}, "preserve", C[:, 0, 1:], value={"a00": a00})
 
         @check(f"diffeo/{spec.name}/rate", "diffeo-approx.scaled-limit")
         def rate():
@@ -554,12 +553,11 @@ class SuiteRunner:
         def uniformity():
             slopes = [k for k in map(self.slope, expansions()) if not math.isinf(k)]
             spread = max(slopes) - min(slopes) if len(slopes) >= 2 else 0.0
-            return Outcome({"diffeo": spec.name, "points": len(base)}, _verdict(spread < tol["uniformity"]), (spread,))
+            return self.threshold_outcome({"diffeo": spec.name, "points": len(base)}, "uniformity", spread)
 
     # -- groupoid --------------------------------------------------------------------
     def _groupoid_chart_checks(self, chart, check):
         name = chart.name
-        tol = self.tol
         gchart = self.charts[name]
         dim = self.manifest.dim
         n_tuples = int(self.manifest.samples["tuples"])
@@ -571,13 +569,14 @@ class SuiteRunner:
             comp = gchart.compose(g1, g2)
             left = gchart.compose(g1, gchart.iota(*gchart.source_of(g1)))
             unit = gchart.compose(g1, gchart.inverse(g1))
-            worst = worst_abs(
+            return self.threshold_outcome(
+                {"chart": name, "seed": seed, "n": n_tuples},
+                "group_axioms",
                 gchart.range_of(comp)[0] - gchart.range_of(g1)[0],
                 gchart.source_of(comp)[0] - gchart.source_of(g2)[0],
                 left[1] - g1[1],
                 unit[1] - gchart.iota(*gchart.range_of(g1))[1],
             )
-            return Outcome({"chart": name, "seed": seed, "n": n_tuples}, _verdict(worst < tol["group_axioms"]), (worst,))
 
         @check(f"groupoid/{name}/chart-roundtrip", "groupoid-chart.roundtrip")
         def roundtrip():
@@ -588,8 +587,8 @@ class SuiteRunner:
             # each sample at its t and, as a boundary element, at t = 0
             x, X, t = np.concatenate([x, x]), np.concatenate([X, X]), np.concatenate([t, 0.0 * t])
             back = gchart.gamma_inv(gchart.gamma(x, X, t))
-            worst = worst_abs(*(got - want for got, want in zip(back, (x, X, t))))
-            return Outcome({"chart": name, "seed": seed}, _verdict(worst < tol["roundtrip"]), (worst,))
+            parts = (got - want for got, want in zip(back, (x, X, t)))
+            return self.threshold_outcome({"chart": name, "seed": seed}, "roundtrip", *parts)
 
         @check(f"groupoid/{name}/rs-jacobian", "groupoid.range-source-submersion")
         def rs_jacobian():
@@ -601,8 +600,8 @@ class SuiteRunner:
                 X = rng.uniform(-1, 1, dim)
                 t = float(rng.uniform(0.1, 1.0))
                 dets.append(np.linalg.det(gchart.source_jacobian(x, X, t)))
-            worst = worst_abs(dets, least=True)
-            return Outcome({"chart": name, "seed": seed}, _verdict(worst > 1e-8), (worst,))
+            least = worst_abs(dets, least=True)
+            return self.threshold_outcome({"chart": name, "seed": seed}, RS_DET_MIN, least, above=True)
 
         @check(f"groupoid/{name}/continuity", "groupoid.continuity-condition")
         def continuity():
@@ -610,7 +609,7 @@ class SuiteRunner:
             X = 0.5 * np.ones(dim)
             ts = 2.0 ** -np.arange(*self.manifest.t_grid_range)
             r = groupoid.continuity_check(hm, hm.inverse(group.dilate(ts[:, None], X)), ts, X)
-            ok = _converged(r, tol["continuity"]) and not _diverged(r, tol["continuity"])
+            ok = _converged(r, self.tol["continuity"]) and not _diverged(r, self.tol["continuity"])
             return Outcome({"chart": name}, _verdict(ok), tuple(r))
 
         @check(f"groupoid/{name}/continuity-negative", "groupoid.continuity-negative")
@@ -620,17 +619,17 @@ class SuiteRunner:
             ts = 2.0 ** -np.arange(*self.manifest.t_grid_range)
             qs = hm.inverse(ts[:, None, None] * v)  # linear, not graded
             r = groupoid.continuity_check(hm, qs, ts, v)
-            return Outcome({"chart": name}, _verdict(_diverged(r, tol["continuity"])), tuple(r))
+            return Outcome({"chart": name}, _verdict(_diverged(r, self.tol["continuity"])), tuple(r))
 
         @check(f"groupoid/{name}/composition-limit", "groupoid.composition-limit")
         def composition_limit():
             seed, rng = self._seeded(f"groupoid/{name}/composition")
-            flat = worst_abs(self._levi[name].matrix(self.sweep_points(name)[0])) < 1e-14
+            flat = worst_abs(self._levi[name].matrix(self.sweep_points(name)[0])) < FLAT_LEVI
             pts = self.sweep_points(name)
             XY = rng.uniform(-1, 1, (len(pts), 2, dim))  # the draws of one point after another
             traces = [groupoid.composition_limit_check(gchart, x, X, Y, self.t_grid) for x, (X, Y) in zip(pts, XY)]
             # a flat chart composes exactly
-            exact = not flat or worst_abs(*traces) < tol["flat_exact"]
+            exact = not flat or worst_abs(*traces) < self.tol["flat_exact"]
             return self.rate_outcome({"chart": name, "seed": seed}, traces, ok=exact)
 
         @check(f"groupoid/{name}/psi-claim", "groupoid.privileged-composition-claim")
@@ -642,8 +641,7 @@ class SuiteRunner:
             return self.rate_outcome({"chart": name, "seed": seed}, traces)
 
     def _groupoid_diffeo_checks(self, spec, check):
-        tol = self.tol
-        if self.preserving_residual(spec) >= tol["preserve"]:
+        if self.preserving_residual(spec) >= self.tol["preserve"]:
             return
         src_chart = self.charts[spec.source]
         dst_chart = self.charts[spec.target]
@@ -666,8 +664,8 @@ class SuiteRunner:
             qs = hm.inverse(group.dilate(ts[:, None], X))
             r1 = groupoid.continuity_check(hm, qs, ts, X)
             r2 = groupoid.continuity_chart_independence(src_chart, dst_chart, spec.fwd, x, qs, ts, X)
-            # the mapped trace converges to the graded-tangent image, to 1e-2
-            ok = _converged(r1, tol["continuity"]) and _converged(r2, 1e-2)
+            # the mapped trace converges to the graded-tangent image
+            ok = _converged(r1, self.tol["continuity"]) and _converged(r2, MAPPED_CONTINUITY)
             return Outcome({"diffeo": spec.name}, _verdict(ok), tuple(r2))
 
         @check(f"groupoid/{spec.name}/functor", "groupoid.functoriality")
@@ -701,8 +699,8 @@ class SuiteRunner:
             ru = morph.apply_unit(src_chart.range_of(g1))[0]
             x, Xv, t = _elements(charted)
             x2, X2, t2 = dst_chart.gamma_inv(morph.apply(morph.gamma_precomposed(x, Xv, t)))
-            worst = worst_abs(lhs[1] - rhs[1], ru - dst_chart.range_of(image1)[0], x2 - x, X2 - Xv, t2 - t)
-            return Outcome({"diffeo": spec.name, "seed": seed}, _verdict(worst < tol["functor"]), (worst,))
+            parts = lhs[1] - rhs[1], ru - dst_chart.range_of(image1)[0], x2 - x, X2 - Xv, t2 - t
+            return self.threshold_outcome({"diffeo": spec.name, "seed": seed}, "functor", *parts)
 
 
 def run_suites(manifest: Manifest, selector: str) -> list:

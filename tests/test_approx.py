@@ -22,7 +22,7 @@ def expansion_fit(phi, src, dst, m) -> float:
 
 def quad_max(phi, src, dst, m):
     """Largest horizontal quadratic coefficient of the conjugated transverse component."""
-    return float(np.max(np.abs(horizontal_quadratic(conjugated_jets(phi, src, dst, m)))))
+    return float(np.max(np.abs(horizontal_quadratic(conjugated_jets(phi, src, dst, m, 3)))))
 
 
 # ---- rate fitting ----------------------------------------------------------
@@ -89,6 +89,16 @@ def test_rate_fit_flat_noise_under_the_floor_fails():
 def test_rate_fit_rejects_nonpositive_t():
     with pytest.raises(RateError, match="positive"):
         rate_fit([0.5, 0.25, 0.125, -0.0625], [1.0, 0.5, 0.25, 0.125], 1e-13, 0.85)
+
+
+def test_rate_fit_rejects_a_grid_ending_in_zero():
+    with pytest.raises(RateError, match="positive"):
+        rate_fit([0.5, 0.25, 0.125, 0.0], [1.0, 0.5, 0.25, 0.125], 1e-13, 0.85)
+
+
+def test_rate_fit_takes_exactly_four_positive_residuals():
+    # the fewest that fit: all four above the floor
+    assert rate_fit([0.5, 0.25, 0.125, 0.0625], [1.0, 0.5, 0.25, 0.125], 1e-13, 0.85) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rate_fit_sqrt_trace_fails():
@@ -194,7 +204,7 @@ def test_tangent_blocks_are_the_conjugated_differential():
     fwd, _, pushed = vertical_shear_diffeo(DARBOUX_Q)
     src = heisenberg_frame()
     for m in [np.zeros(3), np.array([0.3, 0.25, -0.2])]:
-        conj = conjugated_jets(fwd, src, pushed, m)
+        conj = conjugated_jets(fwd, src, pushed, m, 3)
         np.testing.assert_allclose(tangent_blocks(fwd, src, pushed, m), conj.linear(), atol=1e-12)
 
 
@@ -293,7 +303,7 @@ def test_expansion_negative_control_fails_quadratic():
 
 def test_conjugated_jets_constant_vanishes():
     fwd, inv, pushed = vertical_shear_diffeo(DARBOUX_Q)
-    conj = conjugated_jets(fwd, heisenberg_frame(), pushed, np.array([0.2, -0.1, 0.3]))
+    conj = conjugated_jets(fwd, heisenberg_frame(), pushed, np.array([0.2, -0.1, 0.3]), 3)
     np.testing.assert_allclose(conj.constant(), 0.0, atol=1e-12)
 
 
