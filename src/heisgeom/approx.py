@@ -8,10 +8,12 @@ column gives the graded tangent map
 
     phi'_H(0) = diag(a00, A_par),
 
-a fiberwise group isomorphism (`graded_part`).  The approximation statement
-checked here: the conjugated map has no purely horizontal quadratic terms
-in its transverse component, and the graded rescalings t^-1 . conj(t.x)
-converge to phi'_H(0) x at rate O(t), locally uniformly in the base point.
+a fiberwise group isomorphism (`graded_part`, which checks invertibility
+with `fields.check_nonsingular`, the one determinant guard).  The
+approximation statement checked here: the conjugated map has no purely
+horizontal quadratic terms in its transverse component, and the graded
+rescalings t^-1 . conj(t.x) converge to phi'_H(0) x at rate O(t), locally
+uniformly in the base point.
 `diffeo_expansion_check` is the one rescaling sweep of phi: the diffeo
 checks run it over a box of samples, and the groupoid's transition limit at
 one sample X, since that limit is this statement read in the groupoid's
@@ -23,49 +25,42 @@ from __future__ import annotations
 import numpy as np
 
 from .coords import heisenberg_map
-from .fields import FrameError, HFrame, tangent_blocks
+from .fields import FrameError, HFrame, check_nonsingular, tangent_blocks
 from .group import dilate, dilate_inv
 from .jets import PolyMap
 
 
-class ApproxError(ValueError):
-    """Map fails the structural requirements of the tangent approximation."""
-
-
-def graded_part(C) -> np.ndarray:
+def graded_part(C, x) -> np.ndarray:
     """The graded tangent map phi'_H = diag(a00, A_par) of each tangent block
-    C (..., dim, dim) of `fields.tangent_blocks`: the top row and the
-    transverse column C[1:, 0] are dropped.  Raises when a00 vanishes or
-    A_par is singular at any point, so a degenerate map is never read as a
-    fibrewise group isomorphism."""
+    C (..., dim, dim) of `fields.tangent_blocks` at the points x (..., dim):
+    the top row and the transverse column C[1:, 0] are dropped.  A map that
+    is not a fibrewise group isomorphism at some point, a00 = 0 or A_par
+    singular there, fails `check_nonsingular`, which names that point."""
     C = np.asarray(C, dtype=float)
-    A_par = C[..., 1:, 1:]
-    if np.any(C[..., 0, 0] == 0.0):
-        raise ApproxError("transverse scalar a00 vanishes")
-    scale = np.maximum(1.0, np.max(np.abs(A_par), axis=(-2, -1))) ** A_par.shape[-1]
-    if np.any(np.abs(np.linalg.det(A_par)) < 1e-12 * scale):
-        raise ApproxError("horizontal block A_par is singular")
     out = np.zeros_like(C)
     out[..., 0, 0] = C[..., 0, 0]
-    out[..., 1:, 1:] = A_par
+    out[..., 1:, 1:] = C[..., 1:, 1:]
+    check_nonsingular(out, x, "graded tangent map", "phi'_H")
     return out
 
 
 def conjugated_jets(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, m, order: int) -> PolyMap:
-    """Jets at 0 of eps'_{phi(m)} . phi . eps_m^-1, all factors exact polynomials."""
+    """Jets at 0 of eps'_{phi(m)} . phi . eps_m^-1, all factors exact
+    polynomials; a batch of points m (P, dim) gives one map per point."""
     m = np.asarray(m, dtype=float)
     hm_src = heisenberg_map(frame_src, m)
     hm_dst = heisenberg_map(frame_dst, phi.eval(m))
     inner = hm_src.inverse_polymap(order)
-    mid = phi.with_order(order).compose(inner, exact=True)
-    return hm_dst.as_polymap(order).compose(mid, exact=True)
+    mid = phi.with_order(order).compose(inner)
+    return hm_dst.as_polymap(order).compose(mid)
 
 
 def horizontal_quadratic(conj: PolyMap) -> np.ndarray:
     """Symmetric matrix c_jk of the x_j x_k terms (j, k >= 1) in the
-    transverse component, normalized as second partial derivatives."""
-    q = conj.coeffs[0, conj.space.quadratic_columns()[1:, 1:]]
-    return q * (1.0 + np.eye(len(q)))
+    transverse component, normalized as second partial derivatives; one per
+    map of a batch."""
+    cols = conj.space.quadratic_columns()[1:, 1:]
+    return conj.coeffs[..., 0, cols] * (1.0 + np.eye(len(cols)))
 
 
 def displacement_map(phi: PolyMap, m) -> PolyMap:
@@ -95,7 +90,7 @@ def diffeo_expansion_check(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, m
     m, pts, ts = (np.asarray(a, dtype=float) for a in (m, pts, ts))
     hm_src = heisenberg_map(frame_src, m)
     hm_dst = heisenberg_map(frame_dst, phi.eval(m))
-    tangent = graded_part(tangent_blocks(phi, frame_src, frame_dst, m))
+    tangent = graded_part(tangent_blocks(phi, frame_src, frame_dst, m), m)
 
     pre_disp = hm_src.inverse_displacement(dilate(ts[:, None], pts))
     n = frame_src.domain.leading_inside(m + pre_disp)

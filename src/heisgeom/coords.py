@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import FrameError, HFrame, VectorField, bracket, pushforward_field
+from .fields import HFrame, VectorField, bracket, pushforward_field
 from .group import GradedShear, per_map, weight_vector
 from .jets import PolyMap, jet_space
 from .rates import worst_abs
@@ -31,13 +31,10 @@ def privileged_frame(frame: HFrame, u) -> tuple:
     psi_u, with exact inverse psi_u^-1(y) = u + B(u)^t y.  The pushed fields
     equal e_j at 0, and b_jk = d_k a_j0(0) is the x_k-coefficient of pushed
     field j's x_0-component; a batch of points u gives one table per point.
-    Raises outside the domain or where B is singular."""
+    Raises where the frame is not defined."""
     u = np.asarray(u, dtype=float)
-    inside = frame.domain.contains(u)
-    if not np.all(inside):
-        raise FrameError(f"base point {u[~inside][0]} outside the frame domain")
     B = frame.matrix_at(u)
-    frame.check_invertible(u, B=B)
+    frame.check_invertible(u, B, "base point")
     psi = PolyMap.affine(np.linalg.inv(B.mT), np.zeros(frame.dim), frame.order, base=u)
     psi_inv = PolyMap.affine(B.mT, u, frame.order)
     return tuple(pushforward_field(psi, psi_inv, X) for X in frame.fields)
@@ -112,11 +109,11 @@ class HeisenbergMap:
 
     def as_polymap(self, order: int) -> PolyMap:
         psi = PolyMap.affine(self.A, (-self.A @ self.u[..., None])[..., 0], order)
-        return self.shear.as_polymap(order).compose(psi, exact=True)
+        return self.shear.as_polymap(order).compose(psi)
 
     def inverse_polymap(self, order: int) -> PolyMap:
         psi_inv = PolyMap.affine(self.A_inv, self.u, order)
-        return psi_inv.compose(self.shear_inv.as_polymap(order), exact=True)
+        return psi_inv.compose(self.shear_inv.as_polymap(order))
 
     def dilation_model_frame(self, order: int) -> tuple:
         """Privileged-coordinate dilation limits: X_j^(u) = d_j + sum b_jk x_k d_0."""
@@ -153,18 +150,15 @@ def heisenberg_map(frame: HFrame, u) -> HeisenbergMap:
     """Heisenberg coordinates at one point u (dim,) or at each of a batch (N, dim).
 
     One monomial vector per point, multiplied into the frame's stacked
-    tables, gives B(u) and every DX_j(u); the determinant guard runs on that
-    B.  The b matrix comes from the Jacobian identity
+    tables, gives B(u) and every DX_j(u); `HFrame.check_invertible` runs on
+    that B.  The b matrix comes from the Jacobian identity
     b_jk = (A DX_j(u) B^t)_0k, which agrees with the degree-1 jet route of
     `privileged_frame` (tested against it).  Every product is taken
     per point, so a batch equals one call per point bit for bit.
     """
     u = np.asarray(u, dtype=float)
-    inside = frame.domain.contains(u)
-    if not np.all(inside):
-        raise FrameError(f"base point {u[~inside][0]} outside the frame domain")
     B, DX = frame.matrix_and_jacobians(u)
-    frame.check_invertible(u, B=B)
+    frame.check_invertible(u, B, "base point")
     Bt = B.mT
     A = np.linalg.inv(Bt)
     row0 = (A[..., None, :1, :] @ DX[..., 1:, :, :])[..., 0, :]  # row j is A[0] DX_j

@@ -9,6 +9,11 @@ A map phi between two frames has one tangent block at each point,
 C(x) = basis'(phi x)^-1 Dphi(x) basis(x), computed by `tangent_blocks` alone:
 its top row says whether phi preserves H, and its block-diagonal part is the
 graded tangent map that `approx` and `groupoid` read.
+
+Where a frame or a map may be evaluated is decided here alone: `Box.require`
+is the domain guard, `check_nonsingular` the one determinant guard, and
+`HFrame.check_invertible` both, "the frame is defined at x", in one call.
+Each raises a `FrameError` naming the first bad point.
 """
 
 from __future__ import annotations
@@ -135,6 +140,15 @@ class Box:
         x = np.asarray(x, dtype=float)
         return np.all((x >= self.lo - 1e-9) & (x <= self.hi + 1e-9), axis=-1)
 
+    def require(self, x, what: str, where: str) -> np.ndarray:
+        """x (..., dim) as floats, after the one domain guard: a FrameError
+        names `what`, the first point of x outside the box, and `where`."""
+        x = np.asarray(x, dtype=float)
+        inside = self.contains(x)
+        if not np.all(inside):
+            raise FrameError(f"{what} {x[~inside][0]} outside the {where}")
+        return x
+
     def leading_inside(self, x) -> int:
         """How many leading t of a grid have all their points x (T, k, dim) in the box."""
         inside = self.contains(x).all(axis=-1)
@@ -214,10 +228,12 @@ class HFrame:
         """Columns are the frame vectors at x (= B(x)^t)."""
         return self.matrix_at(x).T
 
-    def check_invertible(self, x, B=None):
-        """`check_nonsingular` on the frame matrix B at each point of x
-        (..., dim); pass B when B(x) is already at hand."""
-        x = np.asarray(x, dtype=float)
+    def check_invertible(self, x, B=None, what: str = "point", where: str = "frame domain"):
+        """Whether the frame is defined at each point of x (..., dim): the
+        domain guard (naming `what` and `where`), then `check_nonsingular` on
+        the frame matrix B; pass B when B(x) is already at hand.  Returns the
+        determinants."""
+        x = self.domain.require(x, what, where)
         return check_nonsingular(self.matrix_at(x) if B is None else B, x, "frame matrix", "B")
 
     def expand(self, x, v) -> np.ndarray:
@@ -274,15 +290,11 @@ class LeviForm:
         return L
 
     def matrix(self, m) -> np.ndarray:
-        """L at each point of m, after the domain and determinant guards; the
-        lower triangle is the negated upper one."""
-        frame = self.frame
+        """L at each point of m, where the frame is defined; the lower triangle
+        is the negated upper one."""
         m = np.asarray(m, dtype=float)
-        inside = frame.domain.contains(m)
-        if not np.all(inside):
-            raise FrameError(f"point {m[~inside][0]} outside the frame domain")
         B, brackets = self._at(m)
-        frame.check_invertible(m, B=B)
+        self.frame.check_invertible(m, B)
         upper = self._x0(B, brackets)
         return self._assemble(upper, -upper)
 
@@ -308,12 +320,12 @@ def pushforward_field(fwd: PolyMap, inv: PolyMap, X: VectorField, order: int | N
         inv = inv.with_order(order)
         X = X.with_order(order)
     s = inv.space
-    x_inv = X.components.compose(inv, exact=True)
+    x_inv = X.components.compose(inv)
     js = np.flatnonzero(x_inv.coeffs.any(axis=-1).reshape(-1, X.dim).any(axis=0))
     # (d_j fwd^i)(inv(y)) for every i and the j with X^j(inv) not zero everywhere, composed in one call
     dfj = partial_rows(fwd.space, fwd.coeffs, js)
     df = PolyMap._of(fwd.space, dfj.reshape(dfj.shape[:-3] + (-1, fwd.space.size)), fwd.base)
-    df_inv = df.compose(inv, exact=True).coeffs
+    df_inv = df.compose(inv).coeffs
     terms = mul_rows(s, df_inv.reshape(*df_inv.shape[:-2], X.dim, len(js), s.size), x_inv.coeffs[..., None, js, :])
     return _field_of_terms(s, terms, inv.base)
 
@@ -323,21 +335,15 @@ def tangent_blocks(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, x) -> np.
     B_src(x)^t, at each point of x (..., dim): (..., dim, dim).  Column j
     expands phi'(x) X_j(x) in the target frame at phi(x), so phi preserves H
     at x exactly when the top row C[0, 1:] vanishes, and diag(C_00, C[1:, 1:])
-    is the graded tangent map phi'_H.  Raises when a point or its image
-    leaves its frame's domain, Dphi is singular at a point, or the target
-    frame is singular at an image."""
-    x = np.asarray(x, dtype=float)
-    inside = frame_src.domain.contains(x)
-    if not np.all(inside):
-        raise FrameError(f"sample {x[~inside][0]} outside the source domain")
+    is the graded tangent map phi'_H.  Raises when a point leaves the source
+    domain, the target frame is not defined at an image, or Dphi is singular
+    at a point."""
+    x = frame_src.domain.require(x, "sample", "source domain")
     y = phi.eval(x)
-    inside = frame_dst.domain.contains(y)
-    if not np.all(inside):
-        raise FrameError(f"image {y[~inside][0]} of sample {x[~inside][0]} outside the target domain")
+    B_dst = frame_dst.matrix_at(y)
+    frame_dst.check_invertible(y, B_dst, "image", "target domain")
     J = phi.jacobian(x)
     check_nonsingular(J, x, "differential", "Dphi")
-    B_dst = frame_dst.matrix_at(y)
-    frame_dst.check_invertible(y, B=B_dst)
     return np.linalg.solve(B_dst.mT, J @ frame_src.matrix_at(x).mT)
 
 

@@ -104,17 +104,13 @@ class GroupoidChart:
         """Chart into the groupoid; at t = 0 the fiber coordinates are the
         frame-relative ones, so the boundary map is the identity on (x, X)."""
         x, X, t = _arrays(x, X, t)
-        inside = self.frame.domain.contains(x)
-        if not np.all(inside):
-            raise FrameError(f"chart point {x[~inside][0]} outside the domain")
+        self.frame.domain.require(x, "chart point", "frame domain")
         if np.any(t < 0):
             raise ValueError("gamma needs t >= 0")
         inner = t > 0
         v = X.copy()
-        v[inner] = q = self.eps(x[inner]).inverse(dilate(t[inner], X[inner]))
-        inside = self.frame.domain.contains(q)
-        if not np.all(inside):
-            raise FrameError(f"gamma image {q[~inside][0]} outside the domain (t={t[inner][~inside][0]})")
+        q = self.eps(x[inner]).inverse(dilate(t[inner], X[inner]))
+        v[inner] = self.frame.domain.require(q, "gamma image", "frame domain")
         return x, v, t
 
     def gamma_inv(self, e):
@@ -166,7 +162,7 @@ def continuity_chart_independence(src, dst, phi: PolyMap, p, qs, ts, target_X) -
     mapped sequence must converge to the graded-tangent image of X."""
     p, qs, target_X = _arrays(p, qs, target_X)
     mapped = phi.eval(per_map(qs, (len(ts),)))
-    target = graded_part(tangent_blocks(phi, src.frame, dst.frame, p)) @ target_X
+    target = graded_part(tangent_blocks(phi, src.frame, dst.frame, p), p) @ target_X
     return continuity_check(dst.eps(phi.eval(p)), mapped, ts, target)
 
 
@@ -234,7 +230,8 @@ class GroupoidMorphism:
         p, v, t = _arrays(*e)
         at0 = t == 0
         w = self.phi.eval(v)  # right on the pair rows; the fibre rows are replaced
-        T = graded_part(tangent_blocks(self.phi, self.src.frame, self.dst.frame, p[at0]))
+        p0 = p[at0]
+        T = graded_part(tangent_blocks(self.phi, self.src.frame, self.dst.frame, p0), p0)
         w[at0] = _matvec(T, v[at0])
         return self.phi.eval(p), w, t
 
@@ -250,6 +247,7 @@ class GroupoidMorphism:
         x, X, t = _arrays(x, X, t)
         at0 = t == 0
         v = self.phi_inv.eval(self.dst.eps(x).inverse(dilate(t, X)))  # the fibre rows are replaced
-        T = graded_part(tangent_blocks(self.phi_inv, self.dst.frame, self.src.frame, x[at0]))
+        x0 = x[at0]
+        T = graded_part(tangent_blocks(self.phi_inv, self.dst.frame, self.src.frame, x0), x0)
         v[at0] = _matvec(T, X[at0])
         return self.phi_inv.eval(x), v, t

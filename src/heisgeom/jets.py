@@ -3,10 +3,12 @@
 A jet of order K in n variables at a base point p is the table of
 coefficients of a polynomial in (x - p) over all monomials of total degree
 <= K, stored in graded-lexicographic order (ascending total degree, then
-ascending exponent tuple).  Addition, multiplication, composition and
-partial derivatives all truncate deterministically at K, so for inputs that
-are exact polynomials of degree <= K every surviving coefficient is exact up
-to float rounding.
+ascending exponent tuple).  Every jet here is an exact polynomial of degree
+<= K, not a truncated series: a frame, a chart map or a product of them.
+So it can be re-expanded at any base point, and `compose` rebases the outer
+map onto the inner map's constant term.  Addition, multiplication,
+composition and partial derivatives all truncate deterministically at K, and
+every surviving coefficient is exact up to float rounding.
 
 Each exponent tuple is a number in mixed radix K + 1, so a product's key is
 the sum of its factors' keys and `JetSpace.find` gives its column.  Work
@@ -47,7 +49,7 @@ class JetSpace:
     order: int
     exponents: np.ndarray  # (size, dim) int64, graded-lex
     degrees: np.ndarray  # (size,) int64
-    index: dict  # exponent tuple -> position
+    radix: np.ndarray  # (dim,) int64: (order + 1)^v, the key of x_v
     keys: np.ndarray  # (size,) int64: exponents in radix order + 1, x_0 least significant
     key_order: np.ndarray  # (size,) argsort of keys
     sorted_keys: np.ndarray  # (size,) keys[key_order]
@@ -61,10 +63,14 @@ class JetSpace:
         """The columns whose keys are `keys`; each must be a key of the space."""
         return self.key_order[np.searchsorted(self.sorted_keys, keys)]
 
+    def columns(self, exponents) -> np.ndarray:
+        """The columns of the exponent tuples (..., dim); each must be a
+        monomial of the space: no negative entry, degree <= order."""
+        return self.find(np.asarray(exponents, dtype=np.int64) @ self.radix)
+
     def quadratic_columns(self) -> np.ndarray:
         """(dim, dim): the column of the monomial x_j x_k; needs order >= 2."""
-        radix = (self.order + 1) ** np.arange(self.dim)
-        return self.find(radix[:, None] + radix)
+        return self.find(self.radix[:, None] + self.radix)
 
     def monomials(self, dx, cols=slice(None)) -> np.ndarray:
         """dx^exponents[cols] for displacements dx (..., dim): (..., len(cols)),
@@ -90,16 +96,15 @@ def jet_space(dim: int, order: int) -> JetSpace:
     exponents = (picks[:, :, None] == np.arange(1, dim + 1)).sum(axis=1, dtype=np.int64)
     exponents = exponents[np.lexsort([*exponents.T[::-1], exponents.sum(axis=1)])]
     degrees = exponents.sum(axis=1)
-    index = {tuple(e): i for i, e in enumerate(exponents.tolist())}
 
     # mixed radix order + 1: a product's key is the sum of its factors' keys
     radix = (order + 1) ** np.arange(dim, dtype=np.int64)
     keys = exponents @ radix
     key_order = np.argsort(keys)
     sorted_keys = keys[key_order]
-    for arr in (exponents, degrees, keys, key_order, sorted_keys):
+    for arr in (exponents, degrees, radix, keys, key_order, sorted_keys):
         arr.setflags(write=False)
-    s = JetSpace(dim, order, exponents, degrees, index, keys, key_order, sorted_keys, ())
+    s = JetSpace(dim, order, exponents, degrees, radix, keys, key_order, sorted_keys, ())
 
     srcs = [np.flatnonzero(exponents[:, v] > 0) for v in range(dim)]
     diff_tables = [(src, s.find(keys[src] - radix[v]), exponents[src, v].astype(np.float64)) for v, src in enumerate(srcs)]
@@ -185,9 +190,10 @@ def partial_rows(s: JetSpace, c: np.ndarray, vs) -> np.ndarray:
     return out
 
 
-def _compose(outer: "_Poly", inner: "PolyMap", exact: bool) -> np.ndarray:
-    """The coefficients of outer(inner(x)), row by row and point by point;
-    the batch shapes of outer and inner broadcast.
+def _compose(outer: "_Poly", inner: "PolyMap") -> np.ndarray:
+    """The coefficients of outer(inner(x)), outer taken as a polynomial in
+    (y - outer.base), row by row and point by point; the batch shapes of
+    outer and inner broadcast.
 
     Each power (inner_v - base_v)^k and each monomial term is built once for
     the whole batch and shared by all rows; a row takes coeff * term where
@@ -201,11 +207,6 @@ def _compose(outer: "_Poly", inner: "PolyMap", exact: bool) -> np.ndarray:
     s, lead = inner.space, np.broadcast_shapes(outer.base.shape[:-1], inner.base.shape[:-1])
     deltas = np.array(broadcast(inner.coeffs, lead + inner.coeffs.shape[-2:]))
     deltas[..., 0] -= outer.base
-    if not exact:
-        scale = np.maximum(np.abs(outer.base).max(axis=-1, initial=1.0), np.abs(deltas).max(axis=(-2, -1)))
-        worst = np.abs(deltas[..., 0]).max(axis=-1)
-        if (worst > 1e-9 * scale).any():
-            raise JetError(f"inner constant terms differ from outer base by {worst.max():.3e}")
     deltas = deltas.reshape(-1, *deltas.shape[-2:])  # (points, dim, size)
 
     powers = {(v, 1): deltas[:, v] for v in range(deltas.shape[1])}
@@ -294,7 +295,7 @@ class _Poly:
             return self
         shift = PolyMap.affine(np.eye(v.shape[-1]), v, self.order)
         at_zero = self._of(self.space, self.coeffs, np.zeros(self.base.shape))
-        out = _compose(at_zero, shift, exact=True)
+        out = _compose(at_zero, shift)
         if not moved.all():
             out = np.where(moved.reshape(moved.shape + (1,) * (out.ndim - moved.ndim)), out, self.coeffs)
         return self._of(self.space, out, broadcast(new_base, v.shape))
@@ -337,7 +338,7 @@ class Jet(_Poly):
         base = _default_base(space, base)
         c = np.zeros(space.size)
         c[0] = base[i]
-        c[space.index[tuple(1 if k == i else 0 for k in range(space.dim))]] = 1.0
+        c[space.find(space.radix[i])] = 1.0
         return cls(space, c, base)
 
     @classmethod
@@ -348,9 +349,9 @@ class Jet(_Poly):
             exp = tuple(int(e) for e in exp)
             if len(exp) != space.dim:
                 raise JetError(f"exponent {exp} has wrong arity for dim {space.dim}")
-            if sum(exp) > space.order:
-                raise JetError(f"exponent {exp} exceeds truncation order {space.order}")
-            c[space.index[exp]] += float(coeff)
+            if min(exp) < 0 or sum(exp) > space.order:
+                raise JetError(f"exponent {exp} is not a monomial of truncation order {space.order}")
+            c[space.columns(exp)] += float(coeff)
         return cls(space, c, _default_base(space, base))
 
     # -- inspection -----------------------------------------------------
@@ -362,9 +363,6 @@ class Jet(_Poly):
         """Sparse view: exponent tuple -> nonzero coefficient."""
         nz = np.nonzero(self.coeffs)[0]
         return {tuple(self.space.exponents[i]): float(self.coeffs[i]) for i in nz}
-
-    def coefficient(self, exp) -> float:
-        return float(self.coeffs[self.space.index[tuple(int(e) for e in exp)]])
 
     def partial(self, v: int) -> "Jet":
         """Partial derivative with respect to x_v (same truncation order)."""
@@ -467,11 +465,10 @@ class PolyMap(_Poly):
         """(..., dim_out, dim_in) Jacobians at the points x (..., dim_in)."""
         return (self.partials @ self.monomials(x)[..., None, :, None])[..., 0]
 
-    def compose(self, inner: "PolyMap", *, exact: bool = False) -> "PolyMap":
-        """self after inner; exact=True rebases an exact-polynomial self onto
-        inner's constant term instead of requiring aligned bases."""
-        outer = self.rebased(inner.constant()) if exact else self
-        out = _compose(outer, inner, exact)
+    def compose(self, inner: "PolyMap") -> "PolyMap":
+        """self after inner: self, an exact polynomial, is rebased onto
+        inner's constant term, so the two bases need not agree."""
+        out = _compose(self.rebased(inner.constant()), inner)
         return PolyMap._of(inner.space, out, broadcast(inner.base, out.shape[:-2] + inner.base.shape[-1:]))
 
     def __repr__(self) -> str:  # pragma: no cover

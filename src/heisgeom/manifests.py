@@ -76,19 +76,19 @@ DEFAULT_SAMPLES = {
 # Bounds on config.samples, from what the checks build.  groupoid/*/axioms
 # composes `tuples` element pairs as arrays, and the (tuples, dim, dim)
 # matrices of their Heisenberg maps dominate: tracemalloc reads a peak of
-# about 55 B per tuple * dim^2 in dimensions 3, 5 and 7, so tuples *
-# dimension <= 3e5 keeps it near 17 MB per dimension (51, 78 and 116 MB
-# there; the group checks' (3, tuples, dim) arrays are smaller).  `base_limit`
+# about 55 B per tuple * dim^2 in dimensions 3, 5 and 7, so tuples * dim^2
+# <= 9e5 keeps it near 50 MB in every dimension (the group checks'
+# (3, tuples, dim) arrays are smaller).  `base_limit`
 # and `sweep_tuples` count base points, each with its own Heisenberg maps and
 # rate sweeps: 1e3 of each run in about 5 s in dimension 3.  `Box.grid`
 # thins the per_axis ** dimension grid by float64 indices, exact to 2^53.
-_MAX_TUPLE_ENTRIES = 300_000
+_MAX_TUPLE_ENTRIES = 900_000
 _MAX_POINTS = 1_000
 _MAX_GRID = 2**53
 
 
 def _check_samples(samples: dict, dim: int):
-    caps = {"tuples": _MAX_TUPLE_ENTRIES // dim, "base_limit": _MAX_POINTS, "sweep_tuples": _MAX_POINTS}
+    caps = {"tuples": _MAX_TUPLE_ENTRIES // dim**2, "base_limit": _MAX_POINTS, "sweep_tuples": _MAX_POINTS}
     for key, cap in caps.items():
         if not 1 <= samples[key] <= cap:
             raise ValidationError(f"config.samples.{key}: {samples[key]} is outside [1, {cap}] in dimension {dim}")
@@ -169,13 +169,17 @@ def _parse_poly_terms(entry, dim, max_degree, where):
 def _parse_polymap(entries, dim_in, n_out, order, where) -> PolyMap:
     if len(_typed(entries, list, where)) != n_out:
         raise ValidationError(f"{where}: expected {n_out} components, got {len(entries)}")
-    s = jet_space(dim_in, order)
-    table = np.zeros((n_out, s.size))
+    rows, exps, coeffs = [], [], []
     for i, entry in enumerate(entries):
-        for exps, coeff in _parse_poly_terms(entry, dim_in, order, f"{where}[{i}]").items():
+        for exp, coeff in _parse_poly_terms(entry, dim_in, order, f"{where}[{i}]").items():
             if not np.isfinite(coeff):
                 raise ValidationError(f"{where}[{i}]: non-finite coefficient {coeff!r}")
-            table[i, s.index[exps]] += coeff
+            rows.append(i)
+            exps.append(exp)
+            coeffs.append(coeff)
+    s = jet_space(dim_in, order)
+    table = np.zeros((n_out, s.size))
+    np.add.at(table, (rows, s.columns(np.array(exps, dtype=np.int64).reshape(-1, dim_in))), coeffs)
     return PolyMap._of(s, table, np.zeros(dim_in))
 
 

@@ -15,6 +15,12 @@ def fit_rate(residuals) -> float:
     return rate_fit(TS, residuals, DEFAULT_TOLERANCES["zero_floor"], SLOPE_MIN)
 
 
+def exponent_index(space) -> dict:
+    """Exponent tuple -> column, built from the space's exponent table alone:
+    an independent reference for `JetSpace.columns`."""
+    return {tuple(e): i for i, e in enumerate(space.exponents.tolist())}
+
+
 def unit_exp(dim, j):
     return tuple(1 if k == j else 0 for k in range(dim))
 

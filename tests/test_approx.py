@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from heisgeom.approx import ApproxError, conjugated_jets, diffeo_expansion_check, graded_part, horizontal_quadratic
-from heisgeom.fields import pushforward_field, pushforward_preserves_H, tangent_blocks
+from heisgeom.approx import conjugated_jets, diffeo_expansion_check, graded_part, horizontal_quadratic
+from heisgeom.fields import FrameError, pushforward_field, pushforward_preserves_H, tangent_blocks
 from heisgeom.group import TangentGroup, bilinear_mul
 from heisgeom.jets import Jet, PolyMap, jet_space
 from heisgeom.rates import RateError, rate_fit
 from heisgeom.coords import heisenberg_map, sample_box
+from heisgeom.manifests import load_manifest
+from heisgeom.suites import SuiteRunner
 
 from conftest import SLOPE_MIN, TS, fit_rate, heisenberg_frame, left_translation, vertical_shear_diffeo
 
@@ -153,7 +155,7 @@ def test_rate_fit_requires_decreasing_grid():
 
 
 def graded_tangent(phi, src, dst, m):
-    return graded_part(tangent_blocks(phi, src, dst, m))
+    return graded_part(tangent_blocks(phi, src, dst, m), m)
 
 
 def test_tangent_map_identity():
@@ -180,13 +182,15 @@ def test_tangent_map_functoriality():
     fwd, _ = left_translation([0.2, -0.4, 0.7])
     s = 0.5
     delta = PolyMap.affine(np.diag([s**2, s, s]), np.zeros(3), 3)
-    composite = fwd.compose(delta, exact=True)
+    composite = fwd.compose(delta)
     m = np.array([0.4, 0.6, -0.2])
     C_delta = tangent_blocks(delta, H3, H3, m)
     C_fwd = tangent_blocks(fwd, H3, H3, delta.eval(m))
     C_comp = tangent_blocks(composite, H3, H3, m)
     np.testing.assert_allclose(C_comp, C_fwd @ C_delta, atol=1e-11)
-    np.testing.assert_allclose(graded_part(C_comp), graded_part(C_fwd) @ graded_part(C_delta), atol=1e-11)
+    np.testing.assert_allclose(
+        graded_part(C_comp, m), graded_part(C_fwd, delta.eval(m)) @ graded_part(C_delta, m), atol=1e-11
+    )
 
 
 def test_tangent_map_is_group_homomorphism():
@@ -218,14 +222,38 @@ def test_tangent_blocks_batch_equals_single_points():
         np.testing.assert_array_equal(Ci, tangent_blocks(fwd, src, pushed, x))
 
 
-def test_tangent_map_a00_zero_rejected():
-    with pytest.raises(ApproxError, match="a00"):
-        graded_part(np.diag([0.0, 1.0, 1.0]))
-    with pytest.raises(ApproxError, match="singular"):
-        graded_part(np.diag([1.0, 1.0, 0.0]))
-    # one degenerate block in a batch is enough
-    with pytest.raises(ApproxError, match="a00"):
-        graded_part(np.stack([np.eye(3), np.diag([0.0, 1.0, 1.0])]))
+def test_graded_part_rejects_a_degenerate_block_naming_its_point():
+    # a00 = 0 and a singular A_par fail the one determinant guard alike
+    x = np.array([0.5, 0.0, 0.0])
+    for C in (np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 1.0, 0.0])):
+        with pytest.raises(FrameError, match=r"graded tangent map nearly singular at \[0\.5 0\.  0\. \]"):
+            graded_part(C, x)
+    # one degenerate block in a batch is enough, and the first one is named
+    pts = np.array([[0.0, 0.0, 0.0], [0.25, 0.0, 0.0], [0.75, 0.0, 0.0]])
+    with pytest.raises(FrameError, match=r"at \[0\.25 0\.   0\.  \]"):
+        graded_part(np.stack([np.eye(3), np.diag([0.0, 1.0, 1.0]), np.diag([1.0, 0.0, 1.0])]), pts)
+
+
+def test_graded_part_bound_is_a_relative_determinant_of_1e_8(monkeypatch):
+    # the top row and the transverse column are dropped, and the guard reads
+    # det(diag(a00, A_par) / max|.|), which must exceed 1e-8 strictly
+    C = 2.0 * np.diag([1.0, 1.0, 1e-8])
+    C[0, 1:] = C[1:, 0] = 7.0
+    seen = []
+    det = np.linalg.det
+    # LAPACK's determinant of diag(1, 1, r) is never exactly 1e-8, so the value it returns is set
+    for value, ok in ((1e-8, False), (np.nextafter(1e-8, np.inf), True)):
+        monkeypatch.setattr(np.linalg, "det", lambda M, v=value: seen.append(M) or np.full(M.shape[:-2], v))
+        if ok:
+            np.testing.assert_array_equal(graded_part(C, np.zeros(3)), 2.0 * np.diag([1.0, 1.0, 1e-8]))
+        else:
+            with pytest.raises(FrameError, match=r"det\(phi'_H/max\|phi'_H\|\)=1\.000e-08"):
+                graded_part(C, np.zeros(3))
+    np.testing.assert_array_equal(seen, [np.diag([1.0, 1.0, 1e-8])] * 2)
+    monkeypatch.setattr(np.linalg, "det", det)
+    # scale-free: the graded tangent map of the dilation by 1e-4 in dimension 5 passes
+    tiny = np.diag([1e-8, 1e-4, 1e-4, 1e-4, 1e-4])
+    np.testing.assert_array_equal(graded_part(tiny, np.zeros(5)), tiny)
 
 
 # ---- expansion checks ------------------------------------------------------
@@ -325,3 +353,17 @@ def test_privileged_coordinates_not_group_morphism():
     x, y = np.array([0.0, 1.0]), np.array([0.0, 1.0])
     diff = np.max(np.abs(bilinear_mul(b, x, y) - G.mul(x, y)))
     assert diff > 0.5
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "contact-darboux"])
+def test_horizontal_quadratic_batch_equals_the_loop_over_base_points(name):
+    # the quadratic-vanishing check conjugates every base point in one call;
+    # the loop over points is the check body it replaced
+    runner = SuiteRunner(load_manifest(name, seed=42))
+    order = runner.manifest.jet_order
+    for spec in runner.manifest.diffeos:
+        src, dst = runner.manifest.chart(spec.source).frame, runner.manifest.chart(spec.target).frame
+        base = runner.base_points(spec.source, limit=4, shrink=0.15)
+        loop = np.stack([horizontal_quadratic(conjugated_jets(spec.fwd, src, dst, m, order)) for m in base])
+        got = horizontal_quadratic(conjugated_jets(spec.fwd, src, dst, base, order))
+        assert got.shape == loop.shape and got.tobytes() == loop.tobytes(), spec.name

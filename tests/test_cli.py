@@ -6,6 +6,8 @@ import functools
 import json
 import math
 import operator
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from heisgeom.cli import (
     main,
 )
 from heisgeom.manifests import Manifest, ValidationError, builtin_doc, builtin_names, load_doc
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "heisbench"))
+from workloads import scale_h7_doc  # noqa: E402
 
 
 def run(tmp_path, manifest, *extra):
@@ -126,12 +131,24 @@ def test_sample_caps_scale_with_dimension():
         doc["config"]["samples"] = samples
         return doc
 
-    # dimension 3: 10^5 tuples and a 2^51-point grid; dimension 5: 6 * 10^4 tuples
+    # dimension 3: 10^5 tuples and a 2^51-point grid; dimension 5: 9 * 10^5 / 25 tuples
     Manifest.from_dict(with_samples("heisenberg3", tuples=100_000, per_axis=2**17, base_limit=1000, sweep_tuples=1000, shrink=1.0))
-    Manifest.from_dict(with_samples("heisenberg5", tuples=60_000))
-    for name, samples in [("heisenberg3", {"tuples": 100_001}), ("heisenberg5", {"tuples": 60_001}), ("heisenberg5", {"per_axis": 2**11})]:
+    Manifest.from_dict(with_samples("heisenberg5", tuples=36_000))
+    for name, samples in [("heisenberg3", {"tuples": 100_001}), ("heisenberg5", {"tuples": 36_001}), ("heisenberg5", {"per_axis": 2**11})]:
         with pytest.raises(ValidationError):
             Manifest.from_dict(with_samples(name, **samples))
+
+
+def test_tuple_cap_bounds_the_axioms_matrices_in_dimension_7(tmp_path, capsys):
+    # groupoid/*/axioms holds (tuples, dim, dim) arrays, so the cap is on tuples * dim^2
+    cap = 900_000 // 7**2
+    doc = scale_h7_doc(42)
+    doc.setdefault("config", {}).setdefault("samples", {})["tuples"] = cap
+    Manifest.from_dict(doc)
+    doc["config"]["samples"]["tuples"] = cap + 1
+    code, report = run(tmp_path, write_json(tmp_path, doc), "--suite", "groupoid")
+    assert code == EXIT_VALIDATION_ERROR and report is None
+    assert f"config.samples.tuples: {cap + 1} is outside [1, {cap}] in dimension 7" in capsys.readouterr().err
 
 
 def test_fine_sample_grid_builds_only_the_kept_points(tmp_path):

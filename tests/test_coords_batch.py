@@ -25,7 +25,7 @@ from heisgeom.jets import PolyMap
 from heisgeom.manifests import Manifest, builtin_names, load_doc, load_manifest
 from heisgeom.suites import SuiteRunner, run_suites
 
-from conftest import unit_exp, vertical_shear_diffeo
+from conftest import exponent_index, unit_exp, vertical_shear_diffeo
 from test_fields import reference_bracket, reference_pushforward
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "heisbench"))
@@ -85,10 +85,11 @@ def shear_polymap_loop(c, order):
     dim = len(c) + 1
     ident = PolyMap.identity(dim, order)
     table = ident.coeffs.copy()
+    index = exponent_index(ident.space)
     for j in range(1, dim):
         for k in range(1, dim):
             e = tuple(a + b for a, b in zip(unit_exp(dim, j), unit_exp(dim, k)))
-            table[0, ident.space.index[e]] += 0.5 * c[j - 1, k - 1]
+            table[0, index[e]] += 0.5 * c[j - 1, k - 1]
     return table
 
 

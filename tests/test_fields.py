@@ -412,13 +412,13 @@ def reference_bracket(X, Y):
 def reference_pushforward(fwd, inv, X):
     """fwd'(inv(y)) X(inv(y)), one composed partial and one product per (i, j)."""
     s, dim = inv.space, X.dim
-    x_inv = reference_compose(X.components, inv, exact=True)
+    x_inv = reference_compose(X.components, inv)
     out = []
     for i in range(dim):
         acc = None
         for j in range(dim):
             dfij = Jet(fwd.space, reference_partial(fwd.space, fwd.coeffs[i], j), fwd.base)
-            dfij_at = reference_jet_compose(reference_rebased(dfij, inv.constant()), inv, exact=True)
+            dfij_at = reference_jet_compose(reference_rebased(dfij, inv.constant()), inv)
             term = reference_mul(s, dfij_at, x_inv[j])
             acc = term if acc is None else acc + term
         out.append(acc)

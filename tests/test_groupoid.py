@@ -66,7 +66,7 @@ def group_at(chart, p) -> TangentGroup:
 
 def graded_tangent(src, dst, phi, x) -> np.ndarray:
     """The graded tangent matrix of phi at x between two charts."""
-    return graded_part(tangent_blocks(phi, src.frame, dst.frame, x))
+    return graded_part(tangent_blocks(phi, src.frame, dst.frame, x), x)
 
 
 def transition(src, dst, phi, x, X, t: float):
@@ -252,8 +252,13 @@ def test_gamma_batch_matches_points():
 
 
 def test_gamma_domain_guard():
-    with pytest.raises(FrameError):
-        H3_CHART.gamma(np.array([100.0, 0.0, 0.0]), np.zeros(3), 0.5)
+    # the chart point is checked at t = 0 too, where no Heisenberg map is built
+    x = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
+    for t in (0.0, 0.5):
+        with pytest.raises(FrameError, match=r"chart point \[100\. +0\. +0\.\] outside the frame domain"):
+            H3_CHART.gamma(x, np.zeros((2, 3)), np.full(2, t))
+    with pytest.raises(FrameError, match=r"gamma image \[ *0\. +50\. +0\.\] outside the frame domain"):
+        H3_CHART.gamma(np.zeros(3), np.array([0.0, 100.0, 0.0]), 0.5)
 
 
 def test_rs_jacobians_invertible():

@@ -21,7 +21,7 @@ from heisgeom.jets import (
 )
 from heisgeom.manifests import Manifest
 
-from conftest import TS
+from conftest import TS, exponent_index
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "heisbench"))
 from workloads import REFERENCE_SEED, scale_h7_doc  # noqa: E402
@@ -194,17 +194,18 @@ def product_table(s):
 
 def quadratic_tables(s):
     """The product and derivative tables by a direct O(size^2) double loop."""
+    index = exponent_index(s)
     coo = []
     for i, ei in enumerate(s.exponents):
         for j, ej in enumerate(s.exponents):
             if s.degrees[i] + s.degrees[j] <= s.order:
-                coo.append((i, j, s.index[tuple(ei + ej)]))
+                coo.append((i, j, index[tuple(ei + ej)]))
     coo = np.array(coo, dtype=np.int64).T
     coo = np.ascontiguousarray(coo[:, np.lexsort((coo[0], coo[2]))])
     diff = []
     for v in range(s.dim):
         src = [i for i in range(s.size) if s.exponents[i, v] > 0]
-        dst = [s.index[tuple(s.exponents[i] - np.eye(s.dim, dtype=np.int64)[v])] for i in src]
+        dst = [index[tuple(s.exponents[i] - np.eye(s.dim, dtype=np.int64)[v])] for i in src]
         fac = [float(s.exponents[i, v]) for i in src]
         diff.append((np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64), np.array(fac)))
     return coo, diff
@@ -300,9 +301,9 @@ def test_eval_against_numpy_polyval():
         assert v == pytest.approx(direct, abs=1e-12)
 
 
-def compose_one(outer: Jet, inner: PolyMap, exact=False) -> Jet:
+def compose_one(outer: Jet, inner: PolyMap) -> Jet:
     """outer after inner, for one scalar jet outer: a one-row `PolyMap.compose`."""
-    return PolyMap((outer,)).compose(inner, exact=exact).components[0]
+    return PolyMap((outer,)).compose(inner).components[0]
 
 
 def test_compose_linear_substitution():
@@ -333,15 +334,6 @@ def test_compose_identity_fixes_random_jet():
     np.testing.assert_allclose(compose_one(f, ident).coeffs, f.coeffs, atol=1e-13)
 
 
-def test_compose_base_guard():
-    s = jet_space(2, 2)
-    outer = Jet.from_terms(s, {(1, 0): 1.0})
-    shifted = PolyMap.affine(np.eye(2), np.array([1.0, 0.0]), 2)
-    with pytest.raises(JetError):
-        compose_one(outer, shifted)
-    assert compose_one(outer, shifted, exact=True).terms() == {(0, 0): 1.0, (1, 0): 1.0}
-
-
 def reference_mul(s, x, y):
     """The one-row product: one bincount over the product table."""
     coo_a, coo_b, coo_out = product_table(s)
@@ -355,18 +347,16 @@ def reference_partial(s, c, v):
     return out
 
 
-def reference_jet_compose(outer, inner, exact=False):
-    """Composition of one jet that builds its own powers of the inner map:
-    the per-component algorithm that the shared-term compose replaced."""
+def reference_jet_compose(outer, inner):
+    """Composition of one jet, as a polynomial in (y - outer.base), that builds
+    its own powers of the inner map: the per-component algorithm that the
+    shared-term compose replaced."""
     s = inner.space
     deltas = []
     for i, row in enumerate(inner.coeffs):
         d = row.copy()
         d[0] -= outer.base[i]
         deltas.append(d)
-    if not exact:
-        scale = max(1.0, float(np.max(np.abs(outer.base))), *(float(np.max(np.abs(d))) for d in deltas))
-        assert max(abs(d[0]) for d in deltas) <= 1e-9 * scale
     out = np.zeros(s.size)
     out[0] = outer.coeffs[0]
     powers = {}
@@ -393,17 +383,13 @@ def reference_rebased(jet, new_base):
         return jet
     shift = PolyMap.affine(np.eye(jet.dim), v, jet.order)
     at_zero = Jet(jet.space, jet.coeffs, np.zeros(jet.dim))
-    return Jet(jet.space, reference_jet_compose(at_zero, shift, exact=True), new_base)
+    return Jet(jet.space, reference_jet_compose(at_zero, shift), new_base)
 
 
-def reference_compose(outer, inner, exact=False):
+def reference_compose(outer, inner):
     """One `reference_jet_compose` per component, each rebased onto the
-    inner constant term first when exact."""
-    rows = [
-        reference_jet_compose(reference_rebased(comp, inner.constant()) if exact else comp, inner, exact)
-        for comp in outer.components
-    ]
-    return np.array(rows)
+    inner constant term first."""
+    return np.array([reference_jet_compose(reference_rebased(c, inner.constant()), inner) for c in outer.components])
 
 
 def random_map(rng, space, base, density=0.7):
@@ -416,9 +402,9 @@ def test_compose_bitwise_matches_per_component_reference(dim, order):
     s = jet_space(dim, order)
     outer = random_map(rng, s, rng.uniform(-1, 1, dim))
     inner = random_map(rng, s, rng.uniform(-1, 1, dim))
-    # exact: outer is rebased onto inner's constant term
-    np.testing.assert_array_equal(outer.compose(inner, exact=True).coeffs, reference_compose(outer, inner, exact=True))
-    # guarded: inner's constant term is outer's base point
+    # outer is rebased onto inner's constant term
+    np.testing.assert_array_equal(outer.compose(inner).coeffs, reference_compose(outer, inner))
+    # aligned: inner's constant term is outer's base point, so nothing is rebased
     aligned = PolyMap(
         tuple(Jet(s, np.concatenate([[b], row[1:]]), inner.base) for b, row in zip(outer.base, inner.coeffs))
     )
@@ -485,11 +471,12 @@ def test_mul_rows_in_jet_space_11_8_matches_the_termwise_product():
             cols = np.union1d(rng.choice(low, 5, replace=False), rng.choice(s.size, 2, replace=False))
             row[cols] = rng.choice([-3, -2, -1, 1, 2, 3], len(cols))
     got = mul_rows(s, x, y)
+    index = exponent_index(s)
     for r in range(5):
         terms = [{tuple(s.exponents[i]): c[i] for i in np.flatnonzero(c)} for c in (x[r], y[r])]
         want = np.zeros(s.size)
         for e, c in brute_mul(*terms, s.order).items():
-            want[s.index[e]] = c
+            want[index[e]] = c
         np.testing.assert_array_equal(got[r], want)
     assert got.any(axis=1).all()
 
@@ -657,11 +644,28 @@ def test_with_order_moves_each_coefficient_to_its_exponent(dim):
         want = np.zeros((dim, t.size))
         for i, e in enumerate(s.exponents):
             if e.sum() <= order:
-                want[:, t.index[tuple(e)]] = pm.coeffs[:, i]
+                want[:, exponent_index(t)[tuple(e)]] = pm.coeffs[:, i]
         got = pm.with_order(order)
         assert got.space is t
         np.testing.assert_array_equal(got.coeffs, want)
         np.testing.assert_array_equal(pm.components[0].with_order(order).coeffs, want[0])
+
+
+@pytest.mark.parametrize("dim, order", [(1, 4), (3, 3), (7, 3)])
+def test_columns_find_every_exponent_tuple(dim, order):
+    s = jet_space(dim, order)
+    np.testing.assert_array_equal(s.columns(s.exponents), np.arange(s.size))
+    index = exponent_index(s)
+    assert all(s.columns(e) == i for e, i in index.items())
+
+
+def test_from_terms_rejects_exponents_that_are_no_monomial():
+    s = jet_space(2, 2)
+    for exp in [(-1, 1), (2, 1)]:
+        with pytest.raises(JetError, match="not a monomial"):
+            Jet.from_terms(s, {exp: 1.0})
+    with pytest.raises(JetError, match="wrong arity"):
+        Jet.from_terms(s, {(0, 0, 1): 1.0})
 
 
 def test_terms_roundtrip_sparse_view():
@@ -698,12 +702,12 @@ def test_batched_compose_equals_one_map_per_point(dim, order):
         return pm if pm.base.ndim == 1 else PolyMap._of(s, pm.coeffs[i], pm.base[i])
 
     for f, g in ((outers, inner), (outer, inners), (outers, inners)):
-        got = f.compose(g, exact=True)
+        got = f.compose(g)
         assert got.coeffs.shape == (n, dim, s.size) and got.base.shape == (n, dim)
         for i in range(n):
-            want = point(f, i).compose(point(g, i), exact=True)
+            want = point(f, i).compose(point(g, i))
             assert got.coeffs[i].tobytes() == want.coeffs.tobytes()
-            assert got.coeffs[i].tobytes() == reference_compose(point(f, i), point(g, i), exact=True).tobytes()
+            assert got.coeffs[i].tobytes() == reference_compose(point(f, i), point(g, i)).tobytes()
             assert np.array_equal(got.base[i], want.base)
     # rebased onto one base point per map, one of them the map's own
     new = rng.uniform(-1, 1, (n, dim))
@@ -721,7 +725,3 @@ def test_batched_affine_and_guards():
     np.testing.assert_array_equal(pm.constant(), np.ones((2, 3)))
     with pytest.raises(JetError, match="base point has shape"):
         PolyMap.affine(A, np.ones((2, 3)), 2, base=np.zeros(2))
-    # the guarded compose checks every point of the batch
-    inner = PolyMap.affine(np.eye(3), np.array([[0.0, 0, 0], [0.5, 0, 0]]), 2)
-    with pytest.raises(JetError, match="differ from outer base"):
-        PolyMap.identity(3, 2).compose(inner)

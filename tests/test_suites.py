@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from heisgeom import suites
-from heisgeom.manifests import DEFAULT_TOLERANCES, builtin_names, load_manifest
+from heisgeom.manifests import DEFAULT_TOLERANCES, Manifest, builtin_doc, builtin_names, load_manifest
 from heisgeom.suites import SUITE_NAMES, SuiteRunner
 
 from conftest import TS
@@ -173,3 +173,42 @@ def test_threshold_outcome_ok_and_flagged():
     assert RUNNER.threshold_outcome(INPUTS, 1.0, 0.5, ok=False).verdict == "fail"
     assert RUNNER.threshold_outcome(INPUTS, 1.0, 0.5, flagged=True).verdict == "flagged"
     assert RUNNER.threshold_outcome(INPUTS, 0.25, 0.5, flagged=True).verdict == "fail"
+
+
+def _scaled_frames(doc: dict, factor: float) -> dict:
+    """doc with every frame coefficient times `factor`."""
+    for chart in doc["charts"]:
+        chart["frame"] = [[[[c * factor, e] for c, e in comp] for comp in field] for field in chart["frame"]]
+    return doc
+
+
+def test_the_grid_guard_accepts_a_frame_in_small_units():
+    # the determinant guard reads det(B / max|B|), so B(x) * 1e-3, whose
+    # determinant is 1e-9, is as invertible as B(x)
+    unit = load_manifest("heisenberg3", seed=42).charts[0].frame
+    runner = SuiteRunner(Manifest.from_dict(_scaled_frames(builtin_doc("heisenberg3"), 1e-3), seed=42))
+    (chart,) = runner.manifest.charts
+    pts = runner.base_points(chart.name)
+    np.testing.assert_allclose(np.linalg.det(chart.frame.matrix_at(pts)), 1e-9, rtol=1e-12)
+    np.testing.assert_allclose(chart.frame.check_invertible(pts), unit.check_invertible(pts), rtol=1e-12)
+
+
+def _dilation(dim: int, s: float) -> list:
+    """The components of delta_s(x) = (s^2 x_0, s x') as manifest terms."""
+    return [[[s**2 if i == 0 else s, [int(k == i) for k in range(dim)]]] for i in range(dim)]
+
+
+def test_a_dilation_by_1e_minus_4_is_a_valid_heisenberg_diffeomorphism():
+    # delta_s is an H-diffeomorphism whose graded tangent map diag(s^2, s, ..., s)
+    # is tiny but well conditioned.  Only functor's fixed draws, mapped
+    # through delta_{1/s}, leave the box: its sample radii are absolute.
+    doc = builtin_doc("heisenberg5")
+    diffeo = {"name": "dil", "source": "hb5", "target": "hb5"}
+    doc["diffeos"] = [{**diffeo, "components": _dilation(5, 1e-4), "inverse": _dilation(5, 1e4)}]
+    records = {r.check_id: r for r in SuiteRunner(Manifest.from_dict(doc, seed=42)).run(SUITE_NAMES)}
+    passing = ["diffeo/dil/rate", "diffeo/dil/tangent-blocks", "diffeo/dil/uniformity"]
+    passing += ["groupoid/dil/transition-limit", "groupoid/dil/continuity-chart-independence"]
+    for cid in passing:
+        assert records[cid].verdict == "pass", (cid, records[cid].value)
+    functor = records["groupoid/dil/functor"]
+    assert functor.verdict == "error" and "outside the" in functor.value["message"]

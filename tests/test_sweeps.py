@@ -39,7 +39,7 @@ from workloads import scale_h7_doc  # noqa: E402
 def transition_loop(src, dst, phi, x, X, ts):
     hm_src = src.eps(x)
     hm_dst = dst.eps(phi.eval(x))
-    target = graded_part(tangent_blocks(phi, src.frame, dst.frame, x)) @ X
+    target = graded_part(tangent_blocks(phi, src.frame, dst.frame, x), x) @ X
     phi_disp = displacement_map(phi, x)
     residuals = []
     for t in ts:
@@ -95,7 +95,7 @@ def continuity_loop(hm, X, ts):
 def chart_independence_loop(src, dst, phi, p, X, ts):
     hm = src.eps(p)
     mapped = [phi.eval(hm.inverse(dilate(t, X))) for t in ts]
-    target = graded_part(tangent_blocks(phi, src.frame, dst.frame, p)) @ X
+    target = graded_part(tangent_blocks(phi, src.frame, dst.frame, p), p) @ X
     hm_dst = dst.eps(phi.eval(p))
     return [float(np.max(np.abs(dilate_inv(t, hm_dst.forward(q)) - target))) for q, t in zip(mapped, ts)]
 
@@ -103,7 +103,7 @@ def chart_independence_loop(src, dst, phi, p, X, ts):
 def expansion_loop(phi, frame_src, frame_dst, m, ts):
     hm_src = heisenberg_map(frame_src, m)
     hm_dst = heisenberg_map(frame_dst, phi.eval(m))
-    tangent = graded_part(tangent_blocks(phi, frame_src, frame_dst, m))
+    tangent = graded_part(tangent_blocks(phi, frame_src, frame_dst, m), m)
     pts = sample_box(0.6, 3, frame_src.dim)
     target = pts @ tangent.T
     phi_disp = displacement_map(phi, m)
