@@ -14,10 +14,10 @@ approximation statement checked here: the conjugated map has no purely
 horizontal quadratic terms in its transverse component, and the graded
 rescalings t^-1 . conj(t.x) converge to phi'_H(0) x at rate O(t), locally
 uniformly in the base point.
-`diffeo_expansion_check` is the one rescaling sweep of phi: the diffeo
-checks run it over a box of samples, and the groupoid's transition limit at
-one sample X, since that limit is this statement read in the groupoid's
-charts.
+`diffeo_expansion_check` is the one rescaling sweep of phi, over all base
+points at once: the diffeo checks run it over a box of samples, and the
+groupoid's transition limit at one sample X per point, since that limit is
+this statement read in the groupoid's charts.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from .coords import heisenberg_map
-from .fields import FrameError, HFrame, check_nonsingular, tangent_blocks
+from .fields import HFrame, check_nonsingular, tangent_blocks
 from .group import dilate, dilate_inv
-from .jets import PolyMap
+from .jets import PolyMap, broadcast
 
 
 def graded_part(C, x) -> np.ndarray:
@@ -64,38 +64,39 @@ def horizontal_quadratic(conj: PolyMap) -> np.ndarray:
 
 
 def displacement_map(phi: PolyMap, m) -> PolyMap:
-    """z -> phi(m + z) - phi(m) as an exact polynomial map with zero constant."""
+    """z -> phi(m + z) - phi(m) as an exact polynomial map, one per point of m."""
     table = phi.rebased(m).coeffs.copy()
-    table[:, 0] = 0.0
-    return PolyMap._of(phi.space, table, np.zeros(phi.dim_in))
+    table[..., 0] = 0.0
+    return PolyMap._of(phi.space, table, np.zeros(np.shape(m)))
 
 
 def diffeo_expansion_check(phi: PolyMap, frame_src: HFrame, frame_dst: HFrame, m, pts, ts) -> list:
     """Residual trace of the graded rescalings of phi at m: for each t in ts,
-    the componentwise sup over the samples pts (k, dim) of
+    the componentwise sup over the samples pts of
 
         t^-1.(eps' . phi . eps^-1)(t.x) - phi'_H(0) x,
 
     which the tangent approximation claims is O(t) componentwise (the
     pseudo-norm gauge would turn a transverse t into sqrt(t)); the caller
-    fits it.
+    fits it.  A batch m (P, dim) gives one trace per point, the samples
+    (k, dim) shared or (P, k, dim).
 
     The sweep works on exact closed-form maps in displacement coordinates
     around m and phi(m): this avoids large-minus-large cancellation, leaving
     float noise of order eps/t in the transverse slot, below the zero floor
-    for maps whose conjugation is exactly linear.  The samples of all t are
-    one (T, k, dim) batch, each t's samples one product, so the trace is bit
-    for bit a loop's; the first t whose samples leave the domain raises.
+    for maps whose conjugation is exactly linear.  The samples of all points
+    and t are one (P, T, k, dim) batch, each point's and t's samples one
+    product: each trace and the `Box.require_sweep` error are a loop's.
     """
     m, pts, ts = (np.asarray(a, dtype=float) for a in (m, pts, ts))
     hm_src = heisenberg_map(frame_src, m)
     hm_dst = heisenberg_map(frame_dst, phi.eval(m))
     tangent = graded_part(tangent_blocks(phi, frame_src, frame_dst, m), m)
 
+    pts = broadcast(pts, m.shape[:-1] + pts.shape[-2:])[..., None, :, :]  # (..., 1, k, dim)
     pre_disp = hm_src.inverse_displacement(dilate(ts[:, None], pts))
-    n = frame_src.domain.leading_inside(m + pre_disp)
-    if n < len(ts):
-        raise FrameError(f"sample leaves the source domain at t={ts[n]}")
-    img_disp = displacement_map(phi, m).eval_many(pre_disp)
+    frame_src.domain.require_sweep(ts, ("sample leaves the source domain at t={t}", m[..., None, None, :] + pre_disp))
+    mono, disp = phi.space.monomials(pre_disp), displacement_map(phi, m).coeffs[..., None, :, :, None]
+    img_disp = np.concatenate([mono @ disp[..., i, :, :] for i in range(phi.dim_out)], axis=-1)  # row by row, as eval_many
     expr = dilate_inv(ts[:, None], hm_dst.forward_from_displacement(img_disp))
-    return np.abs(expr - pts @ tangent.T).max(axis=(1, 2)).tolist()
+    return np.abs(expr - pts @ tangent.mT[..., None, :, :]).max(axis=(-2, -1)).tolist()

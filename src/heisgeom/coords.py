@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import HFrame, VectorField, bracket, pushforward_field
+from .fields import HFrame, VectorField, pushforward_field
 from .group import GradedShear, per_map, weight_vector
 from .jets import PolyMap, jet_space
 from .rates import worst_abs
@@ -42,11 +42,9 @@ def privileged_frame(frame: HFrame, u) -> tuple:
 
 def _times_transpose(w, M: np.ndarray) -> np.ndarray:
     """w @ M^t for one matrix M or a stack S + (dim, dim), with w the points of
-    each matrix, S + (..., dim).  Each block of `per_map` is one product: the
-    points of one matrix of a stack; for one matrix, an (N, dim) batch, or
-    each trailing (k, dim) block of (..., k, dim)."""
+    each matrix, S + (..., dim), each block of `per_map` one product."""
     w = np.asarray(w, dtype=float)
-    return (per_map(w, M.shape[:-2]) @ M.mT).reshape(w.shape)
+    return np.matmul(*per_map(w, M.mT)).reshape(w.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +52,10 @@ class HeisenbergMap:
     """eps_u = phi_u . psi_u with exact closed-form inverse.
 
     A batch of base points u (S + (dim,)) gives one map per point: A and b
-    carry the leading shape S, and the point maps take one point per map,
-    S + (dim,).  A single map takes any number of points, (..., dim), and
-    multiplies them in the blocks of `group.per_map`.  The polynomial forms
-    and model frames of a batch hold one table per point.
+    carry the leading shape S.  The displacement maps take the points of each
+    map, S + (..., dim), in the blocks of `group.per_map`; `forward` and
+    `inverse` of a batch take one point per map.  The polynomial forms and
+    model frames of a batch hold one table per point.
     """
 
     u: np.ndarray

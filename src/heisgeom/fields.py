@@ -11,9 +11,9 @@ its top row says whether phi preserves H, and its block-diagonal part is the
 graded tangent map that `approx` and `groupoid` read.
 
 Where a frame or a map may be evaluated is decided here alone: `Box.require`
-is the domain guard, `check_nonsingular` the one determinant guard, and
-`HFrame.check_invertible` both, "the frame is defined at x", in one call.
-Each raises a `FrameError` naming the first bad point.
+(and, for the rescaling sweeps, `Box.require_sweep`) is the domain guard,
+`check_nonsingular` the one determinant guard, and `HFrame.check_invertible`
+both in one call.  Each raises a `FrameError` naming the first bad point.
 """
 
 from __future__ import annotations
@@ -149,10 +149,15 @@ class Box:
             raise FrameError(f"{what} {x[~inside][0]} outside the {where}")
         return x
 
-    def leading_inside(self, x) -> int:
-        """How many leading t of a grid have all their points x (T, k, dim) in the box."""
-        inside = self.contains(x).all(axis=-1)
-        return len(inside) if inside.all() else int(inside.argmin())
+    def require_sweep(self, ts, *stages) -> None:
+        """The domain guard of a rescaling sweep over ts: a stage is a message
+        with a {t} field and its points (..., T, k, dim).  Raises the loop's
+        FrameError, at the first base point's first t at which a stage
+        leaves the box, the earlier stage first."""
+        outside = np.stack([~self.contains(x).all(axis=-1) for _, x in stages], axis=-1)
+        if outside.any():
+            *_, t, stage = np.unravel_index(np.argmax(outside), outside.shape)
+            raise FrameError(stages[stage][0].format(t=ts[t]))
 
     def center(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)
@@ -225,8 +230,8 @@ class HFrame:
         return B, (pm.partials @ mono[..., None, :, :]).reshape(lead + (n, n, n))
 
     def basis_at(self, x) -> np.ndarray:
-        """Columns are the frame vectors at x (= B(x)^t)."""
-        return self.matrix_at(x).T
+        """Columns are the frame vectors at x (= B(x)^t), one matrix per point."""
+        return self.matrix_at(x).mT
 
     def check_invertible(self, x, B=None, what: str = "point", where: str = "frame domain"):
         """Whether the frame is defined at each point of x (..., dim): the
@@ -237,9 +242,9 @@ class HFrame:
         return check_nonsingular(self.matrix_at(x) if B is None else B, x, "frame matrix", "B")
 
     def expand(self, x, v) -> np.ndarray:
-        """Coefficients of the vector v in the frame at x."""
+        """Coefficients of the vectors v (..., dim) in the frame at the points x."""
         self.check_invertible(x)
-        return np.linalg.solve(self.basis_at(x), np.asarray(v, dtype=float))
+        return np.linalg.solve(self.basis_at(x), np.asarray(v, dtype=float)[..., None])[..., 0]
 
 
 def _stack(fields) -> PolyMap:

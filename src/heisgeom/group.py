@@ -14,7 +14,6 @@ Heisenberg x abelian factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +39,15 @@ def dilate_inv(t, x) -> np.ndarray:
     return x * np.asarray(t, dtype=float)[..., None] ** -weight_vector(x.shape[-1])
 
 
-def per_map(x: np.ndarray, lead: tuple) -> np.ndarray:
-    """Points x regrouped into the blocks a map multiplies as one product each:
-    for a stack of maps of shape lead, x is lead + (..., n) and each map's k
-    points are one (k, n) block; a single map (lead == ()) takes (n,) as one
-    (1, n) block and (..., k, n) as one block per trailing (k, n), so a sweep
+def per_map(x: np.ndarray, M: np.ndarray) -> tuple:
+    """The points x of the matrices M (lead + (n, m)) in the blocks each
+    matrix multiplies as one product, every trailing (k, n) block of
+    lead + (..., k, n) and a lone point lead + (n,) as (1, n), and M shaped
+    to broadcast against them.  One rule for one matrix and a stack: a sweep
     stacking each t's points as (T, k, n) rounds as a loop over t does."""
-    if not lead:
-        return np.atleast_2d(x)
-    return x.reshape(lead + (math.prod(x.shape[len(lead) : -1]), x.shape[-1]))
+    lead = M.shape[:-2]
+    x = x[..., None, :] if x.ndim == len(lead) + 1 else x
+    return x, M.reshape(lead + (1,) * (x.ndim - M.ndim) + M.shape[-2:])
 
 
 def levi_mul(L, x, y) -> np.ndarray:
@@ -109,12 +108,13 @@ class TangentGroup:
 
 
 def bilinear_mul(b: np.ndarray, x, y) -> np.ndarray:
-    """Product of the normalization group: x_0 + y_0 + sum_jk b_kj x_j y_k."""
+    """Product of the normalization group: x_0 + y_0 + sum_jk b_kj x_j y_k;
+    b is one (d, d) matrix or one per point, (..., d, d)."""
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = x + y
-    out[..., 0] += np.einsum("...k,kj,...j->...", y[..., 1:], b, x[..., 1:])
+    out[..., 0] += np.einsum("...k,...kj,...j->...", y[..., 1:], b, x[..., 1:])
     return out
 
 
@@ -144,9 +144,9 @@ class GradedShear:
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        xh = per_map(x[..., 1:], self.c.shape[:-2])
+        xh, c = per_map(x[..., 1:], self.c)
         out = x.copy()
-        out[..., 0] += 0.5 * np.einsum("...nj,...jk,...nk->...n", xh, self.c, xh).reshape(x.shape[:-1])
+        out[..., 0] += 0.5 * np.einsum("...nj,...jk,...nk->...n", xh, c, xh).reshape(x.shape[:-1])
         return out
 
     def inverse(self) -> "GradedShear":

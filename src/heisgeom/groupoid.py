@@ -28,8 +28,8 @@ import numpy as np
 
 from .approx import graded_part
 from .coords import HeisenbergMap, heisenberg_map
-from .fields import FrameError, HFrame, tangent_blocks
-from .group import TangentGroup, bilinear_mul, dilate, dilate_inv, levi_mul, per_map, weight_vector
+from .fields import HFrame, tangent_blocks
+from .group import bilinear_mul, dilate, dilate_inv, levi_mul, weight_vector
 from .jets import PolyMap
 
 
@@ -86,7 +86,8 @@ class GroupoidChart:
     def compose(self, e1, e2):
         """e1 e2 row by row.  Pairs compose as (p, m, t)(m, q, t) = (p, q, t);
         fibre points over p multiply in the tangent group at p: x + y, with
-        1/2 x'^t L(p) y' added to slot 0."""
+        1/2 x'^t L(p) y' added to slot 0.  e2 may stack right factors of e1,
+        (..., n) rows against its n, with L evaluated once for all of them."""
         (p1, v1, t1), (p2, v2, t2) = _arrays(*e1), _arrays(*e2)
         at0 = t1 == 0
         if np.any(at0 != (t2 == 0)):
@@ -96,7 +97,7 @@ class GroupoidChart:
         if np.any(np.max(np.abs(self.source_of(e1)[0] - p2), axis=-1) > self.point_tol):
             raise CompositionError("middle points do not match")
         v = v2.copy()
-        v[at0] = levi_mul(self.eps(p1[at0]).levi, v1[at0], v2[at0])
+        v[..., at0, :] = levi_mul(self.eps(p1[at0]).levi, v1[at0], v2[..., at0, :])
         return p1, v, t1
 
     # -- boundary chart ----------------------------------------------------
@@ -121,29 +122,23 @@ class GroupoidChart:
         return p, X, t
 
     # -- range/source in chart coordinates ---------------------------------
-    def source_jacobian(self, x, X, t: float):
-        """Jacobian d(X,t) s of the chart-coordinate source map
-        s = (eps_x^-1(t.X), t).  The range map r = (x, t) is the identity in
-        these coordinates, so s alone carries the submersion claim."""
-        x = np.asarray(x, dtype=float)
-        X = np.asarray(X, dtype=float)
-        dim = self.dim
-        inv_pm = self.eps(x).inverse_polymap(2)  # eps_x^-1 is quadratic, so order 2 is exact
-        w = dilate(t, X)
-        Dinv = inv_pm.jacobian(w)
-        wvec = weight_vector(dim)
-        dwdX = np.diag(t**wvec)
-        dwdt = wvec * t ** (wvec - 1.0) * X
-        Js = np.zeros((dim + 1, dim + 1))
-        Js[:dim, :dim] = Dinv @ dwdX
-        Js[:dim, dim] = Dinv @ dwdt
-        Js[dim, dim] = 1.0
+    def source_jacobian(self, x, X, t):
+        """Jacobian d(X,t) s of the chart-coordinate source map s =
+        (eps_x^-1(t.X), t), at one (x, X, t) or a batch.  The range map
+        r = (x, t) is the identity here, so s alone carries the submersion claim."""
+        x, X, t = _arrays(x, X, t)
+        dim, w = self.dim, weight_vector(self.dim)
+        Dinv = self.eps(x).inverse_polymap(2).jacobian(dilate(t, X))  # eps_x^-1 is quadratic: order 2 is exact
+        Js = np.zeros(t.shape + (dim + 1, dim + 1))
+        Js[..., :dim, :dim] = Dinv @ (np.eye(dim) * t[..., None, None] ** w)  # d(t.X)/dX = diag(t^w)
+        Js[..., :dim, dim] = (Dinv @ (w * t[..., None] ** (w - 1.0) * X)[..., None])[..., 0]
+        Js[..., dim, dim] = 1.0
         return Js
 
 
 def _sup_per_t(diff: np.ndarray) -> list:
-    """The sup norm of each t's rows of diff (T, k, dim), as floats."""
-    return np.abs(diff).max(axis=(1, 2)).tolist()
+    """The sup norm of each t's rows of diff (..., T, k, dim), as floats."""
+    return np.abs(diff).max(axis=(-2, -1)).tolist()
 
 
 # -- continuity --------------------------------------------------------------
@@ -154,14 +149,14 @@ def continuity_check(hm: HeisenbergMap, qs, ts, target_X) -> list:
     (p, q_n, t_n) with a fixed base point p; hm is eps_p.  qs holds the
     points of each t, (T, dim) or (T, k, dim), each t's points one product."""
     qs, ts, target_X = _arrays(qs, ts, target_X)
-    return _sup_per_t(dilate_inv(ts[:, None], hm.forward(per_map(qs, ts.shape))) - target_X)
+    return _sup_per_t(dilate_inv(ts[:, None], hm.forward(qs.reshape(len(ts), -1, qs.shape[-1]))) - target_X)
 
 
 def continuity_chart_independence(src, dst, phi: PolyMap, p, qs, ts, target_X) -> list:
     """The trace of the same sequence read through a second chart: the
     mapped sequence must converge to the graded-tangent image of X."""
     p, qs, target_X = _arrays(p, qs, target_X)
-    mapped = phi.eval(per_map(qs, (len(ts),)))
+    mapped = phi.eval_many(qs.reshape(len(ts), -1, qs.shape[-1]))
     target = graded_part(tangent_blocks(phi, src.frame, dst.frame, p), p) @ target_X
     return continuity_check(dst.eps(phi.eval(p)), mapped, ts, target)
 
@@ -177,47 +172,42 @@ def composition_limit_check(chart: GroupoidChart, x, X, Y, ts) -> list:
     against the fiber product X.Y: for each t in ts, the componentwise sup
     norm of expr(t) - X.Y.  The claim is O(t) decay (exactly zero when the
     Levi matrix vanishes and the frame is flat); the caller fits the trace.
-    The middle points z of all t take one batched eps.  The first t at which
-    the middle point or the endpoint leaves the domain raises, the middle
-    point first."""
+    A batch of x, X and Y (P, dim) gives one trace per point, its middle
+    points z one batched eps.  `Box.require_sweep` raises the loop's error,
+    the middle point tested before the endpoint."""
     x, X, Y, ts = _arrays(x, X, Y, ts)
-    domain = chart.frame.domain
+    domain, at = chart.frame.domain, x[..., None, None, :]
     hm_x = chart.eps(x)
-    target = TangentGroup(hm_x.levi).mul(X, Y)
-    disp_z = hm_x.inverse_displacement(dilate(ts[:, None], X))
-    z = x + disp_z
-    n = domain.leading_inside(z)
-    disp_q = chart.eps(z[:n, 0]).inverse_displacement(dilate(ts[:n], Y))[:, None]
-    n_end = domain.leading_inside(z[:n] + disp_q)
-    if n_end < n:
-        raise FrameError(f"endpoint leaves the domain at t={ts[n_end]}; shrink the grid")
-    if n < len(ts):
-        raise FrameError(f"middle point leaves the domain at t={ts[n]}; shrink the grid")
-    return _sup_per_t(dilate_inv(ts[:, None], hm_x.forward_from_displacement(disp_z + disp_q)) - target)
+    disp_z = hm_x.inverse_displacement(dilate(ts[:, None], X[..., None, None, :]))  # (..., T, 1, dim)
+    z = at + disp_z
+    # x stands in for a middle point outside the domain, which the guard names first
+    hm_z = chart.eps(np.where(domain.contains(z)[..., None], z, at)[..., 0, :])
+    disp_q = hm_z.inverse_displacement(dilate(ts, Y[..., None, :]))[..., None, :]
+    leaves = "leaves the domain at t={t}; shrink the grid"
+    domain.require_sweep(ts, ("middle point " + leaves, z), ("endpoint " + leaves, z + disp_q))
+    expr = dilate_inv(ts[:, None], hm_x.forward_from_displacement(disp_z + disp_q))
+    return _sup_per_t(expr - levi_mul(hm_x.levi, X, Y)[..., None, None, :])
 
 
 def psi_composition_check(chart: GroupoidChart, u, v, w, ts) -> list:
     """The same limit at the privileged-coordinate level: the residual trace
     against the bilinear law x_0 + y_0 + sum b_kj x_j y_k of the
-    dilation-limit group, for each t in ts; the caller fits it."""
+    dilation-limit group, for each t in ts and point u; the caller fits it."""
     u, v, w, ts = _arrays(u, v, w, ts)
     hm_u = chart.eps(u)
-    disp_z = dilate(ts[:, None], v) @ hm_u.A_inv.T
-    z = u + disp_z
-    n = chart.frame.domain.leading_inside(z)
-    hm_z = chart.eps(z[:n, 0])
-    if n < len(ts):
-        raise FrameError(f"middle point leaves the domain at t={ts[n]}; shrink the grid")
-    disp_q = dilate(ts[:, None], w) @ hm_z.A_inv.mT
-    expr = dilate_inv(ts[:, None], (disp_z + disp_q) @ hm_u.A.T)
-    return _sup_per_t(expr - bilinear_mul(hm_u.b, v, w))
+    disp_z = dilate(ts[:, None], v[..., None, None, :]) @ hm_u.A_inv.mT[..., None, :, :]  # (..., T, 1, dim)
+    z = u[..., None, None, :] + disp_z
+    chart.frame.domain.require_sweep(ts, ("middle point leaves the domain at t={t}; shrink the grid", z))
+    disp_q = dilate(ts[:, None], w[..., None, None, :]) @ chart.eps(z[..., 0, :]).A_inv.mT
+    expr = dilate_inv(ts[:, None], (disp_z + disp_q) @ hm_u.A.mT[..., None, :, :])
+    return _sup_per_t(expr - bilinear_mul(hm_u.b, v, w)[..., None, None, :])
 
 
 # -- functoriality ------------------------------------------------------------
 
 
 class GroupoidMorphism:
-    """Action of a Heisenberg diffeomorphism on the tangent groupoid."""
+    """Action of a Heisenberg diffeomorphism on the tangent groupoid; rows map as one block (`eval_many`)."""
 
     def __init__(self, phi: PolyMap, phi_inv: PolyMap | None, src: GroupoidChart, dst: GroupoidChart):
         self.phi = phi
@@ -229,15 +219,15 @@ class GroupoidMorphism:
         """Pairs go to (phi p, phi q, t), fibre points to (phi p, T(p) X, 0)."""
         p, v, t = _arrays(*e)
         at0 = t == 0
-        w = self.phi.eval(v)  # right on the pair rows; the fibre rows are replaced
+        w = self.phi.eval_many(v)  # right on the pair rows; the fibre rows are replaced
         p0 = p[at0]
         T = graded_part(tangent_blocks(self.phi, self.src.frame, self.dst.frame, p0), p0)
         w[at0] = _matvec(T, v[at0])
-        return self.phi.eval(p), w, t
+        return self.phi.eval_many(p), w, t
 
     def apply_unit(self, u):
         m, t = _arrays(*u)
-        return self.phi.eval(m), t
+        return self.phi.eval_many(m), t
 
     def gamma_precomposed(self, x, X, t):
         """The chart gamma_{kappa . phi} of the source groupoid: the target
@@ -246,8 +236,8 @@ class GroupoidMorphism:
             raise ValueError("needs the exact inverse of phi")
         x, X, t = _arrays(x, X, t)
         at0 = t == 0
-        v = self.phi_inv.eval(self.dst.eps(x).inverse(dilate(t, X)))  # the fibre rows are replaced
+        v = self.phi_inv.eval_many(self.dst.eps(x).inverse(dilate(t, X)))  # the fibre rows are replaced
         x0 = x[at0]
         T = graded_part(tangent_blocks(self.phi_inv, self.dst.frame, self.src.frame, x0), x0)
         v[at0] = _matvec(T, X[at0])
-        return self.phi_inv.eval(x), v, t
+        return self.phi_inv.eval_many(x), v, t

@@ -453,13 +453,15 @@ class PolyMap(_Poly):
     # -- evaluation -----------------------------------------------------
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Values of one map at the points pts (..., dim_in).  Each row is one
-        product with the monomials, as a `Jet` takes it, but a (P, K, dim)
-        stack of points may differ from one-point `eval` in the last bit:
-        BLAS takes a stack by gemv and a single point by a dot product."""
+        product with the monomials of each trailing (k, dim_in) block, which
+        may differ from one-point `eval` in the last bit: BLAS takes a block
+        by gemv and a single point by a dot product."""
         mono = self.monomials(pts)
         return np.stack([mono @ row for row in self.coeffs], axis=-1)
 
-    eval = eval_many  # a single point x gives the (dim_out,) value
+    def eval(self, x) -> np.ndarray:
+        """Values at one point x or at each of a batch, each point alone: bit for bit one call per point."""
+        return self.eval_many(np.asarray(x, dtype=float)[..., None, :])[..., 0, :]
 
     def jacobian(self, x) -> np.ndarray:
         """(..., dim_out, dim_in) Jacobians at the points x (..., dim_in)."""

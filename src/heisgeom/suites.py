@@ -4,8 +4,11 @@ verdict.  Checks run one after another in the calling thread; a check whose
 body raises becomes an `error` record and the run goes on.  The record list
 is sorted by id.
 
-A check body evaluates the Levi matrices and Heisenberg maps of all its base
-points in one batched call, which equals one call per point bit for bit.
+A check body makes one call per construction for all its base points and
+draws (sweeps, Levi matrices, Heisenberg maps, one `rng.random` array), bit
+for bit the loop over its points; `functor` alone loops, as its `rng.choice`
+takes integer draws no `rng.random` array gives.  Fields are still pushed
+and bracketed one at a time (ROADMAP item 21).
 Every residual goes through `rates.worst_abs`, which keeps a NaN, and a
 record whose residuals are not all finite never reads pass or flagged.
 Check bodies read the sweeps' residual traces directly.  Every rate record
@@ -137,6 +140,15 @@ def bracket_fd_residuals(frame, levi: LeviForm, pts, h: float) -> np.ndarray:
     j, k = np.array(np.triu_indices(n - 1, 1)) + 1
     omega = np.linalg.solve(frame.matrix_at(pts).mT[:, None], J[:, k] @ X[:, j] - J[:, j] @ X[:, k])
     return omega[..., 0, 0] - levi.matrix(pts)[:, j - 1, k - 1]
+
+
+def chart_draws(rng, p0, n: int, t_lo: float, t_hi: float):
+    """n chart samples (x, X, t): x in p0 + [-0.3, 0.3)^dim, X in [-1, 1)^dim
+    and t in [t_lo, t_hi).  One array of uniforms u is read draw by draw, x,
+    X, then t, each as lo + (hi - lo) u, as `Generator.uniform` does."""
+    dim = len(p0)
+    u = rng.random((n, 2 * dim + 1))
+    return p0 + (-0.3 + (0.3 - -0.3) * u[:, :dim]), -1.0 + 2.0 * u[:, dim:-1], t_lo + (t_hi - t_lo) * u[:, -1]
 
 
 def composable_tuples(rng, p0, n: int):
@@ -520,10 +532,9 @@ class SuiteRunner:
 
         @functools.cache
         def expansions():
-            """One expansion trace per base point, shared by the rate and
-            uniformity checks; an exception is not cached, so both become
-            `error` records."""
-            return [approx.diffeo_expansion_check(spec.fwd, src, dst, m, pts, self.t_grid) for m in base]
+            """One expansion trace per base point, from one sweep shared by the
+            rate and uniformity checks; an exception is not cached."""
+            return approx.diffeo_expansion_check(spec.fwd, src, dst, base, pts, self.t_grid)
 
         # a map that does not preserve H is the negative control: the detector must fire
         kind = "quadratic-vanishing" if preserving else "negative-control"
@@ -566,24 +577,22 @@ class SuiteRunner:
         def axioms():
             seed, rng = self._seeded(f"groupoid/{name}/axioms")
             g1, g2 = composable_tuples(rng, self.base_points(name, limit=1)[0], n_tuples)
-            comp = gchart.compose(g1, g2)
-            left = gchart.compose(g1, gchart.iota(*gchart.source_of(g1)))
-            unit = gchart.compose(g1, gchart.inverse(g1))
+            # g1 times g2, the unit at its source and its inverse, in one compose
+            rights = g2, gchart.iota(*gchart.source_of(g1)), gchart.inverse(g1)
+            p, (comp, left, unit), t = gchart.compose(g1, [np.stack(a) for a in zip(*rights)])
             return self.threshold_outcome(
                 {"chart": name, "seed": seed, "n": n_tuples},
                 "group_axioms",
-                gchart.range_of(comp)[0] - gchart.range_of(g1)[0],
-                gchart.source_of(comp)[0] - gchart.source_of(g2)[0],
-                left[1] - g1[1],
-                unit[1] - gchart.iota(*gchart.range_of(g1))[1],
+                p - gchart.range_of(g1)[0],
+                gchart.source_of((p, comp, t))[0] - gchart.source_of(g2)[0],
+                left - g1[1],
+                unit - gchart.iota(*gchart.range_of(g1))[1],
             )
 
         @check(f"groupoid/{name}/chart-roundtrip", "groupoid-chart.roundtrip")
         def roundtrip():
             seed, rng = self._seeded(f"groupoid/{name}/roundtrip")
-            p0 = self.base_points(name, limit=1)[0]
-            draws = [(p0 + rng.uniform(-0.3, 0.3, dim), rng.uniform(-1, 1, dim), rng.uniform(0.05, 0.5)) for _ in range(25)]
-            x, X, t = _elements(draws)
+            x, X, t = chart_draws(rng, self.base_points(name, limit=1)[0], 25, 0.05, 0.5)
             # each sample at its t and, as a boundary element, at t = 0
             x, X, t = np.concatenate([x, x]), np.concatenate([X, X]), np.concatenate([t, 0.0 * t])
             back = gchart.gamma_inv(gchart.gamma(x, X, t))
@@ -593,14 +602,8 @@ class SuiteRunner:
         @check(f"groupoid/{name}/rs-jacobian", "groupoid.range-source-submersion")
         def rs_jacobian():
             seed, rng = self._seeded(f"groupoid/{name}/rs")
-            p0 = self.base_points(name, limit=1)[0]
-            dets = []
-            for _ in range(8):
-                x = p0 + rng.uniform(-0.3, 0.3, dim)
-                X = rng.uniform(-1, 1, dim)
-                t = float(rng.uniform(0.1, 1.0))
-                dets.append(np.linalg.det(gchart.source_jacobian(x, X, t)))
-            least = worst_abs(dets, least=True)
+            x, X, t = chart_draws(rng, self.base_points(name, limit=1)[0], 8, 0.1, 1.0)
+            least = worst_abs(np.linalg.det(gchart.source_jacobian(x, X, t)), least=True)
             return self.threshold_outcome({"chart": name, "seed": seed}, RS_DET_MIN, least, above=True)
 
         @check(f"groupoid/{name}/continuity", "groupoid.continuity-condition")
@@ -627,7 +630,7 @@ class SuiteRunner:
             flat = worst_abs(self._levi[name].matrix(self.sweep_points(name)[0])) < FLAT_LEVI
             pts = self.sweep_points(name)
             XY = rng.uniform(-1, 1, (len(pts), 2, dim))  # the draws of one point after another
-            traces = [groupoid.composition_limit_check(gchart, x, X, Y, self.t_grid) for x, (X, Y) in zip(pts, XY)]
+            traces = groupoid.composition_limit_check(gchart, pts, XY[:, 0], XY[:, 1], self.t_grid)
             # a flat chart composes exactly
             exact = not flat or worst_abs(*traces) < self.tol["flat_exact"]
             return self.rate_outcome({"chart": name, "seed": seed}, traces, ok=exact)
@@ -637,7 +640,7 @@ class SuiteRunner:
             seed, rng = self._seeded(f"groupoid/{name}/psi")
             pts = self.sweep_points(name)
             VW = rng.uniform(-1, 1, (len(pts), 2, dim))
-            traces = [groupoid.psi_composition_check(gchart, u, v, w, self.t_grid) for u, (v, w) in zip(pts, VW)]
+            traces = groupoid.psi_composition_check(gchart, pts, VW[:, 0], VW[:, 1], self.t_grid)
             return self.rate_outcome({"chart": name, "seed": seed}, traces)
 
     def _groupoid_diffeo_checks(self, spec, check):
@@ -650,9 +653,8 @@ class SuiteRunner:
         @check(f"groupoid/{spec.name}/transition-limit", "groupoid-chart.transition-limit")
         def transition_limit():
             seed, rng = self._seeded(f"groupoid/{spec.name}/transition")
-            Xs = rng.uniform(-1, 1, (len(base), self.manifest.dim))
-            sweep = functools.partial(approx.diffeo_expansion_check, spec.fwd, src_chart.frame, dst_chart.frame)
-            traces = [sweep(x, X[None], self.t_grid) for x, X in zip(base, Xs)]
+            Xs = rng.uniform(-1, 1, (len(base), 1, self.manifest.dim))  # one sample per base point
+            traces = approx.diffeo_expansion_check(spec.fwd, src_chart.frame, dst_chart.frame, base, Xs, self.t_grid)
             return self.rate_outcome({"diffeo": spec.name, "seed": seed}, traces)
 
         @check(f"groupoid/{spec.name}/continuity-chart-independence", "groupoid.continuity-chart-independence")

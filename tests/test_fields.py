@@ -322,6 +322,20 @@ def test_matrix_and_jacobians_batch_equals_single_points():
         assert np.array_equal(B[i], B1) and np.array_equal(DX[i], DX1)
 
 
+
+def test_expand_over_a_batch_equals_the_per_point_loop():
+    # basis_at transposes each point's frame matrix: a whole-array transpose
+    # reversed the axes of a batch, and at these 3 points of darboux1 `expand`
+    # raised LinAlgError though the frame is nonsingular at each of them
+    frame = Manifest.from_dict(load_doc("contact-darboux")).chart("darboux1").frame
+    pts = frame.domain.shrunk(0.1).grid(3, limit=3)
+    v = np.random.default_rng(5).uniform(-1, 1, pts.shape)
+    basis, got = frame.basis_at(pts), frame.expand(pts, v)
+    assert basis.shape == (3, 3, 3) and got.shape == pts.shape
+    for i, (x, vi) in enumerate(zip(pts, v)):
+        assert basis[i].tobytes() == frame.matrix_at(x).T.tobytes()
+        assert got[i].tobytes() == np.linalg.solve(frame.matrix_at(x).T, vi).tobytes()
+
 def test_pushforward_preserves_H_identity():
     frame = heisenberg_frame()
     ident = PolyMap.identity(3, 3)

@@ -1,7 +1,8 @@
-"""The graded rescaling sweeps evaluate their whole t grid (or sample set) in
-one array pass.  Each must give the trace of the per-t loop it replaced bit
-for bit, raise the loop's error at the loop's first failing t, and rest on
-the `per_map` rule: a single map given (T, k, n) points multiplies each
+"""The graded rescaling sweeps evaluate their whole t grid (or sample set),
+and a batch of base points, in one array pass.  Each must give the traces of
+the per-point, per-t loop it replaced bit for bit, raise the loop's error at
+the loop's first failing point and t, and rest on the `per_map` rule: a
+single map, or each map of a stack, given (T, k, n) points multiplies each
 (k, n) block as its own product.
 
 The reference loops below are the loop bodies the sweeps had before they
@@ -27,6 +28,7 @@ from heisgeom.groupoid import (
 )
 from heisgeom.jets import PolyMap
 from heisgeom.manifests import Manifest, load_doc
+from heisgeom.suites import SuiteRunner
 
 from conftest import TS, heisenberg_frame
 
@@ -100,11 +102,11 @@ def chart_independence_loop(src, dst, phi, p, X, ts):
     return [float(np.max(np.abs(dilate_inv(t, hm_dst.forward(q)) - target))) for q, t in zip(mapped, ts)]
 
 
-def expansion_loop(phi, frame_src, frame_dst, m, ts):
+def expansion_loop(phi, frame_src, frame_dst, m, ts, pts=None):
     hm_src = heisenberg_map(frame_src, m)
     hm_dst = heisenberg_map(frame_dst, phi.eval(m))
     tangent = graded_part(tangent_blocks(phi, frame_src, frame_dst, m), m)
-    pts = sample_box(0.6, 3, frame_src.dim)
+    pts = sample_box(0.6, 3, frame_src.dim) if pts is None else pts
     target = pts @ tangent.T
     phi_disp = displacement_map(phi, m)
     residuals = []
@@ -133,6 +135,11 @@ def roundtrip_batch(chart, x, X, t):
     x, X, t = np.concatenate([x, x]), np.concatenate([X, X]), np.concatenate([t, 0.0 * t])
     back = chart.gamma_inv(chart.gamma(x, X, t))
     return max(float(np.max(np.abs(got - want))) for got, want in zip(back, (x, X, t)))
+
+
+def same_traces(batched, loop):
+    """One trace per base point, equal to the loop's bit for bit."""
+    return len(batched) == len(loop) and np.array(batched).tobytes() == np.array(loop).tobytes()
 
 
 def shear_residual_loop(shear, b, pairs):
@@ -220,6 +227,57 @@ def test_heisenberg3_diffeos_sweep_bit_for_bit():
             diffeo_expansion_check(spec.fwd, chart.frame, chart.frame, x, sample_box(0.6, 3, 3), TS),
             expansion_loop(spec.fwd, chart.frame, chart.frame, x, TS),
         )
+
+
+# ---- a batch of base points: one sweep call, one trace per point --------------
+
+
+def _darboux1():
+    return _chart(load_doc("contact-darboux"), "darboux1")
+
+
+def _point_batches(chart, phi, seed):
+    """Each sweep over a batch of 3 base points, and the loop over the points."""
+    rng = np.random.default_rng(seed)
+    xs, Xs, Ys = _samples(chart, rng)
+    frame, box = chart.frame, sample_box(0.6, 3, chart.dim)
+    own = rng.uniform(-0.6, 0.6, (len(xs), 4, chart.dim))  # 4 samples of each point
+
+    def expansion(pts):
+        return diffeo_expansion_check(phi, frame, frame, xs, pts, TS)
+
+    return [
+        (composition_limit_check(chart, xs, Xs, Ys, TS), [composition_loop(chart, *a, TS) for a in zip(xs, Xs, Ys)]),
+        (psi_composition_check(chart, xs, Xs, Ys, TS), [psi_loop(chart, *a, TS) for a in zip(xs, Xs, Ys)]),
+        (expansion(Xs[:, None]), [transition_loop(chart, chart, phi, x, X, TS) for x, X in zip(xs, Xs)]),
+        (expansion(box), [expansion_loop(phi, frame, frame, x, TS) for x in xs]),
+        (expansion(own), [expansion_loop(phi, frame, frame, x, TS, pts) for x, pts in zip(xs, own)]),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(BIT_CHARTS) + ["darboux1"])
+def test_a_batch_of_base_points_equals_the_loop_over_points(name):
+    chart = _darboux1() if name == "darboux1" else BIT_CHARTS[name]()
+    phi = _affine_phi(chart.dim, chart.frame.order, np.random.default_rng(8))
+    for batched, loop in _point_batches(chart, phi, seed=13):
+        assert same_traces(batched, loop)
+
+
+@pytest.mark.parametrize("name", ["heisenberg3", "contact-darboux"])
+def test_builtin_diffeo_sweeps_at_the_checks_base_points_equal_the_loop(name):
+    # the inputs of diffeo/*/rate, uniformity and groupoid/*/transition-limit
+    runner = SuiteRunner(Manifest.from_dict(load_doc(name), seed=42))
+    preserving = [s for s in runner.manifest.diffeos if runner.preserving_residual(s) < runner.tol["preserve"]]
+    assert preserving
+    for spec in preserving:
+        src, dst = (runner.charts[c] for c in (spec.source, spec.target))
+        base = runner.base_points(spec.source, limit=4, shrink=0.15)
+        batched = diffeo_expansion_check(spec.fwd, src.frame, dst.frame, base, sample_box(0.6, 3, src.dim), TS)
+        assert same_traces(batched, [expansion_loop(spec.fwd, src.frame, dst.frame, m, TS) for m in base])
+        base = runner.base_points(spec.source, limit=3, shrink=0.1)
+        Xs = np.random.default_rng(2).uniform(-1, 1, base.shape)
+        batched = diffeo_expansion_check(spec.fwd, src.frame, dst.frame, base, Xs[:, None], TS)
+        assert same_traces(batched, [transition_loop(src, dst, spec.fwd, x, X, TS) for x, X in zip(base, Xs)])
 
 
 # On darboux1 (d = 2, nonzero shear) the batched and the one-point calls of
@@ -317,6 +375,58 @@ def test_psi_middle_point_leaves_at_the_loops_first_t():
     assert _message(psi_composition_check, SMALL, ZERO, 6 * E1, ZERO, GROW) == want
 
 
+def _loop_message(loop, *per_point):
+    """The error of the loop over base points: that of the first to raise."""
+
+    def over_points():
+        for args in zip(*per_point):
+            loop(*args)
+
+    return _message(over_points)
+
+
+TWO = np.array([ZERO, ZERO])
+
+
+def test_a_batch_raises_the_loop_error_when_only_the_second_point_leaves():
+    phi = PolyMap.identity(3, 3)
+    Xs = np.array([0.5 * E1, 6 * E1])
+    want = _loop_message(lambda x, X: transition_loop(SMALL, SMALL, phi, x, X, GROW), TWO, Xs)
+    diffeo_expansion_check(phi, SMALL.frame, SMALL.frame, ZERO, Xs[:1], GROW)  # the first point stays inside
+    assert "t=0.125" in want
+    assert _message(diffeo_expansion_check, phi, SMALL.frame, SMALL.frame, TWO, Xs[:, None], GROW) == want
+
+    frame, ts = heisenberg_frame(half=0.05), GROW[:4]
+    xs = np.array([ZERO, 0.04 * E1])
+    diffeo_expansion_check(phi, frame, frame, ZERO, sample_box(0.6, 3, 3), ts)  # the first point stays inside
+    want = _loop_message(lambda m: expansion_loop(phi, frame, frame, m, ts), xs)
+    assert "sample leaves" in want
+    assert _message(diffeo_expansion_check, phi, frame, frame, xs, sample_box(0.6, 3, 3), ts) == want
+
+    for check, loop in ((composition_limit_check, composition_loop), (psi_composition_check, psi_loop)):
+        X, Y = np.array([E1, 6 * E1]), np.zeros((2, 3))
+        check(SMALL, ZERO, E1, ZERO, GROW)  # the first point stays inside
+        want = _loop_message(lambda *a: loop(SMALL, *a, GROW), TWO, X, Y)
+        assert want.startswith("middle point") and "t=0.125" in want
+        assert _message(check, SMALL, TWO, X, Y, GROW) == want
+
+
+@pytest.mark.parametrize(
+    "X, Y, kind, t",
+    [
+        # the first point's endpoint leaves at t = 1/8, the second's middle
+        # point at t = 1/32: the loop stops at the first point
+        ([ZERO, 20 * E1], [6 * E1, ZERO], "endpoint", 0.125),
+        ([6 * E1, ZERO], [ZERO, 20 * E1], "middle point", 0.125),
+    ],
+)
+def test_a_composition_batch_raises_the_first_points_error(X, Y, kind, t):
+    X, Y = np.array(X), np.array(Y)
+    want = _loop_message(lambda *a: composition_loop(SMALL, *a, GROW), TWO, X, Y)
+    assert want.startswith(kind) and f"t={t}" in want
+    assert _message(composition_limit_check, SMALL, TWO, X, Y, GROW) == want
+
+
 # ---- the per_map rule -----------------------------------------------------------
 
 
@@ -331,3 +441,25 @@ def test_single_map_multiplies_each_trailing_block_as_one_product(name):
         # T one-point calls; one (T, dim) product would round differently
         assert np.array_equal(f(one_per_t), np.stack([f(p) for p in one_per_t[:, 0]])[:, None])
         assert np.array_equal(f(grid_per_t), np.stack([f(block) for block in grid_per_t]))
+    # a stack of maps follows the same rule: each map's points (T, k, dim)
+    # are one product per t, as one map per base point and t would take them
+    xs = chart.frame.domain.center() + 0.1 * rng.uniform(-1, 1, (3, chart.dim))
+    stack = chart.eps(xs)
+    for k in (1, 4):
+        pts = dilate(TS[:, None], rng.uniform(-1, 1, (3, 1, k, chart.dim)))  # (3, T, k, dim)
+        for name in ("inverse_displacement", "forward_from_displacement"):
+            want = np.stack([[getattr(chart.eps(x), name)(block) for block in per_t] for x, per_t in zip(xs, pts)])
+            assert getattr(stack, name)(pts).tobytes() == want.tobytes()
+
+
+def test_eval_takes_each_point_of_a_batch_alone():
+    # the sweeps evaluate phi at their base points through `eval`, one point
+    # per product; `eval_many` takes a (P, dim) batch as one block, which
+    # BLAS may round differently (one gemv), and is kept for sample blocks
+    c7 = BIT_CHARTS["c7"]().frame.stacked  # a cubic map of 49 rows
+    maps = [_affine_phi(dim, 3, np.random.default_rng(dim)) for dim in (3, 5, 7)] + [c7]
+    for phi in maps:
+        xs = np.random.default_rng(1).uniform(-1, 1, (6, phi.dim_in))
+        alone = np.array([[phi.monomials(x) @ row for row in phi.coeffs] for x in xs])  # a dot product each
+        assert phi.eval(xs).tobytes() == alone.tobytes()
+        assert phi.eval(xs[0]).tobytes() == alone[0].tobytes()
